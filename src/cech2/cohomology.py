@@ -4,7 +4,11 @@ A cocycle assigns a G element g_ij to every increasing edge and an H element
 h_ijk to every increasing triangle, subject to
 
     triangle law:     t(h_ijk) g_ij g_jk = g_ik
-    tetrahedron law:  alpha(g_ij)(h_jkl) h_ijl = h_ijk h_ikl
+    tetrahedron law:  h_ikl h_ijk = h_ijl alpha(g_ij)(h_jkl)
+
+The tetrahedron law is ordered as the triangle law forces it: expanding g_il
+through the faces ikl, ijk and through ijl, jkl gives t of either side times
+g_ij g_jk g_kl.  For abelian H it is the familiar cocycle identity in any order.
 
 Values on repeated or descending index tuples are never stored; the usual
 normalization (g_ii = 1, g_ji = g_ij^-1, h trivial on degenerate triples)
@@ -20,7 +24,11 @@ used by ``apply_coboundary``:
 
 Witnesses form a group under composition and are generated by the elementary
 ones supported on a single vertex or a single edge, so orbits (= cohomology
-classes) are computed by closing each representative under elementary moves.
+classes) are the components of the graph the elementary moves draw on the
+valid cocycles.  ``classify_h1`` takes one of two paths, chosen by the input:
+with trivial G and no tetrahedra every candidate is a cocycle and every move a
+translation, so orbits are cosets of the subgroup the move deltas generate;
+everything else is enumerated and closed under vectorized moves.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ from .complexes import SimplicialComplex, barycentric_subdivide
 from .crossed_modules import CrossedModule, _generating_set
 from .errors import (
     BudgetExceeded,
+    MoveLeavesCocycles,
     NotAbelian,
     NotACycle,
     TetrahedronViolation,
@@ -43,10 +52,6 @@ from .errors import (
 
 DEFAULT_BUDGET = 10**6
 DEFAULT_WITNESS_BUDGET = 10**6
-
-# instances at or below this many enumerated cocycles are classified by the
-# plain dictionary walker; larger ones go through the vectorized paths
-_PYTHON_STATE_LIMIT = 3000
 
 
 @dataclass
@@ -82,7 +87,9 @@ class Classification:
     witness_log: Optional[dict] = None
     _system: object = field(default=None, repr=False)
     _labels: object = field(default=None, repr=False)
-    _id_lookup: object = field(default=None, repr=False)
+    # sorted ranks of the classified cocycles; None when every candidate is a
+    # cocycle, so that a cocycle's rank is its index
+    _ranks: object = field(default=None, repr=False)
 
     @property
     def class_count(self) -> int:
@@ -92,9 +99,16 @@ class Classification:
         return [len(c) for c in self.classes]
 
     def class_of(self, c: Cocycle) -> int:
-        sys = self._system
-        cid = sys.id_of_digits(*sys.cocycle_to_digits(c)) if self._id_lookup is None else self._id_lookup(c)
-        return int(self._labels[cid])
+        """Label of the class holding ``c``.
+
+        Raises ValueError when ``c`` is not one of the classified cocycles.
+        """
+        rank = index = self._system.rank_of(c)
+        if self._ranks is not None:
+            index = int(self._ranks.searchsorted(rank))
+            if index == len(self._ranks) or self._ranks[index] != rank:
+                raise ValueError("not a valid cocycle of this classification")
+        return int(self._labels[index])
 
     def to_report(self) -> dict:
         sys = self._system
@@ -132,6 +146,10 @@ class _System:
             )
             for (i, j, k, l) in self.tets
         ]
+        # weights of the g and h digits in a cocycle's rank (see rank_of)
+        E, T = len(self.edges), len(self.tris)
+        self.h_weights = [self.H.order ** (T - 1 - col) for col in range(T)]
+        self.g_weights = [self.G.order ** (E - 1 - col) * self.H.order**T for col in range(E)]
         self.kernel_t = xm.t.kernel()
         im = xm.t.image()
         self.in_image_t = np.zeros(self.G.order, dtype=bool)
@@ -144,9 +162,9 @@ class _System:
     # conversions
 
     def cocycle_to_digits(self, c: Cocycle) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        if set(c.g) != set(self.edges) or set(c.h) != set(self.tris):
+        if c.g.keys() != self.eidx.keys() or c.h.keys() != self.tidx.keys():
             raise ValueError("cocycle maps must be total on edges and triangles")
-        return tuple(c.g[e] for e in self.edges), tuple(c.h[t] for t in self.tris)
+        return tuple(map(c.g.__getitem__, self.edges)), tuple(map(c.h.__getitem__, self.tris))
 
     def digits_to_cocycle(self, gds, hds) -> Cocycle:
         return Cocycle(
@@ -181,11 +199,16 @@ class _System:
         for tri, (e_ij, e_jk, e_ik) in zip(self.tris, self.tri_edges):
             if G.mul(t(hds[self.tidx[tri]]), G.mul(gds[e_ij], gds[e_jk])) != gds[e_ik]:
                 raise TriangleViolation(tri)
-        for tet, (t_jkl, t_ikl, t_ijl, t_ijk, e_ij) in zip(self.tets, self.tet_parts):
-            lhs = H.mul(alpha.apply(gds[e_ij], hds[t_jkl]), hds[t_ijl])
-            rhs = H.mul(hds[t_ijk], hds[t_ikl])
-            if lhs != rhs:
+        for tet, parts in zip(self.tets, self.tet_parts):
+            if not self.tet_law_holds(gds, hds, parts):
                 raise TetrahedronViolation(tet)
+
+    def tet_law_holds(self, gds, hds, parts) -> bool:
+        """h_ikl h_ijk = h_ijl alpha(g_ij)(h_jkl) on one tetrahedron."""
+        H, alpha = self.H, self.xm.alpha
+        t_jkl, t_ikl, t_ijl, t_ijk, e_ij = parts
+        lhs = H.mul(hds[t_ikl], hds[t_ijk])
+        return lhs == H.mul(hds[t_ijl], alpha.apply(gds[e_ij], hds[t_jkl]))
 
     # coboundary action on digit tuples
 
@@ -220,16 +243,6 @@ class _System:
             for kv in _generating_set(self.H):
                 out.append(("e", e, kv))
         return out
-
-    def move_witness_digits(self, move):
-        fds = [0] * self.cx.vertex_count
-        kds = [0] * len(self.edges)
-        kind, pos, val = move
-        if kind == "v":
-            fds[pos] = val
-        else:
-            kds[pos] = val
-        return tuple(fds), tuple(kds)
 
     def compile_move(self, move):
         """Closure applying one elementary move to (g digits, h digits)."""
@@ -281,24 +294,63 @@ class _System:
 
         return act
 
+    def move_columns(self, move, g_mat, h_mat):
+        """``compile_move`` over whole digit matrices: the g and h columns the
+        move changes, as {column: new values}."""
+        G, H, alpha = self.G, self.H, self.xm.alpha
+        kind, pos, val = move
+        g_new, h_new = {}, {}
+        if kind == "v":
+            ainv = G.inv(val)
+            for e, (i, j) in enumerate(self.edges):
+                if i == pos:
+                    g_new[e] = G.table[ainv, g_mat[:, e]]
+                elif j == pos:
+                    g_new[e] = G.table[g_mat[:, e], val]
+            for ti, (i, _, _) in enumerate(self.tris):
+                if i == pos:
+                    h_new[ti] = alpha.perms[ainv, h_mat[:, ti]]
+        else:
+            for ti, (e_ij, e_jk, e_ik) in enumerate(self.tri_edges):
+                if e_ik == pos:
+                    h_new[ti] = H.table[val, h_mat[:, ti]]
+                elif e_jk == pos:
+                    h_new[ti] = H.table[h_mat[:, ti], H.inverse[alpha.perms[g_mat[:, e_ij], val]]]
+                elif e_ij == pos:
+                    h_new[ti] = H.table[h_mat[:, ti], H.inv(val)]
+            g_new[pos] = G.table[self.xm.t(val), g_mat[:, pos]]
+        return g_new, h_new
+
     # enumeration
 
     def candidate_count(self) -> int:
         return self.G.order ** len(self.edges) * max(1, len(self.kernel_t)) ** len(self.tris)
 
-    def id_weights(self):
-        E, T = len(self.edges), len(self.tris)
-        gw = self.G.order ** np.arange(E - 1, -1, -1, dtype=np.int64) if E else np.zeros(0, np.int64)
-        hw = self.H.order ** np.arange(T - 1, -1, -1, dtype=np.int64) if T else np.zeros(0, np.int64)
-        return gw, hw
+    def rank_of(self, c: Cocycle) -> int:
+        """Position of ``c`` in lexicographic (edge digits, triangle digits)
+        order over all of G^E x H^T; enumeration lists cocycles in this order."""
+        gds, hds = self.cocycle_to_digits(c)
+        rank = 0
+        order = self.G.order
+        for x in gds:
+            if not 0 <= x < order:
+                raise ValueError(f"edge value {x} is not an element of G")
+            rank = rank * order + x
+        order = self.H.order
+        for x in hds:
+            if not 0 <= x < order:
+                raise ValueError(f"triangle value {x} is not an element of H")
+            rank = rank * order + x
+        return rank
 
-    def id_of_digits(self, gds, hds) -> int:
-        """Rank in lexicographic candidate order; a valid cocycle id whenever
-        the whole candidate space is valid (the vectorized classify paths)."""
-        gw, hw = self.id_weights()
-        g_rank = int(np.dot(np.asarray(gds, dtype=np.int64), gw)) if len(gw) else 0
-        h_rank = int(np.dot(np.asarray(hds, dtype=np.int64), hw)) if len(hw) else 0
-        return g_rank * self.H.order ** len(self.tris) + h_rank
+
+def _encode(mat: np.ndarray, weights: list[int]) -> np.ndarray:
+    """Weighted digit sums of the rows, one column at a time so that no int64
+    copy of the whole matrix is made."""
+    ranks = np.zeros(len(mat), dtype=np.int64)
+    for col, w in enumerate(weights):
+        ranks += mat[:, col].astype(np.int64) * w
+    return ranks
 
 
 def _mixed_radix(count: int, width: int, base: int) -> np.ndarray:
@@ -358,12 +410,7 @@ def _enumerate_digit_arrays(sys: _System, budget: int) -> tuple[np.ndarray, np.n
 
 
 def _tets_ok(sys: _System, gds, hds) -> bool:
-    H, alpha = sys.H, sys.xm.alpha
-    for (t_jkl, t_ikl, t_ijl, t_ijk, e_ij) in sys.tet_parts:
-        lhs = H.mul(alpha.apply(gds[e_ij], hds[t_jkl]), hds[t_ijl])
-        if lhs != H.mul(hds[t_ijk], hds[t_ikl]):
-            return False
-    return True
+    return all(sys.tet_law_holds(gds, hds, parts) for parts in sys.tet_parts)
 
 
 def _filter_tets(sys: _System, g_mat, h_mat, g_row=None):
@@ -373,8 +420,8 @@ def _filter_tets(sys: _System, g_mat, h_mat, g_row=None):
     mask = np.ones(len(h_mat), dtype=bool)
     for (t_jkl, t_ikl, t_ijl, t_ijk, e_ij) in sys.tet_parts:
         gcol = np.full(len(h_mat), g_row[e_ij]) if g_row is not None else g_mat[:, e_ij]
-        lhs = H.table[alpha.perms[gcol, h_mat[:, t_jkl]], h_mat[:, t_ijl]]
-        rhs = H.table[h_mat[:, t_ijk], h_mat[:, t_ikl]]
+        lhs = H.table[h_mat[:, t_ikl], h_mat[:, t_ijk]]
+        rhs = H.table[h_mat[:, t_ijl], alpha.perms[gcol, h_mat[:, t_jkl]]]
         mask &= lhs == rhs
     return g_mat[mask], h_mat[mask]
 
@@ -479,87 +526,40 @@ def enumerate_cocycles(
     return [sys.digits_to_cocycle(g_mat[i], h_mat[i]) for i in range(len(g_mat))]
 
 
-def _classify_python(sys: _System, g_mat, h_mat) -> Classification:
-    states = [
-        (tuple(int(x) for x in g_mat[i]), tuple(int(x) for x in h_mat[i]))
-        for i in range(len(g_mat))
-    ]
-    index = {s: i for i, s in enumerate(states)}
-    acts = [sys.compile_move(m) for m in sys.moves()]
-    labels = [-1] * len(states)
-    classes: list[list[int]] = []
-    for seed in range(len(states)):
-        if labels[seed] >= 0:
-            continue
-        label = len(classes)
-        labels[seed] = label
-        frontier = [states[seed]]
-        members = [seed]
-        while frontier:
-            nxt = []
-            for st in frontier:
-                for act in acts:
-                    other = act(*st)
-                    oid = index[other]
-                    if labels[oid] < 0:
-                        labels[oid] = label
-                        members.append(oid)
-                        nxt.append(other)
-            frontier = nxt
-        classes.append(sorted(members))
-    trivial_id = index[(tuple([0] * g_mat.shape[1]), tuple([0] * h_mat.shape[1]))]
-    reps = [sys.digits_to_cocycle(g_mat[c[0]], h_mat[c[0]]) for c in classes]
-    out = Classification(
-        classes=[np.asarray(c, dtype=np.int64) for c in classes],
-        representatives=reps,
-        base_class=labels[trivial_id],
-        num_cocycles=len(states),
-        _system=sys,
-        _labels=np.asarray(labels, dtype=np.int64),
-    )
-    out._id_lookup = lambda c: index[sys.cocycle_to_digits(c)]
-    return out
+def _classify_cosets(sys: _System, budget: int) -> Classification:
+    """Trivial G and no tetrahedra: every candidate is a cocycle and every
+    elementary move a translation.
 
-
-def _classify_shift_translation(sys: _System, budget: int) -> Classification:
-    """Fast path: trivial G and no tetrahedra, so every move is a translation.
-
-    Each elementary move ships the triangle data by a fixed delta vector;
-    the orbit of any cocycle is its coset under the subgroup generated by the
-    deltas.  The deltas come from the general coboundary action applied to
-    the basepoint, and a sample of states cross-checks the translation claim
-    against the general action.
+    Each move ships the triangle data by a fixed delta vector, so orbits are
+    the cosets of the subgroup S of H^T the deltas generate.  The deltas come
+    from the general coboundary action applied to the basepoint, and a spread
+    of states cross-checks the translation claim against the general action.
+    S is closed one generator d at a time: S + d, S + 2d, ... are cosets of S,
+    so each new block needs a membership test on its first row only.
     """
     H = sys.H
     T = len(sys.tris)
     n = H.order**T
     if n > budget:
         raise BudgetExceeded(n, budget)
-    _, hw = sys.id_weights()
-    table = H.table.astype(np.uint8)
-
-    def encode(mat) -> np.ndarray:
-        ids = np.zeros(len(mat), dtype=np.int64)
-        for col in range(T):
-            ids += mat[:, col].astype(np.int64) * int(hw[col])
-        return ids
+    hw = sys.h_weights
+    table = H.table.astype(np.min_scalar_type(H.order - 1))
 
     def decode(x: int) -> np.ndarray:
-        digits = np.empty(T, dtype=np.uint8)
+        digits = np.empty(T, dtype=table.dtype)
         for pos in range(T - 1, -1, -1):
             x, r = divmod(x, H.order)
             digits[pos] = r
         return digits
 
-    moves = sys.moves()
-    acts = [sys.compile_move(m) for m in moves]
+    acts = [sys.compile_move(m) for m in sys.moves()]
     zero_g = tuple([0] * len(sys.edges))
     zero_h = tuple([0] * T)
     deltas = []
     for act in acts:
         g2, h2 = act(zero_g, zero_h)
         assert g2 == zero_g
-        deltas.append(np.asarray(h2, dtype=np.uint8))
+        deltas.append(np.asarray(h2, dtype=table.dtype))
     # translation cross-check against the general action, on a spread of states
     for sid in range(0, n, max(1, n // 13)):
         sample = tuple(int(x) for x in decode(sid))
@@ -567,46 +567,36 @@ def _classify_shift_translation(sys: _System, budget: int) -> Classification:
             expected = tuple(int(table[s, dv]) for s, dv in zip(sample, d))
             assert act(zero_g, sample)[1] == expected
 
-    # close the delta subgroup
-    visited = np.zeros(n, dtype=bool)
-    visited[0] = True
-    frontier = np.zeros((1, T), dtype=np.uint8)
-    sub_rows = [frontier]
-    while len(frontier):
-        nxt = []
-        for d in deltas:
-            cand = table[frontier, d[None, :]]
-            ids = encode(cand)
-            fresh = ~visited[ids]
-            if fresh.any():
-                cand = cand[fresh]
-                ids = ids[fresh]
-                # first occurrence wins when ids repeat inside one batch
-                uniq, first = np.unique(ids, return_index=True)
-                visited[uniq] = True
-                nxt.append(cand[first])
-        frontier = np.concatenate(nxt) if nxt else np.zeros((0, T), dtype=np.uint8)
-        if len(frontier):
-            sub_rows.append(frontier)
-    subgroup = np.concatenate(sub_rows)
+    in_sub = np.zeros(n, dtype=bool)
+    in_sub[0] = True
+    sub = np.zeros((1, T), dtype=table.dtype)
+    for d in deltas:
+        blocks = [sub]
+        step = d
+        while not in_sub[_encode(step[None, :], hw)[0]]:
+            block = table[sub, step[None, :]]
+            in_sub[_encode(block, hw)] = True
+            blocks.append(block)
+            step = table[step, d]
+        sub = np.concatenate(blocks)
 
-    # orbits are cosets of the subgroup
+    # orbits are the cosets of S; the least unlabelled id seeds the next one
     labels = np.full(n, -1, dtype=np.int64)
     classes = []
     seed = 0
     while seed < n:
-        if labels[seed] >= 0:
-            seed += 1
-            continue
-        coset = table[subgroup, decode(seed)[None, :]]
-        ids = np.sort(encode(coset))
+        ids = np.sort(_encode(table[sub, decode(seed)[None, :]], hw))
         labels[ids] = len(classes)
         classes.append(ids)
-        seed += 1
-    reps = [
-        sys.digits_to_cocycle([0] * len(sys.edges), [int(x) for x in decode(int(ids[0]))])
-        for ids in classes
-    ]
+        # scan for the next seed in windows of one coset, so the scans cost
+        # O(n) in total however many classes there are
+        while seed < n:
+            free = np.flatnonzero(labels[seed : seed + len(sub)] < 0)
+            if len(free):
+                seed += int(free[0])
+                break
+            seed += len(sub)
+    reps = [sys.digits_to_cocycle(zero_g, decode(int(ids[0]))) for ids in classes]
     return Classification(
         classes=classes,
         representatives=reps,
@@ -614,60 +604,61 @@ def _classify_shift_translation(sys: _System, budget: int) -> Classification:
         num_cocycles=n,
         _system=sys,
         _labels=labels,
-        _id_lookup=None,
     )
 
 
-def _classify_dense_edges(sys: _System, budget: int) -> Classification:
-    """Vectorized path for one-dimensional complexes: every g assignment is
-    valid, moves act column-by-column through lookup tables."""
-    G = sys.G
-    E = len(sys.edges)
-    n = G.order**E
-    if n > budget:
-        raise BudgetExceeded(n, budget)
-    gw, _ = sys.id_weights()
-    digits = _mixed_radix(n, E, G.order)
+def _classify_orbits(sys: _System, g_mat: np.ndarray, h_mat: np.ndarray) -> Classification:
+    """Orbits of the enumerated cocycles (rows in rank order) under the
+    elementary moves.
 
-    neighbor_arrays = []
+    Each move is applied to whole digit columns and shifts the rank of every
+    row by the weighted change of the columns it touches; the moved rows are
+    found by searchsorted over the sorted ranks.  Classes are then the
+    components of the move graph, by min-label propagation with pointer
+    jumping (Tarjan, JACM 1975).
+    """
+    rank_space = sys.G.order ** len(sys.edges) * sys.H.order ** len(sys.tris)
+    if rank_space > np.iinfo(np.int64).max:
+        raise BudgetExceeded(rank_space, int(np.iinfo(np.int64).max))
+    gw, hw = sys.g_weights, sys.h_weights
+    ranks = _encode(g_mat, gw) + _encode(h_mat, hw)
+    n = len(ranks)
+
+    neighbours = []
     for move in sys.moves():
-        kind, pos, val = move
-        cols = digits.copy()
-        if kind == "v":
-            ainv = G.inv(val)
-            for e, (i, j) in enumerate(sys.edges):
-                if i == pos:
-                    cols[:, e] = G.table[ainv, cols[:, e]]
-                if j == pos:
-                    cols[:, e] = G.table[cols[:, e], val]
-        else:
-            tk = sys.xm.t(val)
-            cols[:, pos] = G.table[tk, cols[:, pos]]
-        neighbor_arrays.append(cols @ gw)
+        moved = ranks.copy()
+        for mat, new, weights in zip((g_mat, h_mat), sys.move_columns(move, g_mat, h_mat), (gw, hw)):
+            for col, values in new.items():
+                moved += (values - mat[:, col]) * weights[col]
+        nbr = np.minimum(np.searchsorted(ranks, moved), n - 1)
+        left = np.flatnonzero(ranks[nbr] != moved)
+        if len(left):
+            raise MoveLeavesCocycles(move, sys.digits_to_cocycle(g_mat[left[0]], h_mat[left[0]]))
+        neighbours.append(nbr)
 
+    # every move permutes the finite set, so the least label reachable along
+    # moves is the least label of the orbit
     labels = np.arange(n, dtype=np.int64)
-    changed = True
-    while changed:
-        changed = False
-        for nbr in neighbor_arrays:
-            np.minimum(labels, labels[nbr], out=labels)
+    while True:
+        before = labels
+        for nbr in neighbours:
+            labels = np.minimum(labels, labels[nbr])
         labels = labels[labels]
-        for nbr in neighbor_arrays:
-            if not np.array_equal(labels, np.minimum(labels, labels[nbr])):
-                changed = True
-                break
+        if np.array_equal(labels, before):
+            break
 
     roots, labels = np.unique(labels, return_inverse=True)
-    classes = [np.flatnonzero(labels == i).astype(np.int64) for i in range(len(roots))]
-    reps = [sys.digits_to_cocycle(digits[int(c[0])], []) for c in classes]
+    members = np.argsort(labels, kind="stable")
+    classes = np.split(members, np.cumsum(np.bincount(labels))[:-1])
+    reps = [sys.digits_to_cocycle(g_mat[r], h_mat[r]) for r in roots]
     return Classification(
         classes=classes,
         representatives=reps,
-        base_class=int(labels[0]),
+        base_class=int(labels[0]),  # row 0 is the trivial cocycle, rank 0
         num_cocycles=n,
         _system=sys,
-        _labels=labels.astype(np.int64),
-        _id_lookup=None,
+        _labels=labels,
+        _ranks=ranks,
     )
 
 
@@ -676,20 +667,19 @@ def classify_h1(
 ) -> Classification:
     """Partition all valid cocycles into cohomology classes.
 
-    Orbits are generated by applying elementary witnesses (vertex moves
-    valued in a generating set of G, edge moves in a generating set of H) to
-    each representative until closed; witnesses compose, so this reaches the
-    full orbit of the witness group.
+    Orbits are generated by elementary witnesses (vertex moves valued in a
+    generating set of G, edge moves in a generating set of H); witnesses
+    compose, so this reaches the full orbit of the witness group.  With
+    trivial G and no tetrahedra the orbits are cosets of the subgroup the
+    move deltas generate; every other instance is enumerated and closed under
+    vectorized moves.  Classes are numbered by their least cocycle, which is
+    also their representative.
     """
     sys = _System(cx, xm)
-    count = sys.candidate_count()
-    if count > _PYTHON_STATE_LIMIT:
-        if sys.G.order == 1 and not sys.tets:
-            return _classify_shift_translation(sys, budget)
-        if not sys.tris:
-            return _classify_dense_edges(sys, budget)
+    if sys.G.order == 1 and not sys.tets:
+        return _classify_cosets(sys, budget)
     g_mat, h_mat = _enumerate_digit_arrays(sys, budget)
-    return _classify_python(sys, g_mat, h_mat)
+    return _classify_orbits(sys, g_mat, h_mat)
 
 
 def relation_matrix(

@@ -129,6 +129,16 @@ class NotACycle(CechError):
     pass
 
 
+class MoveLeavesCocycles(CechError):
+    """An elementary witness move carried a valid cocycle outside the valid
+    set: the cocycle laws and the coboundary action disagree."""
+
+    def __init__(self, move, cocycle):
+        self.move = move
+        self.cocycle = cocycle
+        super().__init__(f"move {move} carries a valid cocycle outside the valid set")
+
+
 class BudgetExceeded(CechError):
     def __init__(self, required, budget):
         self.required = required

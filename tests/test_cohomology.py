@@ -6,8 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cech2.cohomology import (
+    DEFAULT_BUDGET,
     Cocycle,
     CoboundaryWitness,
+    _classify_orbits,
+    _enumerate_digit_arrays,
+    _System,
     abelian_oracle_h2,
     apply_coboundary,
     classify_h1,
@@ -23,14 +27,16 @@ from cech2.cohomology import (
     validate_cocycle,
 )
 from cech2.complexes import standard_space
-from cech2.crossed_modules import discrete_two_group, shift_two_group
+from cech2.crossed_modules import aut_two_group, discrete_two_group, hat_construction, shift_two_group
 from cech2.errors import (
     BudgetExceeded,
+    MoveLeavesCocycles,
     NotAbelian,
     NotACycle,
     TetrahedronViolation,
     TriangleViolation,
 )
+from cech2.fixtures import coefficient_from_spec
 from cech2.groups import conjugacy_classes
 
 
@@ -273,37 +279,149 @@ class TestClassifyH1:
             assert int(ids[0]) == min(int(x) for x in ids)
             assert cls.class_of(rep) == i
 
-    def test_fast_paths_agree_with_python_walker(self, z2, z3):
-        # same instance classified through the translation path and the
-        # generic dictionary walker must produce identical partitions
-        import cech2.cohomology as coh
 
-        cx = standard_space("rp2_6")
-        xm = shift_two_group(z2)
-        fast = classify_h1(cx, xm)
-        old = coh._PYTHON_STATE_LIMIT
-        coh._PYTHON_STATE_LIMIT = 10**9
-        try:
-            slow = classify_h1(cx, xm)
-        finally:
-            coh._PYTHON_STATE_LIMIT = old
-        assert fast.class_count == slow.class_count
-        assert [sorted(c.tolist()) for c in fast.classes] == [sorted(c.tolist()) for c in slow.classes]
+def _walk_orbits(sys, g_mat, h_mat):
+    """Reference classification: the plain dictionary walker, closing each
+    unlabelled cocycle under the scalar elementary moves in Python.
 
-    def test_dense_path_agrees_with_python_walker(self, z4):
-        import cech2.cohomology as coh
+    Returns (classes, representatives, base_class, labels) in the layout of
+    ``Classification``, with labels indexed by enumeration order.
+    """
+    states = [
+        (tuple(int(x) for x in g_mat[i]), tuple(int(x) for x in h_mat[i]))
+        for i in range(len(g_mat))
+    ]
+    index = {s: i for i, s in enumerate(states)}
+    acts = [sys.compile_move(m) for m in sys.moves()]
+    labels = [-1] * len(states)
+    classes: list[list[int]] = []
+    for seed in range(len(states)):
+        if labels[seed] >= 0:
+            continue
+        label = len(classes)
+        labels[seed] = label
+        frontier = [states[seed]]
+        members = [seed]
+        while frontier:
+            nxt = []
+            for st in frontier:
+                for act in acts:
+                    other = act(*st)
+                    oid = index[other]
+                    if labels[oid] < 0:
+                        labels[oid] = label
+                        members.append(oid)
+                        nxt.append(other)
+            frontier = nxt
+        classes.append(sorted(members))
+    trivial_id = index[(tuple([0] * g_mat.shape[1]), tuple([0] * h_mat.shape[1]))]
+    reps = [sys.digits_to_cocycle(g_mat[c[0]], h_mat[c[0]]) for c in classes]
+    return classes, reps, labels[trivial_id], labels
 
+
+class TestClassifyAgainstReferenceWalker:
+    # rp2_6 shift:Z2 takes the coset path; the others go through the orbit
+    # engine, without triangles, with triangles, and with a tetrahedron
+    @pytest.mark.parametrize(
+        "space,spec",
+        [
+            ("rp2_6", "shift:Z2"),
+            ("circle6", "discrete:Z4"),
+            ("sphere2", "hat:z2z4"),
+            ("tetra_solid", "hat:aut:Z3"),
+        ],
+    )
+    def test_same_classification(self, space, spec):
+        cx, xm = standard_space(space), coefficient_from_spec(spec)
+        cls = classify_h1(cx, xm)
+        sys = _System(cx, xm)
+        g_mat, h_mat = _enumerate_digit_arrays(sys, DEFAULT_BUDGET)
+        classes, reps, base_class, labels = _walk_orbits(sys, g_mat, h_mat)
+        assert [c.tolist() for c in cls.classes] == classes
+        assert cls.representatives == reps
+        assert cls.base_class == base_class
+        assert cls.num_cocycles == len(labels)
+        cocycles = [sys.digits_to_cocycle(g, h) for g, h in zip(g_mat, h_mat)]
+        assert [cls.class_of(c) for c in cocycles] == labels
+
+    def test_raises_when_a_move_leaves_the_cocycles(self, sphere2, z2z4):
+        # drop one cocycle of the single orbit: some move now lands outside
+        sys = _System(sphere2, z2z4)
+        g_mat, h_mat = _enumerate_digit_arrays(sys, DEFAULT_BUDGET)
+        keep = np.arange(len(g_mat)) != 100
+        with pytest.raises(MoveLeavesCocycles):
+            _classify_orbits(sys, g_mat[keep], h_mat[keep])
+
+
+class TestClassOf:
+    def test_raises_off_the_valid_set(self, sphere2, z2):
+        cases = []
+        # triangle law broken, orbit engine
+        c = trivial_cocycle(sphere2, discrete_two_group(z2))
+        c.g[(0, 1)] = 1
+        cases.append((sphere2, discrete_two_group(z2), c))
+        # tetrahedron law broken, orbit engine with trivial G
+        cx = standard_space("tetra_solid")
+        c = trivial_cocycle(cx, shift_two_group(z2))
+        c.h[(0, 1, 2)] = 1
+        cases.append((cx, shift_two_group(z2), c))
+        # values outside the group, which a plain rank would alias to a
+        # neighbouring cocycle: orbit engine, then coset path
         cx = standard_space("circle6")
-        xm = discrete_two_group(z4)
-        fast = classify_h1(cx, xm)  # 4096 states: dense vectorized path
-        old = coh._PYTHON_STATE_LIMIT
-        coh._PYTHON_STATE_LIMIT = 10**9
-        try:
-            slow = classify_h1(cx, xm)
-        finally:
-            coh._PYTHON_STATE_LIMIT = old
-        assert fast.class_count == slow.class_count
-        assert [c.tolist() for c in fast.classes] == [sorted(c.tolist()) for c in slow.classes]
+        xm = coefficient_from_spec("discrete:Z4")
+        c = trivial_cocycle(cx, xm)
+        c.g[(4, 5)] = 4
+        cases.append((cx, xm, c))
+        c = trivial_cocycle(sphere2, shift_two_group(z2))
+        c.h[(1, 2, 3)] = 2
+        cases.append((sphere2, shift_two_group(z2), c))
+        for cx, xm, c in cases:
+            cls = classify_h1(cx, xm)
+            with pytest.raises(ValueError):
+                cls.class_of(c)
+
+
+class TestTetrahedronLaw:
+    """The law h_ikl h_ijk = h_ijl alpha(g_ij)(h_jkl) is the one the triangle
+    law implies; with it the valid set on the solid 3-simplex is closed under
+    every elementary move for nonabelian H too."""
+
+    @staticmethod
+    def _tetra_coefficients(library_xmods):
+        cx = standard_space("tetra_solid")
+        out = []
+        for xm in library_xmods:
+            for candidate in (xm, hat_construction(xm)[0]):
+                if _System(cx, candidate).candidate_count() <= DEFAULT_BUDGET:
+                    out.append(candidate)
+        return cx, out
+
+    def test_moves_keep_the_valid_set(self, library_xmods):
+        cx, coefficients = self._tetra_coefficients(library_xmods)
+        # every hat fits the budget except that of aut:S3 (2.2e9 candidates)
+        assert len(coefficients) == 2 * len(library_xmods) - 1
+        for xm in coefficients:
+            sys = _System(cx, xm)
+            g_mat, h_mat = _enumerate_digit_arrays(sys, DEFAULT_BUDGET)
+            valid = {(tuple(g.tolist()), tuple(h.tolist())) for g, h in zip(g_mat, h_mat)}
+            acts = [sys.compile_move(m) for m in sys.moves()]
+            # every move on a spread of at most 400 cocycles, in scalar code
+            for row in range(0, len(g_mat), max(1, len(g_mat) // 400)):
+                state = (tuple(g_mat[row].tolist()), tuple(h_mat[row].tolist()))
+                for act in acts:
+                    assert act(*state) in valid, xm.name
+
+    def test_contractible_has_one_class(self, library_xmods):
+        # classify_h1 also raises if any move leaves the enumerated set
+        cx, coefficients = self._tetra_coefficients(library_xmods)
+        for xm in coefficients:
+            assert classify_h1(cx, xm).class_count == 1, xm.name
+
+    def test_injective_t_keeps_every_triangle_valid_assignment(self, s3):
+        # with t injective the triangle law alone forces the tetrahedron law
+        cls = classify_h1(standard_space("tetra_solid"), aut_two_group(s3))
+        assert cls.num_cocycles == 6**6
+        assert cls.class_count == 1
 
 
 class TestAbelianOracle:
