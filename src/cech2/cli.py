@@ -35,6 +35,10 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
 
+class _InputError(Exception):
+    """Malformed input that argparse and the JSON loaders let through."""
+
+
 def _emit(report: dict, out: str | None) -> None:
     text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
     sys.stdout.write(text)
@@ -60,9 +64,13 @@ def cmd_validate(args) -> int:
     if args.cocycle:
         if cx is None or not args.coeff:
             raise CechError("validating a cocycle needs --space and --coeff")
-        c = fixtures.cocycle_from_json(json.loads(Path(args.cocycle).read_text()))
+        obj = json.loads(Path(args.cocycle).read_text())
         xm = fixtures.coefficient_from_spec(args.coeff)
-        summary = validate_cocycle(c, cx, xm)
+        try:
+            # keys must be integer vertex lists, increasing and total
+            summary = validate_cocycle(fixtures.cocycle_from_json(obj), cx, xm)
+        except ValueError as e:
+            raise _InputError(f"cocycle {args.cocycle}: {e}") from e
         checks.append({"check": "cocycle", **summary})
         _say("cocycle satisfies both laws")
     _emit({"ok": ok, "checks": checks}, args.out)
@@ -271,12 +279,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "budget", 1) < 1:
+            raise _InputError(f"--budget must be at least 1, got {args.budget}")
         return args.func(args)
     except BudgetExceeded as e:
         _say(f"budget exceeded: {e}")
         _emit({"ok": False, "error": "budget", "detail": str(e)}, getattr(args, "out", None))
         return EXIT_BUDGET
-    except (json.JSONDecodeError, FileNotFoundError, KeyError) as e:
+    except (json.JSONDecodeError, FileNotFoundError, KeyError, _InputError) as e:
         _say(f"input error: {e}")
         _emit({"ok": False, "error": "input", "detail": str(e)}, getattr(args, "out", None))
         return EXIT_INPUT

@@ -29,6 +29,12 @@ valid cocycles.  ``classify_h1`` takes one of two paths, chosen by the input:
 with trivial G and no tetrahedra every candidate is a cocycle and every move a
 translation, so orbits are cosets of the subgroup the move deltas generate;
 everything else is enumerated and closed under vectorized moves.
+
+Enumeration extends partial cocycles edge by edge, then triangle by
+triangle, in lexicographic order, and drops a row as soon as a law fails on a
+simplex whose last face was just set; its work scales with the surviving
+partial rows, not with |G|^E.  The budget still caps the candidate count
+|G|^E |ker t|^T, which bounds the number of partial rows.
 """
 
 from __future__ import annotations
@@ -63,6 +69,14 @@ class Cocycle:
 
     def is_trivial(self) -> bool:
         return all(v == 0 for v in self.g.values()) and all(v == 0 for v in self.h.values())
+
+
+def cocycle_to_json(c: Cocycle) -> dict:
+    """The JSON form of a cocycle: simplices as comma-joined vertex keys."""
+    return {
+        "g": {",".join(map(str, e)): v for e, v in sorted(c.g.items())},
+        "h": {",".join(map(str, t)): v for t, v in sorted(c.h.items())},
+    }
 
 
 @dataclass
@@ -111,12 +125,11 @@ class Classification:
         return int(self._labels[index])
 
     def to_report(self) -> dict:
-        sys = self._system
         return {
             "classes": self.class_count,
             "sizes": self.sizes(),
             "base_class": self.base_class,
-            "representatives": [sys.cocycle_json(r) for r in self.representatives],
+            "representatives": [cocycle_to_json(r) for r in self.representatives],
         }
 
 
@@ -185,12 +198,6 @@ class _System:
             f={v: int(x) for v, x in enumerate(fds)},
             k={e: int(x) for e, x in zip(self.edges, kds)},
         )
-
-    def cocycle_json(self, c: Cocycle) -> dict:
-        return {
-            "g": {",".join(map(str, e)): v for e, v in sorted(c.g.items())},
-            "h": {",".join(map(str, t)): v for t, v in sorted(c.h.items())},
-        }
 
     # laws
 
@@ -353,77 +360,80 @@ def _encode(mat: np.ndarray, weights: list[int]) -> np.ndarray:
     return ranks
 
 
-def _mixed_radix(count: int, width: int, base: int) -> np.ndarray:
-    """count x width matrix of base-`base` digits of 0..count-1, lex order."""
-    if width == 0:
-        return np.zeros((count, 1), dtype=np.int64)[:, :0]
-    weights = base ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    return (np.arange(count, dtype=np.int64)[:, None] // weights) % base
-
-
 def _enumerate_digit_arrays(sys: _System, budget: int) -> tuple[np.ndarray, np.ndarray]:
-    """All valid cocycles as (g digits, h digits) arrays in lexicographic order."""
-    G, H = sys.G, sys.H
-    E, T = len(sys.edges), len(sys.tris)
+    """All valid cocycles as (g digits, h digits) arrays in lexicographic order.
+
+    Partial rows are extended one simplex at a time, edges then triangles in
+    lexicographic order, by every allowed value with the new digit varying
+    fastest, so the rows stay in lexicographic order throughout.  An edge
+    row is dropped as soon as the triangle law fails on a triangle whose last
+    edge it sets; a triangle takes the values in the t-preimage of its defect,
+    and a row is dropped as soon as the tetrahedron law fails on a tetrahedron
+    whose last face it sets.  The work therefore scales with the surviving
+    partial rows, not with |G|^E; their number never exceeds the candidate
+    count the budget bounds.
+    """
+    G, H, alpha = sys.G, sys.H, sys.xm.alpha
     if sys.candidate_count() > budget:
         raise BudgetExceeded(sys.candidate_count(), budget)
 
-    g_all = _mixed_radix(G.order**E, E, G.order)
-    if T == 0:
-        return g_all, np.zeros((len(g_all), 0), dtype=np.int64)
+    closing_tris = [[] for _ in sys.edges]
+    for ti, tri_edges in enumerate(sys.tri_edges):
+        closing_tris[max(tri_edges)].append(ti)
+    closing_tets = [[] for _ in sys.tris]
+    for parts in sys.tet_parts:
+        closing_tets[max(parts[:4])].append(parts)
 
-    defects = np.empty((len(g_all), T), dtype=np.int64)
+    # digits are kept column by column in the narrowest integer type, so that
+    # every law reads contiguous columns and extending the rows is one small
+    # gather per column
+    digit = np.min_scalar_type(max(G.order, H.order) - 1)
+    g_cols: list[np.ndarray] = []
+    h_cols: list[np.ndarray] = []
+
+    def extend(ok: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Keep the (row, choice) pairs that ``ok`` allows, in lex order."""
+        nonlocal g_cols, h_cols
+        parent, choice = np.divmod(np.flatnonzero(ok), ok.shape[1])
+        g_cols = [col[parent] for col in g_cols]
+        h_cols = [col[parent] for col in h_cols]
+        return parent, choice
+
+    n = 1
+    values = np.arange(G.order)[None, :]
+    for e in range(len(sys.edges)):
+        ok = np.ones((n, G.order), dtype=bool)
+        for ti in closing_tris[e]:
+            g_ij, g_jk, g_ik = (values if x == e else g_cols[x][:, None] for x in sys.tri_edges[ti])
+            ok &= sys.in_image_t[G.table[g_ik, G.inverse[G.table[g_ij, g_jk]]]]
+        _, value = extend(ok)
+        g_cols.append(value.astype(digit))
+        n = len(value)
+
+    # preimages[d]: the t-preimage of d, sorted; rows only reach image elements
+    kernel = np.asarray(sys.kernel_t, dtype=np.int64)
+    preimages = np.sort(H.table[kernel[None, :], sys.t_section[:, None]], axis=1).astype(digit)
     for ti, (e_ij, e_jk, e_ik) in enumerate(sys.tri_edges):
-        prod = G.table[g_all[:, e_ij], g_all[:, e_jk]]
-        defects[:, ti] = G.table[g_all[:, e_ik], G.inverse[prod]]
-    mask = sys.in_image_t[defects].all(axis=1)
-    g_valid = g_all[mask]
-    defects = defects[mask]
-
-    nker = len(sys.kernel_t)
-    if nker == 1:
-        h_valid = sys.t_section[defects]
-        g_valid, h_valid = _filter_tets(sys, g_valid, h_valid)
-        return g_valid, h_valid
-
-    if G.order == 1:
-        # single trivial g row; h ranges over all of H on each triangle
-        h_all = _mixed_radix(H.order**T, T, H.order)
-        _, h_all = _filter_tets(
-            sys, np.zeros((len(h_all), 0), dtype=np.int64), h_all, g_row=np.zeros(E, dtype=np.int64)
-        )
-        return np.zeros((len(h_all), E), dtype=np.int64), h_all
-
-    # general case: per valid g row, walk the t-preimage cosets triangle by
-    # triangle and keep rows passing the tetrahedron law
-    kernel = sorted(sys.kernel_t)
-    rows_g, rows_h = [], []
-    for row, drow in zip(g_valid, defects):
-        choices = [sorted(H.mul(k, int(sys.t_section[d])) for k in kernel) for d in drow]
-        for combo in itertools.product(*choices):
-            if _tets_ok(sys, row, combo):
-                rows_g.append(row)
-                rows_h.append(combo)
-    g_out = np.asarray(rows_g, dtype=np.int64).reshape(len(rows_h), E)
-    h_out = np.asarray(rows_h, dtype=np.int64).reshape(len(rows_h), T)
-    return g_out, h_out
+        choices = preimages[G.table[g_cols[e_ik], G.inverse[G.table[g_cols[e_ij], g_cols[e_jk]]]]]
+        ok = np.ones(choices.shape, dtype=bool)
+        for parts in closing_tets[ti]:
+            h_jkl, h_ikl, h_ijl, h_ijk = (choices if x == ti else h_cols[x][:, None] for x in parts[:4])
+            g_ij = g_cols[parts[4]][:, None]
+            ok &= H.table[h_ikl, h_ijk] == H.table[h_ijl, alpha.perms[g_ij, h_jkl]]
+        if len(kernel) == 1 and ok.all():
+            h_cols.append(choices[:, 0])  # forced value on every row: no row copy
+        else:
+            parent, choice = extend(ok)
+            h_cols.append(choices[parent, choice])
+            n = len(parent)
+    return _rows(g_cols, n), _rows(h_cols, n)
 
 
-def _tets_ok(sys: _System, gds, hds) -> bool:
-    return all(sys.tet_law_holds(gds, hds, parts) for parts in sys.tet_parts)
-
-
-def _filter_tets(sys: _System, g_mat, h_mat, g_row=None):
-    if not sys.tet_parts:
-        return g_mat, h_mat
-    H, alpha = sys.H, sys.xm.alpha
-    mask = np.ones(len(h_mat), dtype=bool)
-    for (t_jkl, t_ikl, t_ijl, t_ijk, e_ij) in sys.tet_parts:
-        gcol = np.full(len(h_mat), g_row[e_ij]) if g_row is not None else g_mat[:, e_ij]
-        lhs = H.table[h_mat[:, t_ikl], h_mat[:, t_ijk]]
-        rhs = H.table[h_mat[:, t_ijl], alpha.perms[gcol, h_mat[:, t_jkl]]]
-        mask &= lhs == rhs
-    return g_mat[mask], h_mat[mask]
+def _rows(cols: list[np.ndarray], n: int) -> np.ndarray:
+    """n x len(cols) int64 matrix with the given columns, in row-major order."""
+    if not cols:
+        return np.zeros((n, 0), dtype=np.int64)
+    return np.array(cols).T.astype(np.int64, order="C")
 
 
 # public operations

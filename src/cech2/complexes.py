@@ -152,10 +152,3 @@ def standard_space(name: str) -> SimplicialComplex:
 
 def standard_space_names() -> list[str]:
     return sorted(_SPACES)
-
-
-def simplices_of_dim(c: SimplicialComplex, k: int) -> list[tuple[int, ...]]:
-    """Deterministic lexicographic list of the k-simplices, 0 <= k <= 3."""
-    if not 0 <= k <= 3:
-        raise ValueError("cohomology only reads dimensions 0..3")
-    return c.simplices_of_dim(k)

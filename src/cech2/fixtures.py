@@ -20,7 +20,7 @@ from .crossed_modules import (
     shift_two_group,
     validate_crossed_module,
 )
-from .cohomology import Cocycle
+from .cohomology import Cocycle, cocycle_to_json  # noqa: F401 (re-exported)
 from .exactness import GroupSES, discrete_crossed_module_ses, validate_group_ses
 from .groups import (
     FiniteGroup,
@@ -137,13 +137,6 @@ def complex_to_json(cx: SimplicialComplex) -> dict:
 
 def complex_from_json(obj: dict) -> SimplicialComplex:
     return build_complex(obj["vertices"], obj["maximal"])
-
-
-def cocycle_to_json(c: Cocycle) -> dict:
-    return {
-        "g": {",".join(map(str, e)): v for e, v in sorted(c.g.items())},
-        "h": {",".join(map(str, t)): v for t, v in sorted(c.h.items())},
-    }
 
 
 def cocycle_from_json(obj: dict) -> Cocycle:

@@ -118,9 +118,6 @@ class GroupHom:
     def is_surjective(self) -> bool:
         return len(set(self.map.tolist())) == self.cod.order
 
-    def preimage(self, y: int) -> list[int]:
-        return [int(x) for x in np.flatnonzero(self.map == y)]
-
     def __repr__(self):
         return f"GroupHom({self.dom.name} -> {self.cod.name})"
 
@@ -228,11 +225,6 @@ def inversion_action(actor: FiniteGroup, target: FiniteGroup) -> GroupAction:
     return validate_action(actor, target, perms)
 
 
-def conjugation_action(group: FiniteGroup) -> GroupAction:
-    perms = [[group.conj(g, x) for x in group.elements()] for g in group.elements()]
-    return GroupAction(group, group, perms)
-
-
 def semidirect_product(actor: FiniteGroup, target: FiniteGroup, action: GroupAction) -> FiniteGroup:
     """Semidirect product target x| actor on pairs (h, g).
 
@@ -259,14 +251,6 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     prod = semidirect_product(b, a, trivial_action(b, a))
     prod.name = f"{a.name}x{b.name}"
     return prod
-
-
-def pair_encode(h: int, g: int, actor_order: int) -> int:
-    return h * actor_order + g
-
-
-def pair_decode(x: int, actor_order: int) -> tuple[int, int]:
-    return divmod(x, actor_order)
 
 
 def conjugacy_classes(group: FiniteGroup) -> list[list[int]]:
@@ -308,11 +292,6 @@ def hom_kernel_image(f: GroupHom) -> tuple[list[int], list[int]]:
 
 def identity_hom(group: FiniteGroup) -> GroupHom:
     return GroupHom(group, group, np.arange(group.order))
-
-
-def compose_homs(second: GroupHom, first: GroupHom) -> GroupHom:
-    """second o first."""
-    return GroupHom(first.dom, second.cod, second.map[first.map])
 
 
 def subgroup_as_group(group: FiniteGroup, elements: Sequence[int], name: str = "sub") -> tuple[FiniteGroup, GroupHom]:

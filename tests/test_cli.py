@@ -39,6 +39,19 @@ class TestValidate:
         res = run("validate", "--space", "circle3", "--coeff", "discrete:Z2", "--cocycle", str(path))
         assert res.returncode == 0
 
+    @pytest.mark.parametrize(
+        "g",
+        [{"0,1": 0, "1,2": 1}, {"0,1": 0, "1,0": 0, "0,2": 0, "1,2": 1}],
+        ids=["missing-key", "descending-key"],
+    )
+    def test_malformed_cocycle_is_an_input_error(self, tmp_path, g):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"g": g, "h": {}}))
+        res = run("validate", "--space", "circle3", "--coeff", "discrete:Z2", "--cocycle", str(path))
+        assert res.returncode == 2
+        assert json.loads(res.stdout)["error"] == "input"
+        assert "Traceback" not in res.stderr
+
 
 class TestH1:
     @pytest.mark.parametrize(
@@ -53,6 +66,16 @@ class TestH1:
     def test_budget_exit_code(self):
         res = run("h1", "--space", "torus7", "--coeff", "shift:Z3")
         assert res.returncode == 3
+
+    @pytest.mark.parametrize("budget", ["-1", "0"])
+    def test_budget_below_one_is_an_input_error(self, budget):
+        res = run("h1", "--space", "circle3", "--coeff", "discrete:Z2", "--budget", budget)
+        assert res.returncode == 2
+        assert json.loads(res.stdout) == {
+            "ok": False,
+            "error": "input",
+            "detail": f"--budget must be at least 1, got {budget}",
+        }
 
     def test_budget_override(self):
         res = run("h1", "--space", "torus7", "--coeff", "shift:Z2", "--budget", "20000")
@@ -103,6 +126,12 @@ class TestVerify:
         res = run("verify", "abelian", "--space", "sphere2", "--coeff", "shift:Z3")
         assert res.returncode == 0
         assert json.loads(res.stdout)["cases"]["sphere2/shift:Z3"]["equal"]
+
+    @pytest.mark.parametrize("budget", ["-1", "0"])
+    def test_budget_below_one_is_an_input_error(self, budget):
+        res = run("verify", "lemma2", "--space", "circle3", "--budget", budget)
+        assert res.returncode == 2
+        assert json.loads(res.stdout)["error"] == "input"
 
     def test_nerve_suite(self):
         res = run("verify", "nerve", "--coeff", "z2z4")

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from cech2.cohomology import (
     trivial_cocycle,
     validate_cocycle,
 )
-from cech2.complexes import standard_space
+from cech2.complexes import standard_space, standard_space_names
 from cech2.crossed_modules import aut_two_group, discrete_two_group, hat_construction, shift_two_group
 from cech2.errors import (
     BudgetExceeded,
@@ -250,6 +251,21 @@ class TestEnumerateCocycles:
         with pytest.raises(BudgetExceeded):
             enumerate_cocycles(sphere2, discrete_two_group(s3), budget=1000)
 
+    def test_sparse_instance_stays_small(self, z3):
+        # 3^15 candidates, of which 243 are cocycles: the enumerator must not
+        # hold all edge assignments at once (numpy allocations are traced)
+        cx, xm = standard_space("rp2_6"), discrete_two_group(z3)
+        tracemalloc.start()
+        try:
+            cocycles = enumerate_cocycles(cx, xm, budget=3**15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(cocycles) == 243
+        assert peak < 64 * 2**20
+        # Hom(Z2, Z3) is trivial, so every cocycle is a coboundary
+        assert classify_h1(cx, xm, budget=3**15).class_count == 1
+
 
 class TestClassifyH1:
     @pytest.mark.parametrize("group,count", [("z2", 2), ("z4", 4), ("s3", 3)])
@@ -351,6 +367,114 @@ class TestClassifyAgainstReferenceWalker:
         keep = np.arange(len(g_mat)) != 100
         with pytest.raises(MoveLeavesCocycles):
             _classify_orbits(sys, g_mat[keep], h_mat[keep])
+
+
+def _mixed_radix(count: int, width: int, base: int) -> np.ndarray:
+    """count x width matrix of base-`base` digits of 0..count-1, lex order."""
+    if width == 0:
+        return np.zeros((count, 1), dtype=np.int64)[:, :0]
+    weights = base ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    return (np.arange(count, dtype=np.int64)[:, None] // weights) % base
+
+
+def _reference_digit_arrays(sys: _System, budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reference enumeration: every |G|^E edge assignment filtered by the
+    triangles, then one branch per case for the triangle data.  The enumerator
+    must return the same arrays, row for row."""
+    G, H = sys.G, sys.H
+    E, T = len(sys.edges), len(sys.tris)
+    if sys.candidate_count() > budget:
+        raise BudgetExceeded(sys.candidate_count(), budget)
+
+    g_all = _mixed_radix(G.order**E, E, G.order)
+    if T == 0:
+        return g_all, np.zeros((len(g_all), 0), dtype=np.int64)
+
+    defects = np.empty((len(g_all), T), dtype=np.int64)
+    for ti, (e_ij, e_jk, e_ik) in enumerate(sys.tri_edges):
+        prod = G.table[g_all[:, e_ij], g_all[:, e_jk]]
+        defects[:, ti] = G.table[g_all[:, e_ik], G.inverse[prod]]
+    mask = sys.in_image_t[defects].all(axis=1)
+    g_valid = g_all[mask]
+    defects = defects[mask]
+
+    nker = len(sys.kernel_t)
+    if nker == 1:
+        h_valid = sys.t_section[defects]
+        g_valid, h_valid = _filter_tets(sys, g_valid, h_valid)
+        return g_valid, h_valid
+
+    if G.order == 1:
+        # single trivial g row; h ranges over all of H on each triangle
+        h_all = _mixed_radix(H.order**T, T, H.order)
+        _, h_all = _filter_tets(
+            sys, np.zeros((len(h_all), 0), dtype=np.int64), h_all, g_row=np.zeros(E, dtype=np.int64)
+        )
+        return np.zeros((len(h_all), E), dtype=np.int64), h_all
+
+    # general case: per valid g row, walk the t-preimage cosets triangle by
+    # triangle and keep rows passing the tetrahedron law
+    kernel = sorted(sys.kernel_t)
+    rows_g, rows_h = [], []
+    for row, drow in zip(g_valid, defects):
+        choices = [sorted(H.mul(k, int(sys.t_section[d])) for k in kernel) for d in drow]
+        for combo in itertools.product(*choices):
+            if _tets_ok(sys, row, combo):
+                rows_g.append(row)
+                rows_h.append(combo)
+    g_out = np.asarray(rows_g, dtype=np.int64).reshape(len(rows_h), E)
+    h_out = np.asarray(rows_h, dtype=np.int64).reshape(len(rows_h), T)
+    return g_out, h_out
+
+
+def _tets_ok(sys: _System, gds, hds) -> bool:
+    return all(sys.tet_law_holds(gds, hds, parts) for parts in sys.tet_parts)
+
+
+def _filter_tets(sys: _System, g_mat, h_mat, g_row=None):
+    if not sys.tet_parts:
+        return g_mat, h_mat
+    H, alpha = sys.H, sys.xm.alpha
+    mask = np.ones(len(h_mat), dtype=bool)
+    for (t_jkl, t_ikl, t_ijl, t_ijk, e_ij) in sys.tet_parts:
+        gcol = np.full(len(h_mat), g_row[e_ij]) if g_row is not None else g_mat[:, e_ij]
+        lhs = H.table[h_mat[:, t_ikl], h_mat[:, t_ijk]]
+        rhs = H.table[h_mat[:, t_ijl], alpha.perms[gcol, h_mat[:, t_jkl]]]
+        mask &= lhs == rhs
+    return g_mat[mask], h_mat[mask]
+
+
+_ENUMERATION_SPECS = [
+    f"{kind}:{group}"
+    for kind in ("discrete", "shift", "aut")
+    for group in ("Z2", "Z3", "Z4", "S3")
+    if (kind, group) != ("shift", "S3")  # a shift 2-group needs abelian H
+] + ["z2z4", "hat:z2z4", "hat:aut:Z3", "hat:shift:Z2"]
+
+
+def _enumeration_cases(limit=300_000):
+    coefficients = {spec: coefficient_from_spec(spec) for spec in _ENUMERATION_SPECS}
+    return [
+        (space, spec)
+        for space in standard_space_names()
+        for spec, xm in coefficients.items()
+        if _System(standard_space(space), xm).candidate_count() <= limit
+    ]
+
+
+class TestEnumeratorAgainstReference:
+    # aut:Z3 and aut:Z4 take the reference's general branch, shift and
+    # aut:Z2 its trivial-G branch, and the rest its injective-t branch;
+    # tetra_solid adds the tetrahedron filter
+    @pytest.mark.parametrize("space,spec", _enumeration_cases())
+    def test_same_arrays(self, space, spec):
+        sys = _System(standard_space(space), coefficient_from_spec(spec))
+        expected = _reference_digit_arrays(sys, DEFAULT_BUDGET)
+        got = _enumerate_digit_arrays(sys, DEFAULT_BUDGET)
+        for want, have in zip(expected, got):
+            assert have.dtype == want.dtype == np.int64
+            assert have.shape == want.shape
+            assert np.array_equal(have, want)
 
 
 class TestClassOf:

@@ -3,7 +3,6 @@ import pytest
 from cech2.complexes import (
     barycentric_subdivide,
     build_complex,
-    simplices_of_dim,
     standard_space,
     standard_space_names,
 )
@@ -96,14 +95,10 @@ class TestStandardSpaces:
 
 class TestSimplicesOfDim:
     def test_lexicographic_edges(self, circle3):
-        assert simplices_of_dim(circle3, 1) == [(0, 1), (0, 2), (1, 2)]
+        assert circle3.simplices_of_dim(1) == [(0, 1), (0, 2), (1, 2)]
 
     def test_sphere_triangles(self, sphere2):
-        assert len(simplices_of_dim(sphere2, 2)) == 4
+        assert len(sphere2.simplices_of_dim(2)) == 4
 
     def test_point_has_no_edges(self):
-        assert simplices_of_dim(standard_space("point"), 1) == []
-
-    def test_dimension_bounds(self, circle3):
-        with pytest.raises(ValueError):
-            simplices_of_dim(circle3, 4)
+        assert standard_space("point").simplices_of_dim(1) == []
