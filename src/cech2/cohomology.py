@@ -163,6 +163,9 @@ class _System:
         E, T = len(self.edges), len(self.tris)
         self.h_weights = [self.H.order ** (T - 1 - col) for col in range(T)]
         self.g_weights = [self.G.order ** (E - 1 - col) * self.H.order**T for col in range(E)]
+        # the values a cocycle may take on edges and on triangles
+        self.g_values = frozenset(range(self.G.order))
+        self.h_values = frozenset(range(self.H.order))
         self.kernel_t = xm.t.kernel()
         im = xm.t.image()
         self.in_image_t = np.zeros(self.G.order, dtype=bool)
@@ -175,9 +178,20 @@ class _System:
     # conversions
 
     def cocycle_to_digits(self, c: Cocycle) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Edge and triangle values in simplex order.
+
+        Raises ValueError unless the maps are total and every edge value lies
+        in G and every triangle value in H.
+        """
         if c.g.keys() != self.eidx.keys() or c.h.keys() != self.tidx.keys():
             raise ValueError("cocycle maps must be total on edges and triangles")
-        return tuple(map(c.g.__getitem__, self.edges)), tuple(map(c.h.__getitem__, self.tris))
+        gds = tuple(map(c.g.__getitem__, self.edges))
+        hds = tuple(map(c.h.__getitem__, self.tris))
+        if not self.g_values.issuperset(gds):
+            raise ValueError(f"edge value {_outside(gds, self.G.order)} is not an element of G")
+        if not self.h_values.issuperset(hds):
+            raise ValueError(f"triangle value {_outside(hds, self.H.order)} is not an element of H")
+        return gds, hds
 
     def digits_to_cocycle(self, gds, hds) -> Cocycle:
         return Cocycle(
@@ -337,18 +351,18 @@ class _System:
         """Position of ``c`` in lexicographic (edge digits, triangle digits)
         order over all of G^E x H^T; enumeration lists cocycles in this order."""
         gds, hds = self.cocycle_to_digits(c)
+        ng, nh = self.G.order, self.H.order
         rank = 0
-        order = self.G.order
         for x in gds:
-            if not 0 <= x < order:
-                raise ValueError(f"edge value {x} is not an element of G")
-            rank = rank * order + x
-        order = self.H.order
+            rank = rank * ng + x
         for x in hds:
-            if not 0 <= x < order:
-                raise ValueError(f"triangle value {x} is not an element of H")
-            rank = rank * order + x
+            rank = rank * nh + x
         return rank
+
+
+def _outside(digits, order: int) -> int:
+    """The first value in ``digits`` outside 0..order-1."""
+    return next(x for x in digits if not 0 <= x < order)
 
 
 def _encode(mat: np.ndarray, weights: list[int]) -> np.ndarray:

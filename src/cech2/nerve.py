@@ -11,6 +11,11 @@ g * |H|^p + (h_1 ... h_p in base |H|), with the levelwise multiplication
 Faces drop an end morphism or compose adjacent ones; degeneracies insert
 identity morphisms.  The definitional string model is rebuilt independently
 by ``check_level_iso`` and compared against this compact representation.
+
+Tables and maps are built by numpy broadcasting over the codes split into a
+g column and p kernel columns, so a level of order n costs O(n^2) array
+work, and ``validate_group`` checks it without an n^3 array.  The top
+level's order is capped at MAX_LEVEL_ORDER.
 """
 
 from __future__ import annotations
@@ -30,6 +35,9 @@ from .errors import BudgetExceeded
 from .groups import FiniteGroup, GroupAction, GroupHom, validate_group, validate_hom
 
 DEFAULT_LEVEL_CAP = 4
+# largest level order nerve_two_group builds: level tables and their checks
+# hold a few n x n int64 arrays, about 32 MB each at this order
+MAX_LEVEL_ORDER = 2048
 
 
 @dataclass
@@ -43,75 +51,74 @@ class TruncatedSimplicialGroup:
         return len(self.levels) - 1
 
 
-def _decode(x: int, p: int, nh: int) -> tuple[int, list[int]]:
+def _columns(n: int, p: int, nh: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Codes 0..n-1 of level p split into the g column and the p kernel
+    columns h_1 .. h_p."""
+    x = np.arange(n)
     hs = []
     for _ in range(p):
-        x, r = divmod(x, nh)
+        x, r = np.divmod(x, nh)
         hs.append(r)
     return x, hs[::-1]
 
 
-def _encode(g: int, hs, nh: int) -> int:
-    x = g
+def _encode(g: np.ndarray, hs, nh: int) -> np.ndarray:
+    code = g
     for h in hs:
-        x = x * nh + h
-    return x
+        code = code * nh + h
+    return code
 
 
 def _level_table(xm: CrossedModule, p: int) -> FiniteGroup:
+    """Multiplication table of level p, all n x n products at once.
+
+    Row x carries the sources sigma_i of its arrows; the product with
+    column y is built one arrow at a time as a base-|H| digit appended
+    to the product of the start objects.
+    """
     G, H, t, alpha = xm.G, xm.H, xm.t, xm.alpha
     nh = H.order
-    n = G.order * nh**p
-    table = np.empty((n, n), dtype=np.int64)
-    for x in range(n):
-        g1, hs1 = _decode(x, p, nh)
-        # sources sigma_i of the arrows of x
-        sigmas = []
-        acc = g1
-        for h in hs1:
-            sigmas.append(acc)
-            acc = G.mul(t(h), acc)
-        for y in range(n):
-            g2, hs2 = _decode(y, p, nh)
-            ks = [H.mul(h1, alpha.apply(s, h2)) for h1, s, h2 in zip(hs1, sigmas, hs2)]
-            table[x, y] = _encode(G.mul(g1, g2), ks, nh)
-    grp = validate_group(table, name=f"N({xm.name})_{p}")
-    return grp
+    g, hs = _columns(G.order * nh**p, p, nh)
+    code = G.table[g[:, None], g[None, :]]
+    sigma = g
+    for h in hs:
+        code = code * nh + H.table[h[:, None], alpha.perms[sigma[:, None], h[None, :]]]
+        sigma = G.table[t.map[h], sigma]
+    return validate_group(code, name=f"N({xm.name})_{p}")
 
 
 def nerve_two_group(xm: CrossedModule, depth: int = DEFAULT_LEVEL_CAP, cap: int = DEFAULT_LEVEL_CAP) -> TruncatedSimplicialGroup:
-    """Levels 0..depth with all faces and degeneracies, each a verified hom."""
+    """Levels 0..depth with all faces and degeneracies, each a verified hom.
+
+    Raises BudgetExceeded when depth exceeds ``cap`` or the top level's
+    order |G| |H|^depth exceeds MAX_LEVEL_ORDER, before any table is built.
+    """
     if depth > cap:
         raise BudgetExceeded(depth, cap)
     G, H, t = xm.G, xm.H, xm.t
     nh = H.order
+    top = G.order * nh**depth
+    if top > MAX_LEVEL_ORDER:
+        raise BudgetExceeded(top, MAX_LEVEL_ORDER)
     levels = [_level_table(xm, p) for p in range(depth + 1)]
     faces: dict[int, list[GroupHom]] = {}
     degeneracies: dict[int, list[GroupHom]] = {}
     for p in range(1, depth + 1):
-        maps = []
-        for i in range(p + 1):
-            col = []
-            for x in range(levels[p].order):
-                g, hs = _decode(x, p, nh)
-                if i == 0:
-                    col.append(_encode(G.mul(t(hs[0]), g), hs[1:], nh))
-                elif i == p:
-                    col.append(_encode(g, hs[:-1], nh))
-                else:
-                    merged = hs[:i - 1] + [H.mul(hs[i], hs[i - 1])] + hs[i + 1:]
-                    col.append(_encode(g, merged, nh))
-            maps.append(validate_hom(levels[p], levels[p - 1], col))
-        faces[p] = maps
+        g, hs = _columns(levels[p].order, p, nh)
+        cols = [_encode(G.table[t.map[hs[0]], g], hs[1:], nh)]
+        cols += [
+            _encode(g, hs[:i - 1] + [H.table[hs[i], hs[i - 1]]] + hs[i + 1:], nh)
+            for i in range(1, p)
+        ]
+        cols.append(_encode(g, hs[:-1], nh))
+        faces[p] = [validate_hom(levels[p], levels[p - 1], col) for col in cols]
     for p in range(depth):
-        maps = []
-        for i in range(p + 1):
-            col = []
-            for x in range(levels[p].order):
-                g, hs = _decode(x, p, nh)
-                col.append(_encode(g, hs[:i] + [0] + hs[i:], nh))
-            maps.append(validate_hom(levels[p], levels[p + 1], col))
-        degeneracies[p] = maps
+        g, hs = _columns(levels[p].order, p, nh)
+        zero = np.zeros_like(g)
+        degeneracies[p] = [
+            validate_hom(levels[p], levels[p + 1], _encode(g, hs[:i] + [zero] + hs[i:], nh))
+            for i in range(p + 1)
+        ]
     return TruncatedSimplicialGroup(levels, faces, degeneracies)
 
 
@@ -188,59 +195,50 @@ def check_level_iso(nsg: TruncatedSimplicialGroup, xm: CrossedModule) -> dict:
     A string maps to (start object, kernel parts of its arrows); the check
     confirms this is a bijection onto the stored level, turns string
     concatenation products into level products, and that the face maps do
-    what faces of a nerve do (drop an end, compose in the middle).
+    what faces of a nerve do (drop an end, compose in the middle).  The
+    strings are listed one by one from the 2-group; their products are
+    formed for all pairs at once, and a product that is not a composable
+    string counts as a mismatch.
     """
     tg = two_group_from_crossed_module(xm)
     ng, nh = xm.G.order, xm.H.order
+    src, tgt = tg.src.map, tg.tgt.map
     failures = []
-    string_elems: list[dict] = []
     for p in range(nsg.depth + 1):
         strings = _strings(tg, p)
-        if len(strings) != nsg.levels[p].order:
-            failures.append(f"level {p}: {len(strings)} strings vs order {nsg.levels[p].order}")
+        level = nsg.levels[p]
+        if len(strings) != level.order:
+            failures.append(f"level {p}: {len(strings)} strings vs order {level.order}")
             continue
-        codes = {}
-        for (x, ms) in strings:
-            code = _encode(x, [m // ng for m in ms], nh)
-            codes[(x, ms)] = code
-        if len(set(codes.values())) != len(strings):
+        x = np.array([s[0] for s in strings], dtype=np.int64)
+        arrows = list(np.array([s[1] for s in strings], dtype=np.int64).reshape(len(strings), p).T)
+        ks = [m // ng for m in arrows]
+        codes = _encode(x, ks, nh)
+        if np.bincount(codes).max() > 1:
             failures.append(f"level {p}: string coordinates collide")
             continue
-        index = {s: c for s, c in codes.items()}
         # componentwise string product realizes the level multiplication
-        for (x1, ms1) in strings:
-            for (x2, ms2) in strings:
-                prod = (
-                    tg.ob.mul(x1, x2),
-                    tuple(tg.mor.mul(a, b) for a, b in zip(ms1, ms2)),
-                )
-                if index[prod] != nsg.levels[p].mul(index[(x1, ms1)], index[(x2, ms2)]):
-                    failures.append(f"level {p}: product mismatch")
-                    break
-            else:
-                continue
-            break
-        # faces against the string model
+        prod = end = tg.ob.table[x[:, None], x[None, :]]
+        composable = np.ones(prod.shape, dtype=bool)
+        for m in arrows:
+            pm = tg.mor.table[m[:, None], m[None, :]]
+            composable &= src[pm] == end
+            end = tgt[pm]
+            prod = prod * nh + pm // ng
+        if not (composable & (prod == level.table[codes[:, None], codes[None, :]])).all():
+            failures.append(f"level {p}: product mismatch")
+        # faces against the string model, first failing string first
         if p >= 1:
-            for (x, ms) in strings:
-                code = index[(x, ms)]
-                d0 = (tg.tgt(ms[0]), ms[1:])
-                if _encode(d0[0], [m // ng for m in d0[1]], nh) != nsg.faces[p][0](code):
-                    failures.append(f"level {p}: d0 disagrees with string model")
-                    break
-                dp = (x, ms[:-1])
-                if _encode(x, [m // ng for m in dp[1]], nh) != nsg.faces[p][p](code):
-                    failures.append(f"level {p}: d{p} disagrees with string model")
-                    break
-                bad = False
-                for i in range(1, p):
-                    mid = ms[:i - 1] + (tg.compose(ms[i - 1], ms[i]),) + ms[i + 1:]
-                    if _encode(x, [m // ng for m in mid], nh) != nsg.faces[p][i](code):
-                        failures.append(f"level {p}: d{i} disagrees with string model")
-                        bad = True
-                        break
-                if bad:
-                    break
+            want = {0: _encode(tgt[arrows[0]], ks[1:], nh), p: _encode(x, ks[:-1], nh)}
+            for i in range(1, p):
+                mid = np.array([tg.compose(int(a), int(b)) for a, b in zip(arrows[i - 1], arrows[i])])
+                want[i] = _encode(x, ks[:i - 1] + [mid // ng] + ks[i + 1:], nh)
+            order = list(want)
+            bad = np.array([want[i] != nsg.faces[p][i].map[codes] for i in order])
+            if bad.any():
+                first = int(np.argmax(bad.any(axis=0)))
+                i = order[int(np.argmax(bad[:, first]))]
+                failures.append(f"level {p}: d{i} disagrees with string model")
     return {
         "ok": not failures,
         "failures": failures,

@@ -41,8 +41,12 @@ class TestValidate:
 
     @pytest.mark.parametrize(
         "g",
-        [{"0,1": 0, "1,2": 1}, {"0,1": 0, "1,0": 0, "0,2": 0, "1,2": 1}],
-        ids=["missing-key", "descending-key"],
+        [
+            {"0,1": 0, "1,2": 1},
+            {"0,1": 0, "1,0": 0, "0,2": 0, "1,2": 1},
+            {"0,1": 0, "0,2": 7, "1,2": 1},
+        ],
+        ids=["missing-key", "descending-key", "value-outside-G"],
     )
     def test_malformed_cocycle_is_an_input_error(self, tmp_path, g):
         path = tmp_path / "c.json"
@@ -175,3 +179,13 @@ class TestNerveCommand:
         res = run("nerve", "--coeff", "aut:Z3", "--depth", "2")
         assert res.returncode == 0
         assert json.loads(res.stdout)["levels"] == [2, 6, 18]
+
+    def test_level_order_guard(self):
+        # the default depth 4 asks for a level of order 6 * 6^4 = 7776
+        res = run("nerve", "--coeff", "aut:S3")
+        assert res.returncode == 3
+        assert json.loads(res.stdout) == {
+            "ok": False,
+            "error": "budget",
+            "detail": "workload 7776 exceeds budget 2048",
+        }

@@ -60,6 +60,18 @@ class TestValidateCocycle:
         with pytest.raises(TriangleViolation):
             validate_cocycle(c, sphere2, xm)
 
+    def test_values_outside_the_groups(self, circle3, sphere2, z2):
+        # neither value is read by a law: circle3 has no triangles, and a
+        # negative index would wrap around in t
+        c = Cocycle(g={(0, 1): 0, (0, 2): 7, (1, 2): 1}, h={})
+        with pytest.raises(ValueError, match="edge value 7"):
+            validate_cocycle(c, circle3, discrete_two_group(z2))
+        xm = shift_two_group(z2)
+        c = trivial_cocycle(sphere2, xm)
+        c.h[(0, 1, 2)] = -1
+        with pytest.raises(ValueError, match="triangle value -1"):
+            validate_cocycle(c, sphere2, xm)
+
     def test_tetrahedron_violation_on_solid_simplex(self, z2):
         # sphere2 has no tetrahedra, so the second law is vacuous there; the
         # solid 3-simplex carries exactly one instance of it

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cech2 import groups
+from cech2.crossed_modules import aut_two_group
 from cech2.errors import (
     MissingInverse,
     NoIdentityAtZero,
@@ -18,6 +20,7 @@ from cech2.groups import (
     hom_kernel_image,
     identity_hom,
     inversion_action,
+    klein_four_group,
     semidirect_product,
     symmetric_group,
     trivial_action,
@@ -26,6 +29,7 @@ from cech2.groups import (
     validate_group,
     validate_hom,
 )
+from cech2.nerve import nerve_two_group
 
 
 class TestValidateGroup:
@@ -59,6 +63,66 @@ class TestValidateGroup:
         bad = [[0, 1, 2], [1, 1, 1], [2, 1, 0]]
         with pytest.raises((NotAssociative, MissingInverse)):
             validate_group(bad)
+
+
+def _reference_first_bad_triple(t):
+    """The full n^3 associativity cube, the check Light's test replaced."""
+    t = np.asarray(t)
+    left = t[t, :]          # left[a, b, c]  = (ab)c
+    right = t[:, t]         # right[a, b, c] = a(bc)
+    bad = np.argwhere(left != right)
+    return tuple(int(x) for x in bad[0]) if len(bad) else None
+
+
+def _corrupted_tables(s3):
+    level = nerve_two_group(aut_two_group(cyclic_group(3)), 2).levels[2].table
+    z5 = cyclic_group(5).table
+    for base in (s3.table, z5, level):
+        n = len(base)
+        for x in range(1, n):
+            for y in range(1, n):
+                if (x * n + y) % 7 == 0:
+                    t = base.copy()
+                    t[x, y] = (t[x, y] + 1) % n
+                    yield t
+
+
+class TestLightsTest:
+    @pytest.mark.parametrize(
+        "chunk_cells", [1, 500, 1 << 22], ids=["row-blocks", "small-blocks", "one-block"]
+    )
+    def test_same_witness_as_the_full_cube(self, s3, monkeypatch, chunk_cells):
+        monkeypatch.setattr(groups, "_CUBE_CHUNK_CELLS", chunk_cells)
+        # every table here has one changed cell, which breaks associativity
+        for t in _corrupted_tables(s3):
+            want = _reference_first_bad_triple(t)
+            assert want is not None
+            with pytest.raises(NotAssociative) as exc:
+                validate_group(t)
+            assert exc.value.triple == want
+
+    def test_witness_with_a_non_generator_in_the_middle(self):
+        t = cyclic_group(5).table.copy()
+        t[3, 1] = 2  # 3 + 1 now reads 2
+        assert _reference_first_bad_triple(t) == (1, 2, 1)
+        assert 2 not in groups._light_generators(t)
+        with pytest.raises(NotAssociative) as exc:
+            validate_group(t)
+        assert exc.value.triple == (1, 2, 1)
+
+    def test_failure_seen_only_by_a_later_generator(self):
+        t = klein_four_group().table.copy()
+        t[2, 3] = t[3, 2] = 0
+        assert groups._light_generators(t) == [1, 2]
+        assert np.array_equal(t[t[:, 1]], t[:, t[1]])  # generator 1 alone passes
+        with pytest.raises(NotAssociative) as exc:
+            validate_group(t)
+        assert exc.value.triple == _reference_first_bad_triple(t) == (1, 2, 2)
+
+    def test_accepts_every_nerve_level(self, s3):
+        for level in nerve_two_group(aut_two_group(s3), 2).levels:
+            assert _reference_first_bad_triple(level.table) is None
+            assert validate_group(level.table).same_table(level)
 
 
 class TestValidateHom:

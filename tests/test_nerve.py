@@ -1,10 +1,14 @@
+import copy
+
 import numpy as np
 import pytest
 
-from cech2.crossed_modules import aut_two_group, discrete_two_group
+from cech2 import nerve
+from cech2.crossed_modules import aut_two_group, discrete_two_group, hat_construction
 from cech2.errors import BudgetExceeded
-from cech2.groups import cyclic_group, inversion_action, trivial_action, trivial_group
+from cech2.groups import FiniteGroup, cyclic_group, inversion_action, trivial_action, trivial_group
 from cech2.nerve import (
+    MAX_LEVEL_ORDER,
     check_bar_multiplication,
     check_level_iso,
     check_simplicial_identities,
@@ -44,6 +48,108 @@ class TestNerveConstruction:
         with pytest.raises(BudgetExceeded):
             nerve_two_group(z2z4, 5)
 
+    def test_level_order_guard(self, s3, monkeypatch):
+        xm = aut_two_group(s3)
+        assert [g.order for g in nerve_two_group(xm, 3).levels] == [6, 36, 216, 1296]
+
+        def no_tables(*args):
+            raise AssertionError("a level table was built past the guard")
+
+        monkeypatch.setattr(nerve, "_level_table", no_tables)
+        with pytest.raises(BudgetExceeded) as exc:
+            nerve_two_group(xm, 4)
+        assert (exc.value.required, exc.value.budget) == (7776, MAX_LEVEL_ORDER)
+
+
+# The scalar builder the vectorised one replaced, kept as the reference.
+
+def _decode(x: int, p: int, nh: int) -> tuple[int, list[int]]:
+    hs = []
+    for _ in range(p):
+        x, r = divmod(x, nh)
+        hs.append(r)
+    return x, hs[::-1]
+
+
+def _encode(g: int, hs, nh: int) -> int:
+    x = g
+    for h in hs:
+        x = x * nh + h
+    return x
+
+
+def _reference_level_table(xm, p: int) -> np.ndarray:
+    G, H, t, alpha = xm.G, xm.H, xm.t, xm.alpha
+    nh = H.order
+    n = G.order * nh**p
+    table = np.empty((n, n), dtype=np.int64)
+    for x in range(n):
+        g1, hs1 = _decode(x, p, nh)
+        # sources sigma_i of the arrows of x
+        sigmas = []
+        acc = g1
+        for h in hs1:
+            sigmas.append(acc)
+            acc = G.mul(t(h), acc)
+        for y in range(n):
+            g2, hs2 = _decode(y, p, nh)
+            ks = [H.mul(h1, alpha.apply(s, h2)) for h1, s, h2 in zip(hs1, sigmas, hs2)]
+            table[x, y] = _encode(G.mul(g1, g2), ks, nh)
+    return table
+
+
+def _reference_faces(xm, p: int) -> list[list[int]]:
+    G, H, t = xm.G, xm.H, xm.t
+    nh = H.order
+    maps = []
+    for i in range(p + 1):
+        col = []
+        for x in range(G.order * nh**p):
+            g, hs = _decode(x, p, nh)
+            if i == 0:
+                col.append(_encode(G.mul(t(hs[0]), g), hs[1:], nh))
+            elif i == p:
+                col.append(_encode(g, hs[:-1], nh))
+            else:
+                merged = hs[:i - 1] + [H.mul(hs[i], hs[i - 1])] + hs[i + 1:]
+                col.append(_encode(g, merged, nh))
+        maps.append(col)
+    return maps
+
+
+def _reference_degeneracies(xm, p: int) -> list[list[int]]:
+    nh = xm.H.order
+    maps = []
+    for i in range(p + 1):
+        col = []
+        for x in range(xm.G.order * nh**p):
+            g, hs = _decode(x, p, nh)
+            col.append(_encode(g, hs[:i] + [0] + hs[i:], nh))
+        maps.append(col)
+    return maps
+
+
+class TestAgainstScalarReference:
+    """Every library coefficient and its hat, to the deepest level of order
+    at most 400 (within the depth cap)."""
+
+    def test_same_tables_and_maps(self, library_xmods):
+        for base in library_xmods:
+            for xm in (base, hat_construction(base)[0]):
+                depth = max(
+                    d for d in range(nerve.DEFAULT_LEVEL_CAP + 1)
+                    if xm.G.order * xm.H.order**d <= 400
+                )
+                nsg = nerve_two_group(xm, depth)
+                for p, level in enumerate(nsg.levels):
+                    assert np.array_equal(level.table, _reference_level_table(xm, p)), (xm.name, p)
+                for p in range(1, depth + 1):
+                    got = [f.map.tolist() for f in nsg.faces[p]]
+                    assert got == _reference_faces(xm, p), (xm.name, p)
+                for p in range(depth):
+                    got = [s.map.tolist() for s in nsg.degeneracies[p]]
+                    assert got == _reference_degeneracies(xm, p), (xm.name, p)
+
 
 class TestSimplicialIdentities:
     def test_z2z4(self, nerve_z2z4):
@@ -67,6 +173,27 @@ class TestLevelIso:
     def test_point_level(self, z2z4, nerve_z2z4):
         # level 0 is just the object group
         assert nerve_z2z4.levels[0].same_table(z2z4.G)
+
+    def test_tampered_product(self, nerve_aut3):
+        nsg = copy.copy(nerve_aut3)
+        nsg.levels = list(nerve_aut3.levels)
+        table = nsg.levels[2].table.copy()
+        table[5, 7] = (table[5, 7] + 1) % len(table)
+        nsg.levels[2] = FiniteGroup(table)
+        report = check_level_iso(nsg, aut_two_group(cyclic_group(3)))
+        assert report["failures"] == ["level 2: product mismatch"]
+
+    def test_tampered_face(self, nerve_aut3):
+        nsg = copy.copy(nerve_aut3)
+        nsg.faces = dict(nerve_aut3.faces)
+        d = list(nsg.faces[3])
+        face = copy.copy(d[2])
+        face.map = face.map.copy()
+        face.map[40] = (face.map[40] + 1) % nsg.levels[2].order
+        d[2] = face
+        nsg.faces[3] = d
+        report = check_level_iso(nsg, aut_two_group(cyclic_group(3)))
+        assert report["failures"] == ["level 3: d2 disagrees with string model"]
 
 
 class TestBarMultiplication:
