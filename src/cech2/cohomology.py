@@ -40,6 +40,8 @@ partial rows, not with |G|^E.  The budget still caps the candidate count
 from __future__ import annotations
 
 import itertools
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -117,12 +119,26 @@ class Classification:
 
         Raises ValueError when ``c`` is not one of the classified cocycles.
         """
-        rank = index = self._system.rank_of(c)
-        if self._ranks is not None:
-            index = int(self._ranks.searchsorted(rank))
-            if index == len(self._ranks) or self._ranks[index] != rank:
+        return int(self._labels_at(np.array([self._system.rank_of(c)], dtype=np.int64))[0])
+
+    def labels_of(self, g_mat: np.ndarray, h_mat: np.ndarray) -> np.ndarray:
+        """``class_of`` over whole digit matrices: the label of each row's class.
+
+        Raises ValueError when some row is not one of the classified cocycles.
+        """
+        sys, n = self._system, len(g_mat)
+        for mat, width, order in ((g_mat, len(sys.edges), sys.G.order), (h_mat, len(sys.tris), sys.H.order)):
+            if mat.shape != (n, width) or (mat < 0).any() or (mat >= order).any():
                 raise ValueError("not a valid cocycle of this classification")
-        return int(self._labels[index])
+        return self._labels_at(_encode(g_mat, sys.g_weights) + _encode(h_mat, sys.h_weights))
+
+    def _labels_at(self, ranks: np.ndarray) -> np.ndarray:
+        index = ranks
+        if self._ranks is not None:
+            index = np.minimum(self._ranks.searchsorted(ranks), len(self._ranks) - 1)
+            if (self._ranks[index] != ranks).any():
+                raise ValueError("not a valid cocycle of this classification")
+        return self._labels[index]
 
     def to_report(self) -> dict:
         return {
@@ -131,6 +147,41 @@ class Classification:
             "base_class": self.base_class,
             "representatives": [cocycle_to_json(r) for r in self.representatives],
         }
+
+
+class CocycleSequence(Sequence):
+    """Read-only cocycles over (edge digits, triangle digits) matrices.
+
+    Rows stay numpy digits; every access builds a fresh ``Cocycle``, so
+    mutating one does not change the sequence.  Slices are sequences over
+    the sliced rows, and ``==`` compares element by element with any
+    sequence of cocycles.
+    """
+
+    def __init__(self, edges, tris, g_mat: np.ndarray, h_mat: np.ndarray):
+        self._edges, self._tris = edges, tris
+        self._g, self._h = g_mat, h_mat
+
+    def __len__(self) -> int:
+        return len(self._g)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return CocycleSequence(self._edges, self._tris, self._g[i], self._h[i])
+        i = operator.index(i)
+        return self._cocycle(self._g[i], self._h[i])
+
+    def __iter__(self):
+        for gds, hds in zip(self._g, self._h):
+            yield self._cocycle(gds, hds)
+
+    def _cocycle(self, gds: np.ndarray, hds: np.ndarray) -> Cocycle:
+        return Cocycle(g=dict(zip(self._edges, gds.tolist())), h=dict(zip(self._tris, hds.tolist())))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 class _System:
@@ -543,11 +594,11 @@ def cohomologous_check(
 
 def enumerate_cocycles(
     cx: SimplicialComplex, xm: CrossedModule, budget: int = DEFAULT_BUDGET
-) -> list[Cocycle]:
-    """All valid cocycles in lexicographic (edge digits, triangle digits) order."""
+) -> CocycleSequence:
+    """All valid cocycles in lexicographic (edge digits, triangle digits) order,
+    as a read-only sequence that builds a fresh ``Cocycle`` per access."""
     sys = _System(cx, xm)
-    g_mat, h_mat = _enumerate_digit_arrays(sys, budget)
-    return [sys.digits_to_cocycle(g_mat[i], h_mat[i]) for i in range(len(g_mat))]
+    return CocycleSequence(sys.edges, sys.tris, *_enumerate_digit_arrays(sys, budget))
 
 
 def _classify_cosets(sys: _System, budget: int) -> Classification:
@@ -711,8 +762,9 @@ def relation_matrix(
     xm: CrossedModule,
     budget: int = DEFAULT_BUDGET,
     witness_budget: int = DEFAULT_WITNESS_BUDGET,
-) -> tuple[np.ndarray, list[Cocycle]]:
-    """Boolean matrix R[a, b] = "some witness carries cocycle a to cocycle b".
+) -> tuple[np.ndarray, CocycleSequence]:
+    """Boolean matrix R[a, b] = "some witness carries cocycle a to cocycle b",
+    with the cocycles as ``enumerate_cocycles`` lists them.
 
     Built by sweeping the full witness group from every cocycle; feasible on
     instances with a few hundred cocycles, where the equivalence-relation
@@ -738,7 +790,7 @@ def relation_matrix(
     for a, (gds, hds) in enumerate(states):
         for fds, kds in witnesses:
             rel[a, index[sys.apply_digits(gds, hds, fds, kds)]] = True
-    return rel, [sys.digits_to_cocycle(g_mat[i], h_mat[i]) for i in range(n)]
+    return rel, CocycleSequence(sys.edges, sys.tris, g_mat, h_mat)
 
 
 # independent oracles

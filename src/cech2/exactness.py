@@ -17,7 +17,6 @@ minimal-index section stands in for the topological fibration hypothesis.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,9 +27,11 @@ from .cohomology import (
     DEFAULT_WITNESS_BUDGET,
     Cocycle,
     CoboundaryWitness,
+    _enumerate_digit_arrays,
     _System,
     apply_coboundary,
     classify_h1,
+    cohomologous_check,
     trivial_cocycle,
     validate_cocycle,
 )
@@ -43,7 +44,7 @@ from .crossed_modules import (
     validate_crossed_module,
     validate_two_group_hom,
 )
-from .errors import BudgetExceeded, DefectNotInKernel, ValuesNotInKernel
+from .errors import DefectNotInKernel, ValuesNotInKernel
 from .groups import FiniteGroup, GroupHom, validate_action, validate_hom
 
 
@@ -170,7 +171,14 @@ def verify_lemma2(
 
     Well-definedness is exhaustive over elementary witness moves: since
     moves generate the witness group, constancy of the induced map along
-    moves is constancy on classes.
+    moves is constancy on classes.  Both sweeps run over whole digit
+    matrices.  alpha* projects the edge digits of every (H -> G)-cocycle and
+    of its image under each move; beta lifts every K-cocycle and its image
+    under each move, each triangle taking the inclusion-preimage of its
+    defect.  Classes are looked up with ``Classification.labels_of``, and
+    every cocycle that some move carries to another class is reported, in
+    enumeration order.  The round trips on class representatives use the
+    scalar maps ``lemma2_alpha`` and ``lemma2_beta``.
     """
     xm_hg = conjugation_crossed_module(ses)
     xm_k = discrete_two_group(ses.K)
@@ -178,39 +186,39 @@ def verify_lemma2(
     cls_k = classify_h1(cx, xm_k, budget=budget)
     sys_hg = _System(cx, xm_hg)
     sys_k = _System(cx, xm_k)
-    failures = []
+    G = ses.G
 
-    from .cohomology import _enumerate_digit_arrays
+    def alpha_labels(g_mat, h_mat):
+        # K-cocycles carry the trivial group's identity on every triangle
+        k_h = np.zeros((len(g_mat), len(sys_k.tris)), dtype=np.int64)
+        return cls_k.labels_of(ses.projection.map[g_mat], k_h)
 
-    # alpha* well-defined: same K-class along every elementary move, swept
-    # over every cocycle
-    moves_hg = [(m, sys_hg.compile_move(m)) for m in sys_hg.moves()]
-    g_mat, h_mat = _enumerate_digit_arrays(sys_hg, budget)
-    for idx in range(len(g_mat)):
-        gds = tuple(int(x) for x in g_mat[idx])
-        hds = tuple(int(x) for x in h_mat[idx])
-        c = sys_hg.digits_to_cocycle(gds, hds)
-        base_class = cls_k.class_of(lemma2_alpha(c, ses))
-        for _, act in moves_hg:
-            g2, h2 = act(gds, hds)
-            moved = sys_hg.digits_to_cocycle(g2, h2)
-            if cls_k.class_of(lemma2_alpha(moved, ses)) != base_class:
-                failures.append(f"alpha* not constant on class of cocycle {idx}")
-                break
-    # beta well-defined, same strategy on the K side
-    gk_mat, hk_mat = _enumerate_digit_arrays(sys_k, budget)
-    moves_k = [(m, sys_k.compile_move(m)) for m in sys_k.moves()]
-    for idx in range(len(gk_mat)):
-        gds = tuple(int(x) for x in gk_mat[idx])
-        hds = tuple(int(x) for x in hk_mat[idx])
-        kcoc = sys_k.digits_to_cocycle(gds, hds)
-        base_class = cls_hg.class_of(lemma2_beta(kcoc, ses, cx))
-        for _, act in moves_k:
-            g2, h2 = act(gds, hds)
-            moved = sys_k.digits_to_cocycle(g2, h2)
-            if cls_hg.class_of(lemma2_beta(moved, ses, cx)) != base_class:
-                failures.append(f"beta not constant on class of K-cocycle {idx}")
-                break
+    preimage = np.full(G.order, -1, dtype=np.int64)  # -1 off the kernel
+    preimage[ses.inclusion.map] = np.arange(ses.H.order)
+
+    def beta_labels(gk_mat, hk_mat):
+        g_mat = ses.section[gk_mat]
+        h_mat = np.empty((len(g_mat), len(sys_hg.tris)), dtype=np.int64)
+        for ti, (e_ij, e_jk, e_ik) in enumerate(sys_hg.tri_edges):
+            defect = G.table[g_mat[:, e_ik], G.inverse[G.table[g_mat[:, e_ij], g_mat[:, e_jk]]]]
+            h_mat[:, ti] = preimage[defect]
+        try:
+            return cls_hg.labels_of(g_mat, h_mat)
+        except ValueError:
+            # some defect leaves the kernel or some lift the valid set: the
+            # scalar maps raise their own error on the first such row
+            for gds, hds in zip(gk_mat, hk_mat):
+                cls_hg.class_of(lemma2_beta(sys_k.digits_to_cocycle(gds, hds), ses, cx))
+            raise
+
+    failures = [
+        f"alpha* not constant on class of cocycle {idx}"
+        for idx in _moved_across_classes(sys_hg, *_enumerate_digit_arrays(sys_hg, budget), alpha_labels)
+    ]
+    failures += [
+        f"beta not constant on class of K-cocycle {idx}"
+        for idx in _moved_across_classes(sys_k, *_enumerate_digit_arrays(sys_k, budget), beta_labels)
+    ]
 
     # round trips on class representatives
     for i, rep in enumerate(cls_k.representatives):
@@ -234,29 +242,18 @@ def verify_lemma2(
     }
 
 
-def trivialization_witness(
-    c: Cocycle,
-    cx: SimplicialComplex,
-    xm: CrossedModule,
-    witness_budget: int = DEFAULT_WITNESS_BUDGET,
-) -> Optional[CoboundaryWitness]:
-    """Exhaustive search for data carrying c to the trivial cocycle.
-
-    Returns the first witness in deterministic order, or None when c is not
-    in the base class.
-    """
-    sys = _System(cx, xm)
-    V, E = cx.vertex_count, len(sys.edges)
-    total = xm.G.order**V * xm.H.order**E
-    if total > witness_budget:
-        raise BudgetExceeded(total, witness_budget)
-    gds, hds = sys.cocycle_to_digits(c)
-    target = (tuple([0] * E), tuple([0] * len(sys.tris)))
-    for fds in itertools.product(range(xm.G.order), repeat=V):
-        for kds in itertools.product(range(xm.H.order), repeat=E):
-            if sys.apply_digits(gds, hds, fds, kds) == target:
-                return sys.digits_to_witness(fds, kds)
-    return None
+def _moved_across_classes(sys: _System, g_mat: np.ndarray, h_mat: np.ndarray, labels) -> list[int]:
+    """Rows whose label under ``labels(g digits, h digits)`` changes along
+    some elementary move, in row order."""
+    base = labels(g_mat, h_mat)
+    moved = np.zeros(len(g_mat), dtype=bool)
+    for move in sys.moves():
+        g2, h2 = g_mat.copy(), h_mat.copy()
+        for mat, new in zip((g2, h2), sys.move_columns(move, g_mat, h_mat)):
+            for col, values in new.items():
+                mat[:, col] = values
+        moved |= labels(g2, h2) != base
+    return np.flatnonzero(moved).tolist()
 
 
 def _injective_preimage(f: GroupHom) -> dict[int, int]:
@@ -314,9 +311,9 @@ def verify_lemma3(
 ) -> dict:
     """image(f*) = kernel(p*) on actual classifications.
 
-    Kernel membership runs the trivialization search on the pushforward and,
-    when found, the explicit lift; exactness is then asserted as equality of
-    class-index sets.
+    Kernel membership runs the witness search from the pushforward to the
+    trivial cocycle and, when a witness is found, the explicit lift;
+    exactness is then asserted as equality of class-index sets.
     """
     xm0, xm1, xm2 = ses.left.dom, ses.left.cod, ses.right.cod
     cls0 = classify_h1(cx, xm0, budget=budget)
@@ -335,7 +332,7 @@ def verify_lemma3(
     for i, rep in enumerate(cls1.representatives):
         pushed = pushforward_cocycle(ses.right, rep)
         validate_cocycle(pushed, cx, xm2)
-        w = trivialization_witness(pushed, cx, xm2, witness_budget=witness_budget)
+        w = cohomologous_check(pushed, trivial_cocycle(cx, xm2), cx, xm2, witness_budget)
         if w is None:
             continue
         kernel.add(i)

@@ -127,10 +127,6 @@ def check_simplicial_identities(nsg: TruncatedSimplicialGroup) -> dict:
     failures = []
     N = nsg.depth
 
-    def maps_equal(f, g, label):
-        if not np.array_equal(f.map, g.map):
-            failures.append(label)
-
     for p in range(2, N + 1):
         d = nsg.faces[p]
         dlow = nsg.faces[p - 1]

@@ -263,6 +263,25 @@ class TestEnumerateCocycles:
         with pytest.raises(BudgetExceeded):
             enumerate_cocycles(sphere2, discrete_two_group(s3), budget=1000)
 
+    def test_read_only_sequence(self, circle3, z4):
+        xm = discrete_two_group(z4)
+        sys = _System(circle3, xm)
+        g_mat, h_mat = _enumerate_digit_arrays(sys, DEFAULT_BUDGET)
+        listed = [sys.digits_to_cocycle(g, h) for g, h in zip(g_mat, h_mat)]
+        cocycles = enumerate_cocycles(circle3, xm)
+        assert len(cocycles) == len(listed) == 64
+        assert list(cocycles) == listed and cocycles == listed and listed == cocycles
+        assert cocycles[-1] == listed[-1] and cocycles[np.int64(5)] == listed[5]
+        assert cocycles[3:-7:5] == listed[3:-7:5] and cocycles[::-9] == listed[::-9]
+        assert cocycles != listed[:-1] and cocycles != listed[::-1]
+        for i in (64, -65):
+            with pytest.raises(IndexError):
+                cocycles[i]
+        # every access builds a fresh Cocycle
+        cocycles[7].g[(0, 1)] = 3
+        assert cocycles[7] == listed[7]
+        assert type(cocycles[7].g[(0, 1)]) is int
+
     def test_sparse_instance_stays_small(self, z3):
         # 3^15 candidates, of which 243 are cocycles: the enumerator must not
         # hold all edge assignments at once (numpy allocations are traced)
@@ -371,6 +390,8 @@ class TestClassifyAgainstReferenceWalker:
         assert cls.num_cocycles == len(labels)
         cocycles = [sys.digits_to_cocycle(g, h) for g, h in zip(g_mat, h_mat)]
         assert [cls.class_of(c) for c in cocycles] == labels
+        assert cls.labels_of(g_mat, h_mat).tolist() == labels
+        assert cls.labels_of(g_mat[::-3], h_mat[::-3]).tolist() == labels[::-3]
 
     def test_raises_when_a_move_leaves_the_cocycles(self, sphere2, z2z4):
         # drop one cocycle of the single orbit: some move now lands outside
@@ -487,6 +508,8 @@ class TestEnumeratorAgainstReference:
             assert have.dtype == want.dtype == np.int64
             assert have.shape == want.shape
             assert np.array_equal(have, want)
+        cocycles = enumerate_cocycles(sys.cx, sys.xm)
+        assert cocycles == [sys.digits_to_cocycle(g, h) for g, h in zip(*expected)]
 
 
 class TestClassOf:
@@ -515,6 +538,14 @@ class TestClassOf:
             cls = classify_h1(cx, xm)
             with pytest.raises(ValueError):
                 cls.class_of(c)
+            # the same cocycle as a digit row, alone and among valid rows
+            sys = _System(cx, xm)
+            g_row = np.array([[c.g[e] for e in sys.edges]], dtype=np.int64)
+            h_row = np.array([[c.h[t] for t in sys.tris]], dtype=np.int64)
+            g_mat, h_mat = _enumerate_digit_arrays(sys, DEFAULT_BUDGET)
+            for g, h in ((g_row, h_row), (np.concatenate([g_mat, g_row]), np.concatenate([h_mat, h_row]))):
+                with pytest.raises(ValueError):
+                    cls.labels_of(g, h)
 
 
 class TestTetrahedronLaw:

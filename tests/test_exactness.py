@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from cech2.cohomology import (
+    DEFAULT_BUDGET,
     Cocycle,
     CoboundaryWitness,
+    _enumerate_digit_arrays,
+    _System,
     apply_coboundary,
     classify_h1,
     cohomologous_check,
@@ -16,7 +19,7 @@ from cech2.cohomology import (
 )
 from cech2.complexes import standard_space
 from cech2.crossed_modules import discrete_two_group, hat_construction
-from cech2.errors import BudgetExceeded
+from cech2.errors import BudgetExceeded, DefectNotInKernel
 from cech2.exactness import (
     GroupSES,
     conjugation_crossed_module,
@@ -26,13 +29,22 @@ from cech2.exactness import (
     lemma3_kernel_lift,
     minimal_section,
     pushforward_cocycle,
-    trivialization_witness,
     validate_group_ses,
     verify_lemma2,
     verify_lemma3,
 )
 from cech2.fixtures import z2z4z2_discrete_ses
 from cech2.groups import cyclic_group, validate_hom
+
+
+@pytest.fixture(scope="module")
+def z3s3z2(z3, s3, z2):
+    """1 -> Z3 -> S3 -> Z2 -> 1; conjugation acts nontrivially on the kernel."""
+    incl_values = [0, next(x for x in s3.elements() if s3.element_order(x) == 3)]
+    incl_values.append(s3.mul(incl_values[1], incl_values[1]))
+    incl = validate_hom(z3, s3, incl_values)
+    proj = validate_hom(s3, z2, [0 if x in incl_values else 1 for x in s3.elements()])
+    return validate_group_ses(incl, proj)
 
 
 class TestGroupSES:
@@ -54,14 +66,8 @@ class TestGroupSES:
         xm = conjugation_crossed_module(z2z4z2)
         assert xm.alpha.is_trivial()  # Z4 is abelian
 
-    def test_nonabelian_conjugation(self, z3, s3, z2):
-        # 1 -> Z3 -> S3 -> Z2 -> 1; conjugation acts nontrivially on the kernel
-        incl_values = [0, next(x for x in s3.elements() if s3.element_order(x) == 3)]
-        incl_values.append(s3.mul(incl_values[1], incl_values[1]))
-        incl = validate_hom(z3, s3, incl_values)
-        proj = validate_hom(s3, z2, [0 if x in incl_values else 1 for x in s3.elements()])
-        ses = validate_group_ses(incl, proj)
-        xm = conjugation_crossed_module(ses)
+    def test_nonabelian_conjugation(self, z3s3z2):
+        xm = conjugation_crossed_module(z3s3z2)
         assert not xm.alpha.is_trivial()
 
 
@@ -149,12 +155,126 @@ class TestLemma2Maps:
                 assert cohomologous_check(a, b, cx, xm) is not None
 
 
+def _reference_verify_lemma2(ses, cx, budget=DEFAULT_BUDGET) -> dict:
+    """Reference: the scalar sweep, one Cocycle per cocycle and per move
+    through lemma2_alpha, lemma2_beta and class_of."""
+    xm_hg = conjugation_crossed_module(ses)
+    xm_k = discrete_two_group(ses.K)
+    cls_hg = classify_h1(cx, xm_hg, budget=budget)
+    cls_k = classify_h1(cx, xm_k, budget=budget)
+    sys_hg = _System(cx, xm_hg)
+    sys_k = _System(cx, xm_k)
+    failures = []
+
+    # alpha* well-defined: same K-class along every elementary move, swept
+    # over every cocycle
+    moves_hg = [(m, sys_hg.compile_move(m)) for m in sys_hg.moves()]
+    g_mat, h_mat = _enumerate_digit_arrays(sys_hg, budget)
+    for idx in range(len(g_mat)):
+        gds = tuple(int(x) for x in g_mat[idx])
+        hds = tuple(int(x) for x in h_mat[idx])
+        c = sys_hg.digits_to_cocycle(gds, hds)
+        base_class = cls_k.class_of(lemma2_alpha(c, ses))
+        for _, act in moves_hg:
+            g2, h2 = act(gds, hds)
+            moved = sys_hg.digits_to_cocycle(g2, h2)
+            if cls_k.class_of(lemma2_alpha(moved, ses)) != base_class:
+                failures.append(f"alpha* not constant on class of cocycle {idx}")
+                break
+    # beta well-defined, same strategy on the K side
+    gk_mat, hk_mat = _enumerate_digit_arrays(sys_k, budget)
+    moves_k = [(m, sys_k.compile_move(m)) for m in sys_k.moves()]
+    for idx in range(len(gk_mat)):
+        gds = tuple(int(x) for x in gk_mat[idx])
+        hds = tuple(int(x) for x in hk_mat[idx])
+        kcoc = sys_k.digits_to_cocycle(gds, hds)
+        base_class = cls_hg.class_of(lemma2_beta(kcoc, ses, cx))
+        for _, act in moves_k:
+            g2, h2 = act(gds, hds)
+            moved = sys_k.digits_to_cocycle(g2, h2)
+            if cls_hg.class_of(lemma2_beta(moved, ses, cx)) != base_class:
+                failures.append(f"beta not constant on class of K-cocycle {idx}")
+                break
+
+    # round trips on class representatives
+    for i, rep in enumerate(cls_k.representatives):
+        if cls_k.class_of(lemma2_alpha(lemma2_beta(rep, ses, cx), ses)) != i:
+            failures.append(f"alpha* o beta moved K-class {i}")
+    for i, rep in enumerate(cls_hg.representatives):
+        if cls_hg.class_of(lemma2_beta(lemma2_alpha(rep, ses), ses, cx)) != i:
+            failures.append(f"beta o alpha* moved class {i}")
+
+    if cls_hg.class_count != cls_k.class_count:
+        failures.append(
+            f"class counts differ: {cls_hg.class_count} vs {cls_k.class_count}"
+        )
+    return {
+        "ok": not failures,
+        "failures": failures,
+        "classes": cls_hg.class_count,
+        "classes_k": cls_k.class_count,
+        "cocycles": int(cls_hg.num_cocycles),
+        "cocycles_k": int(cls_k.num_cocycles),
+    }
+
+
 class TestVerifyLemma2:
     @pytest.mark.parametrize("space", ["circle3", "circle6", "sphere2"])
     def test_z2z4z2(self, space, z2z4z2):
         report = verify_lemma2(z2z4z2, standard_space(space))
         assert report["ok"], report["failures"]
         assert report["classes"] == report["classes_k"]
+        assert report == _reference_verify_lemma2(z2z4z2, standard_space(space))
+
+    @pytest.mark.parametrize("space,classes", [("circle3", 2), ("sphere2", 1), ("tetra_solid", 1)])
+    def test_nonabelian_extension(self, space, classes, z3s3z2):
+        report = verify_lemma2(z3s3z2, standard_space(space))
+        assert report["ok"], report["failures"]
+        assert (report["classes"], report["classes_k"], report["cocycles_k"]) == (classes, classes, 8)
+        assert report == _reference_verify_lemma2(z3s3z2, standard_space(space))
+
+    def test_reports_every_moved_cocycle(self, circle3, z2z4z2, monkeypatch):
+        # a class lookup that splits the classes by one edge digit makes
+        # some moves change the class; both sweeps must flag the same rows
+        import cech2.cohomology as cohomology
+
+        class_of = cohomology.Classification.class_of
+        labels_of = cohomology.Classification.labels_of
+
+        def split_class_of(self, c):
+            return class_of(self, c) + 2 * (c.g[(0, 1)] % 2)
+
+        def split_labels_of(self, g_mat, h_mat):
+            return labels_of(self, g_mat, h_mat) + 2 * (g_mat[:, 0] % 2)
+
+        monkeypatch.setattr(cohomology.Classification, "class_of", split_class_of)
+        monkeypatch.setattr(cohomology.Classification, "labels_of", split_labels_of)
+        report = verify_lemma2(z2z4z2, circle3)
+        assert not report["ok"]
+        assert report == _reference_verify_lemma2(z2z4z2, circle3)
+
+    @pytest.mark.parametrize("side,error", [("hg", ValueError), ("k", DefectNotInKernel)])
+    def test_row_off_the_valid_set_raises_as_the_scalar_sweep(self, side, error, sphere2, z2z4z2, monkeypatch):
+        # append a row that breaks the triangle law on triangle (0, 1, 2):
+        # its alpha*-image is no K-cocycle, and its lift has a defect outside
+        # the kernel
+        import cech2.exactness as exactness
+
+        def corrupted(sys, budget, enumerate_digit_arrays=_enumerate_digit_arrays):
+            g_mat, h_mat = enumerate_digit_arrays(sys, budget)
+            if (sys.H.order == 1) == (side == "k"):  # K-cocycles carry trivial h
+                bad_g = np.zeros((1, g_mat.shape[1]), dtype=np.int64)
+                bad_g[0, sys.eidx[(0, 1)]] = 1
+                g_mat = np.concatenate([g_mat, bad_g])
+                h_mat = np.concatenate([h_mat, np.zeros((1, h_mat.shape[1]), dtype=np.int64)])
+            return g_mat, h_mat
+
+        monkeypatch.setattr(exactness, "_enumerate_digit_arrays", corrupted)
+        with pytest.raises(error):
+            verify_lemma2(z2z4z2, sphere2)
+        monkeypatch.setitem(globals(), "_enumerate_digit_arrays", corrupted)
+        with pytest.raises(error):
+            _reference_verify_lemma2(z2z4z2, sphere2)
 
     def test_k_trivial_collapses(self, circle3, z3):
         # 1 -> Z3 -> Z3 -> 1 -> 1: both sides a single class
@@ -167,9 +287,10 @@ class TestVerifyLemma2:
 
 
 class TestTrivializationWitness:
+    # verify_lemma3's kernel test: a witness to the trivial cocycle
     def test_trivial_gets_identity(self, circle3, z2z4):
         c = trivial_cocycle(circle3, z2z4)
-        w = trivialization_witness(c, circle3, z2z4)
+        w = cohomologous_check(c, trivial_cocycle(circle3, z2z4), circle3, z2z4)
         assert w is not None and w.is_identity()
 
     def test_perturbed_trivial_recovered(self, sphere2, z2z4):
@@ -178,18 +299,19 @@ class TestTrivializationWitness:
             k={e: i % 2 for i, e in enumerate(sphere2.edges)},
         )
         c = apply_coboundary(trivial_cocycle(sphere2, z2z4), w, sphere2, z2z4)
-        back = trivialization_witness(c, sphere2, z2z4)
+        back = cohomologous_check(c, trivial_cocycle(sphere2, z2z4), sphere2, z2z4)
         assert back is not None
         assert apply_coboundary(c, back, sphere2, z2z4) == trivial_cocycle(sphere2, z2z4)
 
     def test_nontrivial_holonomy_not_found(self, circle3, z4):
         xm = discrete_two_group(z4)
         c = Cocycle(g={(0, 1): 1, (0, 2): 0, (1, 2): 0}, h={})
-        assert trivialization_witness(c, circle3, xm) is None
+        assert cohomologous_check(c, trivial_cocycle(circle3, xm), circle3, xm) is None
 
     def test_budget(self, circle3, z2z4):
+        c = trivial_cocycle(circle3, z2z4)
         with pytest.raises(BudgetExceeded):
-            trivialization_witness(trivial_cocycle(circle3, z2z4), circle3, z2z4, witness_budget=3)
+            cohomologous_check(c, c, circle3, z2z4, witness_budget=3)
 
 
 class TestLemma3KernelLift:
@@ -209,7 +331,7 @@ class TestLemma3KernelLift:
         lifted = 0
         for rep in cls1.representatives:
             pushed = pushforward_cocycle(ses.right, rep)
-            w = trivialization_witness(pushed, circle3, z2z4)
+            w = cohomologous_check(pushed, trivial_cocycle(circle3, z2z4), circle3, z2z4)
             if w is None:
                 continue
             lift, lift_w = lemma3_kernel_lift(rep, ses, w, circle3)
@@ -223,7 +345,7 @@ class TestLemma3KernelLift:
         cls1 = classify_h1(sphere2, ses.left.cod)
         for rep in cls1.representatives:
             pushed = pushforward_cocycle(ses.right, rep)
-            w = trivialization_witness(pushed, sphere2, ses.right.cod)
+            w = cohomologous_check(pushed, trivial_cocycle(sphere2, ses.right.cod), sphere2, ses.right.cod)
             if w is not None:
                 lift, _ = lemma3_kernel_lift(rep, ses, w, sphere2)
                 assert validate_cocycle(lift, sphere2, ses.left.dom)["ok"]
