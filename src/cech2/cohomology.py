@@ -27,8 +27,9 @@ ones supported on a single vertex or a single edge, so orbits (= cohomology
 classes) are the components of the graph the elementary moves draw on the
 valid cocycles.  ``classify_h1`` takes one of two paths, chosen by the input:
 with trivial G and no tetrahedra every candidate is a cocycle and every move a
-translation, so orbits are cosets of the subgroup the move deltas generate;
-everything else is enumerated and closed under vectorized moves.
+translation, so orbits are cosets of the subgroup the move deltas generate,
+read off an echelon chain of that subgroup without visiting the |H|^T
+states; everything else is enumerated and closed under vectorized moves.
 
 Enumeration extends partial cocycles edge by edge, then triangle by
 triangle, in lexicographic order, and drops a row as soon as a law fails on a
@@ -39,6 +40,7 @@ partial rows, not with |G|^E.  The budget still caps the candidate count
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from collections.abc import Sequence
@@ -96,30 +98,26 @@ class CoboundaryWitness:
 class Classification:
     """H^1 as a pointed set: orbits of valid cocycles under all witnesses."""
 
-    classes: list
     representatives: list[Cocycle]
     base_class: int
     num_cocycles: int
-    witness_log: Optional[dict] = None
-    _system: object = field(default=None, repr=False)
-    _labels: object = field(default=None, repr=False)
-    # sorted ranks of the classified cocycles; None when every candidate is a
-    # cocycle, so that a cocycle's rank is its index
-    _ranks: object = field(default=None, repr=False)
+    _sizes: list[int] = field(repr=False)
+    _system: _System = field(repr=False)
+    _lookup: _RankLookup | _CosetLookup = field(repr=False)
 
     @property
     def class_count(self) -> int:
-        return len(self.classes)
+        return len(self.representatives)
 
     def sizes(self) -> list[int]:
-        return [len(c) for c in self.classes]
+        return list(self._sizes)
 
     def class_of(self, c: Cocycle) -> int:
         """Label of the class holding ``c``.
 
         Raises ValueError when ``c`` is not one of the classified cocycles.
         """
-        return int(self._labels_at(np.array([self._system.rank_of(c)], dtype=np.int64))[0])
+        return self._lookup.label(c)
 
     def labels_of(self, g_mat: np.ndarray, h_mat: np.ndarray) -> np.ndarray:
         """``class_of`` over whole digit matrices: the label of each row's class.
@@ -130,15 +128,7 @@ class Classification:
         for mat, width, order in ((g_mat, len(sys.edges), sys.G.order), (h_mat, len(sys.tris), sys.H.order)):
             if mat.shape != (n, width) or (mat < 0).any() or (mat >= order).any():
                 raise ValueError("not a valid cocycle of this classification")
-        return self._labels_at(_encode(g_mat, sys.g_weights) + _encode(h_mat, sys.h_weights))
-
-    def _labels_at(self, ranks: np.ndarray) -> np.ndarray:
-        index = ranks
-        if self._ranks is not None:
-            index = np.minimum(self._ranks.searchsorted(ranks), len(self._ranks) - 1)
-            if (self._ranks[index] != ranks).any():
-                raise ValueError("not a valid cocycle of this classification")
-        return self._labels[index]
+        return self._lookup.labels(g_mat, h_mat)
 
     def to_report(self) -> dict:
         return {
@@ -194,6 +184,7 @@ class _System:
         self.edges = cx.simplices_of_dim(1)
         self.tris = cx.simplices_of_dim(2)
         self.tets = cx.simplices_of_dim(3)
+        self.vertex_set = frozenset(range(cx.vertex_count))
         self.eidx = {e: i for i, e in enumerate(self.edges)}
         self.tidx = {t: i for i, t in enumerate(self.tris)}
         self.tri_edges = [
@@ -251,12 +242,9 @@ class _System:
         )
 
     def witness_to_digits(self, w: CoboundaryWitness):
-        if set(w.f) != set(range(self.cx.vertex_count)) or set(w.k) != set(self.edges):
+        if w.f.keys() != self.vertex_set or w.k.keys() != self.eidx.keys():
             raise ValueError("witness maps must be total on vertices and edges")
-        return (
-            tuple(w.f[v] for v in range(self.cx.vertex_count)),
-            tuple(w.k[e] for e in self.edges),
-        )
+        return tuple(map(w.f.__getitem__, range(self.cx.vertex_count))), tuple(map(w.k.__getitem__, self.edges))
 
     def digits_to_witness(self, fds, kds) -> CoboundaryWitness:
         return CoboundaryWitness(
@@ -411,6 +399,16 @@ class _System:
         return rank
 
 
+@functools.lru_cache(maxsize=8)
+def _system(cx: SimplicialComplex, xm: CrossedModule) -> _System:
+    """The ``_System`` of a (complex, coefficients) pair, built once.
+
+    Both classes hash by identity, so a pair is found again only through the
+    same two objects; the bound keeps the pairs used last.
+    """
+    return _System(cx, xm)
+
+
 def _outside(digits, order: int) -> int:
     """The first value in ``digits`` outside 0..order-1."""
     return next(x for x in digits if not 0 <= x < order)
@@ -525,7 +523,7 @@ def validate_cocycle(c: Cocycle, cx: SimplicialComplex, xm: CrossedModule) -> di
     Raises TriangleViolation or TetrahedronViolation with the offending
     simplex; returns a small summary when the cocycle is valid.
     """
-    sys = _System(cx, xm)
+    sys = _system(cx, xm)
     gds, hds = sys.cocycle_to_digits(c)
     sys.check_digits(gds, hds)
     return {"ok": True, "triangles": len(sys.tris), "tetrahedra": len(sys.tets)}
@@ -535,7 +533,7 @@ def apply_coboundary(
     c: Cocycle, w: CoboundaryWitness, cx: SimplicialComplex, xm: CrossedModule
 ) -> Cocycle:
     """The cocycle on the far side of the witness; output is again valid."""
-    sys = _System(cx, xm)
+    sys = _system(cx, xm)
     gds, hds = sys.cocycle_to_digits(c)
     fds, kds = sys.witness_to_digits(w)
     g2, h2 = sys.apply_digits(gds, hds, fds, kds)
@@ -578,7 +576,7 @@ def cohomologous_check(
     Exhaustive over G^V x H^E; returns None when the cocycles are not
     cohomologous.
     """
-    sys = _System(cx, xm)
+    sys = _system(cx, xm)
     V, E = cx.vertex_count, len(sys.edges)
     total = xm.G.order**V * xm.H.order**E
     if total > witness_budget:
@@ -597,7 +595,7 @@ def enumerate_cocycles(
 ) -> CocycleSequence:
     """All valid cocycles in lexicographic (edge digits, triangle digits) order,
     as a read-only sequence that builds a fresh ``Cocycle`` per access."""
-    sys = _System(cx, xm)
+    sys = _system(cx, xm)
     return CocycleSequence(sys.edges, sys.tris, *_enumerate_digit_arrays(sys, budget))
 
 
@@ -606,22 +604,31 @@ def _classify_cosets(sys: _System, budget: int) -> Classification:
     elementary move a translation.
 
     Each move ships the triangle data by a fixed delta vector, so orbits are
-    the cosets of the subgroup S of H^T the deltas generate.  The deltas come
-    from the general coboundary action applied to the basepoint, and a spread
-    of states cross-checks the translation claim against the general action.
-    S is closed one generator d at a time: S + d, S + 2d, ... are cosets of S,
-    so each new block needs a membership test on its first row only.
+    the cosets of the subgroup S of H^T the deltas generate (H is abelian
+    here).  The deltas come from the general coboundary action applied to
+    the basepoint, and a spread of states cross-checks the translation claim
+    against the general action.
+
+    S is held as a lexicographic echelon chain (``_echelon_chain``), the
+    abelian case of a Schreier-Sims stabilizer chain (Holt, Eick & O'Brien,
+    Handbook of Computational Group Theory, ch. 4): for each triangle column
+    p, the subgroup A_p of H of the column-p values of the elements of S
+    that vanish before p, each with a transversal element of S.  Reducing a
+    row column by column to the least value of its coset of A_p gives the
+    lex-least element of its class, since any nonzero element of S is first
+    nonzero at some such column.  So |S| is the product of the |A_p|, each
+    class has |S| members, and classes are numbered by their least cocycle
+    without visiting the |H|^T states.
     """
     H = sys.H
     T = len(sys.tris)
     n = H.order**T
     if n > budget:
         raise BudgetExceeded(n, budget)
-    hw = sys.h_weights
-    table = H.table.astype(np.min_scalar_type(H.order - 1))
+    add = H.table
 
     def decode(x: int) -> np.ndarray:
-        digits = np.empty(T, dtype=table.dtype)
+        digits = np.empty(T, dtype=np.int64)
         for pos in range(T - 1, -1, -1):
             x, r = divmod(x, H.order)
             digits[pos] = r
@@ -634,52 +641,128 @@ def _classify_cosets(sys: _System, budget: int) -> Classification:
     for act in acts:
         g2, h2 = act(zero_g, zero_h)
         assert g2 == zero_g
-        deltas.append(np.asarray(h2, dtype=table.dtype))
+        deltas.append(np.asarray(h2, dtype=np.int64))
     # translation cross-check against the general action, on a spread of states
     for sid in range(0, n, max(1, n // 13)):
-        sample = tuple(int(x) for x in decode(sid))
+        state = decode(sid)
+        sample = tuple(state.tolist())
         for act, d in zip(acts, deltas):
-            expected = tuple(int(table[s, dv]) for s, dv in zip(sample, d))
-            assert act(zero_g, sample)[1] == expected
+            assert act(zero_g, sample)[1] == tuple(add[state, d].tolist())
 
-    in_sub = np.zeros(n, dtype=bool)
-    in_sub[0] = True
-    sub = np.zeros((1, T), dtype=table.dtype)
-    for d in deltas:
-        blocks = [sub]
-        step = d
-        while not in_sub[_encode(step[None, :], hw)[0]]:
-            block = table[sub, step[None, :]]
-            in_sub[_encode(block, hw)] = True
-            blocks.append(block)
-            step = table[step, d]
-        sub = np.concatenate(blocks)
-
-    # orbits are the cosets of S; the least unlabelled id seeds the next one
-    labels = np.full(n, -1, dtype=np.int64)
-    classes = []
-    seed = 0
-    while seed < n:
-        ids = np.sort(_encode(table[sub, decode(seed)[None, :]], hw))
-        labels[ids] = len(classes)
-        classes.append(ids)
-        # scan for the next seed in windows of one coset, so the scans cost
-        # O(n) in total however many classes there are
-        while seed < n:
-            free = np.flatnonzero(labels[seed : seed + len(sub)] < 0)
-            if len(free):
-                seed += int(free[0])
-                break
-            seed += len(sub)
-    reps = [sys.digits_to_cocycle(zero_g, decode(int(ids[0]))) for ids in classes]
+    lookup = _CosetLookup(sys, _echelon_chain(H, deltas, T))
+    count = len(lookup.representatives)
     return Classification(
-        classes=classes,
-        representatives=reps,
-        base_class=int(labels[0]),
+        representatives=[sys.digits_to_cocycle(zero_g, row) for row in lookup.representatives],
+        base_class=0,  # the trivial cocycle is the least of all
         num_cocycles=n,
+        _sizes=[n // count] * count,
         _system=sys,
-        _labels=labels,
+        _lookup=lookup,
     )
+
+
+def _echelon_chain(H, generators: list[np.ndarray], width: int) -> list[dict[int, np.ndarray]]:
+    """Echelon chain of the subgroup S of H^width the generators span (H
+    abelian): per column p, {a: the transversal element of S that vanishes
+    before p and takes the value a at p}, over the a in A_p.
+
+    A vector v is sifted in at its first nonzero column p: if v_p is in A_p
+    it loses t(v_p) and sifts on; otherwise A_p grows by the multiples of
+    v_p, with t(a + j v_p) = t(a) + j v, and m v - t(m v_p) sifts on, m
+    being the least j with j v_p in the old A_p.
+    """
+    add, neg = H.table, H.inverse
+    zero = np.zeros(width, dtype=np.int64)
+    chain = [{0: zero} for _ in range(width)]
+    for v in generators:
+        while (nonzero := np.flatnonzero(v)).size:
+            p = nonzero[0]
+            old = chain[p]
+            if int(v[p]) in old:
+                v = add[v, neg[old[int(v[p])]]]
+                continue
+            grown, multiple = {}, zero
+            while not grown or int(multiple[p]) not in old:
+                for a, ta in old.items():
+                    grown[int(add[a, multiple[p]])] = add[ta, multiple]
+                multiple = add[multiple, v]
+            chain[p] = grown
+            v = add[multiple, neg[old[int(multiple[p])]]]
+    return chain
+
+
+class _CosetLookup:
+    """Class labels on the coset path, from the echelon chain of S.
+
+    Column by column, a row's value selects the coset of A_p it lies in, and
+    adding the transversal element of (least member of that coset - value)
+    carries the row to the least value of the coset there; later columns are
+    then read from the carried row.  The label is the mixed-radix rank of
+    the cosets met, each column ranking the least values of its cosets in
+    order, so labels follow the order of the classes' least cocycles.
+    """
+
+    def __init__(self, sys: _System, chain: list[dict]):
+        H = sys.H
+        self.sys = sys
+        # per column: (rank of each value's coset, weight of that rank,
+        # the transversal element moving each value to its coset's least
+        # value, restricted to columns p.. ; None where A_p is trivial)
+        self.columns = []
+        minima = []
+        weight = 1
+        for p in range(len(chain) - 1, -1, -1):
+            A = chain[p]
+            least = [min(int(H.table[x, a]) for a in A) for x in range(H.order)]
+            cosets = sorted(set(least))
+            shift = None
+            if len(A) > 1:
+                shift = np.array([A[int(H.table[m, H.inverse[x]])][p:] for x, m in enumerate(least)])
+            self.columns.append((np.searchsorted(cosets, least), weight, shift))
+            minima.append((cosets, weight))
+            weight *= len(cosets)
+        self.columns.reverse()
+        # the same tables as Python lists for class_of, each transversal
+        # element as its nonzero (column, value) pairs after column p
+        self._add = H.table.tolist()
+        self._scalar_columns = [
+            (
+                rank.tolist(),
+                weight,
+                None if shift is None else [[(p + q, d) for q, d in enumerate(row) if q and d] for row in shift.tolist()],
+            )
+            for p, (rank, weight, shift) in enumerate(self.columns)
+        ]
+        # the least cocycle of each class, by label
+        labels = np.arange(weight, dtype=np.int64)
+        self.representatives = np.array(
+            [np.asarray(cosets)[(labels // w) % len(cosets)] for cosets, w in reversed(minima)],
+            dtype=np.int64,
+        ).T.reshape(weight, len(chain))
+
+    def labels(self, g_mat: np.ndarray, h_mat: np.ndarray) -> np.ndarray:
+        table = self.sys.H.table
+        labels = np.zeros(len(h_mat), dtype=np.int64)
+        rest = h_mat
+        for rank, weight, shift in self.columns:
+            value = rest[:, 0]
+            labels += rank[value] * weight
+            if shift is not None:
+                rest = table[rest, shift[value]]
+            rest = rest[:, 1:]
+        return labels
+
+    def label(self, c: Cocycle) -> int:
+        """``labels`` on one cocycle, in plain Python: a row of a few dozen
+        digits is cheaper to carry element by element than through numpy."""
+        _, row = self.sys.cocycle_to_digits(c)
+        row, add, label = list(row), self._add, 0
+        for p, (rank, weight, shift) in enumerate(self._scalar_columns):
+            label += rank[row[p]] * weight
+            if shift is not None:
+                for q, d in shift[row[p]]:
+                    row[q] = add[row[q]][d]
+        return label
 
 
 def _classify_orbits(sys: _System, g_mat: np.ndarray, h_mat: np.ndarray) -> Classification:
@@ -723,18 +806,37 @@ def _classify_orbits(sys: _System, g_mat: np.ndarray, h_mat: np.ndarray) -> Clas
             break
 
     roots, labels = np.unique(labels, return_inverse=True)
-    members = np.argsort(labels, kind="stable")
-    classes = np.split(members, np.cumsum(np.bincount(labels))[:-1])
     reps = [sys.digits_to_cocycle(g_mat[r], h_mat[r]) for r in roots]
     return Classification(
-        classes=classes,
         representatives=reps,
         base_class=int(labels[0]),  # row 0 is the trivial cocycle, rank 0
         num_cocycles=n,
+        _sizes=np.bincount(labels).tolist(),
         _system=sys,
-        _labels=labels,
-        _ranks=ranks,
+        _lookup=_RankLookup(sys, ranks, labels),
     )
+
+
+class _RankLookup:
+    """Class labels on the orbit path: a row's rank is looked up among the
+    sorted ranks of the classified cocycles."""
+
+    def __init__(self, sys: _System, ranks: np.ndarray, labels: np.ndarray):
+        self.sys, self.ranks, self._labels = sys, ranks, labels
+
+    def labels(self, g_mat: np.ndarray, h_mat: np.ndarray) -> np.ndarray:
+        ranks = _encode(g_mat, self.sys.g_weights) + _encode(h_mat, self.sys.h_weights)
+        index = np.minimum(self.ranks.searchsorted(ranks), len(self.ranks) - 1)
+        if (self.ranks[index] != ranks).any():
+            raise ValueError("not a valid cocycle of this classification")
+        return self._labels[index]
+
+    def label(self, c: Cocycle) -> int:
+        rank = self.sys.rank_of(c)
+        index = int(self.ranks.searchsorted(rank))
+        if index == len(self.ranks) or self.ranks[index] != rank:
+            raise ValueError("not a valid cocycle of this classification")
+        return int(self._labels[index])
 
 
 def classify_h1(
@@ -746,11 +848,12 @@ def classify_h1(
     generating set of G, edge moves in a generating set of H); witnesses
     compose, so this reaches the full orbit of the witness group.  With
     trivial G and no tetrahedra the orbits are cosets of the subgroup the
-    move deltas generate; every other instance is enumerated and closed under
-    vectorized moves.  Classes are numbered by their least cocycle, which is
-    also their representative.
+    move deltas generate, and an echelon chain of that subgroup gives the
+    classes, their sizes and their least cocycles directly; every other
+    instance is enumerated and closed under vectorized moves.  Classes are
+    numbered by their least cocycle, which is also their representative.
     """
-    sys = _System(cx, xm)
+    sys = _system(cx, xm)
     if sys.G.order == 1 and not sys.tets:
         return _classify_cosets(sys, budget)
     g_mat, h_mat = _enumerate_digit_arrays(sys, budget)
@@ -770,7 +873,7 @@ def relation_matrix(
     instances with a few hundred cocycles, where the equivalence-relation
     axioms can be checked directly.
     """
-    sys = _System(cx, xm)
+    sys = _system(cx, xm)
     g_mat, h_mat = _enumerate_digit_arrays(sys, budget)
     n = len(g_mat)
     states = [

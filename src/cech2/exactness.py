@@ -29,6 +29,7 @@ from .cohomology import (
     CoboundaryWitness,
     _enumerate_digit_arrays,
     _System,
+    _system,
     apply_coboundary,
     classify_h1,
     cohomologous_check,
@@ -184,8 +185,8 @@ def verify_lemma2(
     xm_k = discrete_two_group(ses.K)
     cls_hg = classify_h1(cx, xm_hg, budget=budget)
     cls_k = classify_h1(cx, xm_k, budget=budget)
-    sys_hg = _System(cx, xm_hg)
-    sys_k = _System(cx, xm_k)
+    sys_hg = _system(cx, xm_hg)
+    sys_k = _system(cx, xm_k)
     G = ses.G
 
     def alpha_labels(g_mat, h_mat):

@@ -126,6 +126,16 @@ class TestVerify:
         assert res.returncode == 0
         assert report["cases"]["circle3/discrete:Z2"]["counts"] == [2, 2]
 
+    def test_abelian_default_cases(self):
+        # all six cases, torus7 shift:Z3 with its 4,782,969 cocycles included
+        res = run("verify", "abelian")
+        report = json.loads(res.stdout)
+        assert res.returncode == 0
+        assert report["ok"] is True
+        assert sorted(report["cases"]) == sorted(
+            f"{space}/shift:{h}" for space in ("sphere2", "torus7", "rp2_6") for h in ("Z2", "Z3")
+        )
+
     def test_abelian_single_case(self):
         res = run("verify", "abelian", "--space", "sphere2", "--coeff", "shift:Z3")
         assert res.returncode == 0

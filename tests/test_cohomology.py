@@ -1,5 +1,7 @@
 import itertools
+import random
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,8 +13,12 @@ from cech2.cohomology import (
     Cocycle,
     CoboundaryWitness,
     _classify_orbits,
+    _CosetLookup,
+    _echelon_chain,
+    _encode,
     _enumerate_digit_arrays,
     _System,
+    _system,
     abelian_oracle_h2,
     apply_coboundary,
     classify_h1,
@@ -27,7 +33,7 @@ from cech2.cohomology import (
     trivial_cocycle,
     validate_cocycle,
 )
-from cech2.complexes import standard_space, standard_space_names
+from cech2.complexes import barycentric_subdivide, standard_space, standard_space_names
 from cech2.crossed_modules import aut_two_group, discrete_two_group, hat_construction, shift_two_group
 from cech2.errors import (
     BudgetExceeded,
@@ -38,7 +44,7 @@ from cech2.errors import (
     TriangleViolation,
 )
 from cech2.fixtures import coefficient_from_spec
-from cech2.groups import conjugacy_classes
+from cech2.groups import conjugacy_classes, cyclic_group, direct_product, klein_four_group
 
 
 class TestValidateCocycle:
@@ -146,6 +152,22 @@ class TestApplyCoboundary:
             lhs = apply_coboundary(apply_coboundary(c, w1, sphere2, z2z4), w2, sphere2, z2z4)
             rhs = apply_coboundary(c, compose_witnesses(w1, w2, sphere2, z2z4), sphere2, z2z4)
             assert lhs == rhs
+
+
+class TestSystemCache:
+    def test_one_system_per_pair(self, sphere2, z2, z2z4):
+        # every public entry point shares the bookkeeping of a pair
+        _system.cache_clear()
+        c = enumerate_cocycles(sphere2, z2z4)[5]
+        w = identity_witness(sphere2)
+        for _ in range(3):
+            validate_cocycle(apply_coboundary(c, w, sphere2, z2z4), sphere2, z2z4)
+        cohomologous_check(c, c, sphere2, z2z4)
+        classify_h1(sphere2, z2z4).class_of(c)
+        assert _system.cache_info().misses == 1
+        # another coefficient object, even an equal one, is another pair
+        assert _system(sphere2, shift_two_group(z2)) is not _system(sphere2, shift_two_group(z2))
+        assert _system(sphere2, z2z4) is _system(sphere2, z2z4)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -316,15 +338,27 @@ class TestClassifyH1:
         assert classify_h1(cx, discrete_two_group(z2)).class_count == 2
 
     def test_classes_partition(self, circle3, s3):
-        cls = classify_h1(circle3, discrete_two_group(s3))
-        ids = np.concatenate(cls.classes)
+        xm = discrete_two_group(s3)
+        cls = classify_h1(circle3, xm)
+        classes = _members(cls, *_enumerate_digit_arrays(_System(circle3, xm), DEFAULT_BUDGET))
+        ids = np.concatenate(classes)
         assert sorted(ids.tolist()) == list(range(cls.num_cocycles))
+        assert cls.sizes() == [len(ids) for ids in classes]
 
     def test_representative_is_minimum(self, sphere2, z2z4):
         cls = classify_h1(sphere2, z2z4)
-        for i, (ids, rep) in enumerate(zip(cls.classes, cls.representatives)):
+        sys = _System(sphere2, z2z4)
+        g_mat, h_mat = _enumerate_digit_arrays(sys, DEFAULT_BUDGET)
+        for i, (ids, rep) in enumerate(zip(_members(cls, g_mat, h_mat), cls.representatives)):
             assert int(ids[0]) == min(int(x) for x in ids)
+            assert rep == sys.digits_to_cocycle(g_mat[ids[0]], h_mat[ids[0]])
             assert cls.class_of(rep) == i
+
+
+def _members(cls, g_mat, h_mat) -> list[np.ndarray]:
+    """The rows of each class, by label, found with ``labels_of``."""
+    labels = cls.labels_of(g_mat, h_mat)
+    return [np.flatnonzero(labels == i) for i in range(cls.class_count)]
 
 
 def _walk_orbits(sys, g_mat, h_mat):
@@ -367,12 +401,14 @@ def _walk_orbits(sys, g_mat, h_mat):
 
 
 class TestClassifyAgainstReferenceWalker:
-    # rp2_6 shift:Z2 takes the coset path; the others go through the orbit
-    # engine, without triangles, with triangles, and with a tetrahedron
+    # rp2_6 shift:Z2 and sphere2 shift:K4 (H not cyclic) take the coset
+    # path; the others go through the orbit engine, without triangles, with
+    # triangles, and with a tetrahedron
     @pytest.mark.parametrize(
         "space,spec",
         [
             ("rp2_6", "shift:Z2"),
+            ("sphere2", "shift:K4"),
             ("circle6", "discrete:Z4"),
             ("sphere2", "hat:z2z4"),
             ("tetra_solid", "hat:aut:Z3"),
@@ -384,7 +420,8 @@ class TestClassifyAgainstReferenceWalker:
         sys = _System(cx, xm)
         g_mat, h_mat = _enumerate_digit_arrays(sys, DEFAULT_BUDGET)
         classes, reps, base_class, labels = _walk_orbits(sys, g_mat, h_mat)
-        assert [c.tolist() for c in cls.classes] == classes
+        assert [c.tolist() for c in _members(cls, g_mat, h_mat)] == classes
+        assert cls.sizes() == [len(c) for c in classes]
         assert cls.representatives == reps
         assert cls.base_class == base_class
         assert cls.num_cocycles == len(labels)
@@ -400,6 +437,196 @@ class TestClassifyAgainstReferenceWalker:
         keep = np.arange(len(g_mat)) != 100
         with pytest.raises(MoveLeavesCocycles):
             _classify_orbits(sys, g_mat[keep], h_mat[keep])
+
+
+def _reference_classify_cosets(sys: _System, budget: int):
+    """Reference coset classification: the subgroup S the move deltas
+    generate, closed state by state over all of H^T, and its cosets labelled
+    by scanning for the least unlabelled state.
+
+    Returns (classes, representatives, base_class, labels), with labels
+    indexed by state rank.
+    """
+    H = sys.H
+    T = len(sys.tris)
+    n = H.order**T
+    if n > budget:
+        raise BudgetExceeded(n, budget)
+    hw = sys.h_weights
+    table = H.table.astype(np.min_scalar_type(H.order - 1))
+
+    def decode(x: int) -> np.ndarray:
+        digits = np.empty(T, dtype=table.dtype)
+        for pos in range(T - 1, -1, -1):
+            x, r = divmod(x, H.order)
+            digits[pos] = r
+        return digits
+
+    acts = [sys.compile_move(m) for m in sys.moves()]
+    zero_g = tuple([0] * len(sys.edges))
+    zero_h = tuple([0] * T)
+    deltas = []
+    for act in acts:
+        g2, h2 = act(zero_g, zero_h)
+        assert g2 == zero_g
+        deltas.append(np.asarray(h2, dtype=table.dtype))
+    # translation cross-check against the general action, on a spread of states
+    for sid in range(0, n, max(1, n // 13)):
+        sample = tuple(int(x) for x in decode(sid))
+        for act, d in zip(acts, deltas):
+            expected = tuple(int(table[s, dv]) for s, dv in zip(sample, d))
+            assert act(zero_g, sample)[1] == expected
+
+    in_sub = np.zeros(n, dtype=bool)
+    in_sub[0] = True
+    sub = np.zeros((1, T), dtype=table.dtype)
+    for d in deltas:
+        blocks = [sub]
+        step = d
+        while not in_sub[_encode(step[None, :], hw)[0]]:
+            block = table[sub, step[None, :]]
+            in_sub[_encode(block, hw)] = True
+            blocks.append(block)
+            step = table[step, d]
+        sub = np.concatenate(blocks)
+
+    # orbits are the cosets of S; the least unlabelled id seeds the next one
+    labels = np.full(n, -1, dtype=np.int64)
+    classes = []
+    seed = 0
+    while seed < n:
+        ids = np.sort(_encode(table[sub, decode(seed)[None, :]], hw))
+        labels[ids] = len(classes)
+        classes.append(ids)
+        # scan for the next seed in windows of one coset, so the scans cost
+        # O(n) in total however many classes there are
+        while seed < n:
+            free = np.flatnonzero(labels[seed : seed + len(sub)] < 0)
+            if len(free):
+                seed += int(free[0])
+                break
+            seed += len(sub)
+    reps = [sys.digits_to_cocycle(zero_g, decode(int(ids[0]))) for ids in classes]
+    return classes, reps, int(labels[0]), labels
+
+
+def _coset_cases(limit=2**20):
+    return [
+        (space, f"shift:{group}")
+        for space in standard_space_names()
+        if not standard_space(space).simplices_of_dim(3)
+        for group in ("Z2", "Z3", "Z4", "Z6", "K4")
+        if coefficient_from_spec(f"shift:{group}").H.order ** len(standard_space(space).simplices_of_dim(2)) <= limit
+    ]
+
+
+class TestCosetPathAgainstClosure:
+    """The echelon chain must reproduce the closure over all |H|^T states:
+    sizes, representatives, base class and the label of every state."""
+
+    @pytest.mark.parametrize("space,spec", _coset_cases())
+    def test_same_classification(self, space, spec):
+        cx, xm = standard_space(space), coefficient_from_spec(spec)
+        sys = _System(cx, xm)
+        n = xm.H.order ** len(sys.tris)
+        cls = classify_h1(cx, xm, budget=n)
+        classes, reps, base_class, labels = _reference_classify_cosets(sys, n)
+        assert cls.sizes() == [len(ids) for ids in classes]
+        assert all(type(size) is int for size in cls.sizes())
+        assert cls.representatives == reps
+        assert cls.base_class == base_class
+        assert cls.num_cocycles == n
+        g_mat = np.zeros((n, len(sys.edges)), dtype=np.uint8)
+        h_mat = _mixed_radix(n, len(sys.tris), xm.H.order)
+        assert np.array_equal(cls.labels_of(g_mat, h_mat), labels)
+
+    def test_cases_cover_every_group(self):
+        # torus7 only fits with Z2, rp2_6 with Z2, Z3, Z4 and K4
+        cases = _coset_cases()
+        assert {spec for _, spec in cases} == {f"shift:{g}" for g in ("Z2", "Z3", "Z4", "Z6", "K4")}
+        assert ("torus7", "shift:Z2") in cases and ("rp2_6", "shift:K4") in cases
+
+
+class TestEchelonChain:
+    """The chain against a closure of random generators in H^3, with values
+    off the generators of H so that A_p grows in several steps."""
+
+    @pytest.mark.parametrize(
+        "H",
+        [cyclic_group(4), cyclic_group(6), cyclic_group(8), klein_four_group(), direct_product(cyclic_group(2), cyclic_group(4))],
+        ids=["Z4", "Z6", "Z8", "K4", "Z2xZ4"],
+    )
+    def test_against_closure(self, H):
+        rng = random.Random(H.order)
+        add = H.table.tolist()
+
+        def plus(x, y):
+            return tuple(add[a][b] for a, b in zip(x, y))
+
+        states = list(itertools.product(range(H.order), repeat=3))
+        for _ in range(40):
+            gens = [tuple(rng.randrange(H.order) for _ in range(3)) for _ in range(rng.randrange(1, 4))]
+            sub, frontier = {(0, 0, 0)}, {(0, 0, 0)}
+            while frontier:
+                frontier = {plus(x, g) for x in frontier for g in gens} - sub
+                sub |= frontier
+            chain = _echelon_chain(H, [np.array(g) for g in gens], 3)
+            for p, column in enumerate(chain):
+                assert set(column) == {x[p] for x in sub if not any(x[:p])}
+                for a, t in column.items():
+                    assert tuple(t.tolist()) in sub and not t[:p].any() and t[p] == a
+            # classes numbered by their least member, which represents them
+            least = {}
+            for x in states:
+                if x not in least:
+                    least.update((plus(x, s), x) for s in sub)
+            minima = sorted(set(least.values()))
+            lookup = _CosetLookup(SimpleNamespace(H=H), chain)
+            assert [tuple(r) for r in lookup.representatives.tolist()] == minima
+            labels = lookup.labels(None, np.array(states, dtype=np.int64))
+            assert labels.tolist() == [minima.index(least[x]) for x in states]
+
+
+class TestCosetPathReach:
+    """Subdivided surfaces have 3^84 states with Z3 on sd(torus7): far beyond
+    any closure, but the chain only holds one subgroup of H per triangle."""
+
+    @pytest.mark.parametrize(
+        "space,group,count",
+        [
+            ("sphere2", "Z2", 2), ("sphere2", "Z3", 3), ("sphere2", "K4", 4),
+            ("torus7", "Z2", 2), ("torus7", "Z3", 3), ("torus7", "K4", 4),
+            ("rp2_6", "Z2", 2), ("rp2_6", "Z3", 1), ("rp2_6", "K4", 4),
+        ],
+    )
+    def test_subdivided_surface(self, space, group, count):
+        cx = barycentric_subdivide(standard_space(space))
+        xm = coefficient_from_spec(f"shift:{group}")
+        n = xm.H.order ** len(cx.simplices_of_dim(2))
+        tracemalloc.start()
+        try:
+            cls = classify_h1(cx, xm, budget=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cls.class_count == abelian_oracle_h2(cx, xm.H) == count
+        assert len(set(cls.sizes())) == 1 and sum(cls.sizes()) == n == cls.num_cocycles
+        assert cls.base_class == 0
+        assert peak < 16 * 2**20
+        rng = random.Random(f"{space} {group}")
+        tris = cx.simplices_of_dim(2)
+
+        def moved(c):
+            k = {e: rng.randrange(xm.H.order) for e in cx.simplices_of_dim(1)}
+            return apply_coboundary(c, CoboundaryWitness(f={v: 0 for v in cx.vertices}, k=k), cx, xm)
+
+        for i, rep in enumerate(cls.representatives):
+            assert cls.class_of(rep) == i
+            assert cls.class_of(moved(rep)) == i
+        for _ in range(5):
+            c = trivial_cocycle(cx, xm)
+            c.h = {t: rng.randrange(xm.H.order) for t in tris}
+            assert cls.class_of(moved(c)) == cls.class_of(c)
 
 
 def _mixed_radix(count: int, width: int, base: int) -> np.ndarray:
