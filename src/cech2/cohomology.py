@@ -29,7 +29,12 @@ valid cocycles.  ``classify_h1`` takes one of two paths, chosen by the input:
 with trivial G and no tetrahedra every candidate is a cocycle and every move a
 translation, so orbits are cosets of the subgroup the move deltas generate,
 read off an echelon chain of that subgroup without visiting the |H|^T
-states; everything else is enumerated and closed under vectorized moves.
+states.  Everything else is classified on a gauge slice, the maximal-tree
+gauge of lattice gauge theory: only the cocycles that are 1 on a forest of
+edges (p(j), j), p(j) the least smaller neighbour of j, and the least of
+their coset t(H) g on every other edge are enumerated.  They are closed
+under the moves that remain, each followed by re-slicing, and each slice
+cocycle stands for the same number of cocycles.
 
 Enumeration extends partial cocycles edge by edge, then triangle by
 triangle, in lexicographic order, and drops a row as soon as a law fails on a
@@ -59,6 +64,7 @@ from .errors import (
     TetrahedronViolation,
     TriangleViolation,
 )
+from .groups import subgroup_as_group
 
 DEFAULT_BUDGET = 10**6
 DEFAULT_WITNESS_BUDGET = 10**6
@@ -96,14 +102,23 @@ class CoboundaryWitness:
 
 @dataclass
 class Classification:
-    """H^1 as a pointed set: orbits of valid cocycles under all witnesses."""
+    """H^1 as a pointed set: orbits of valid cocycles under all witnesses.
+
+    ``stats`` records what the classification did, outside ``to_report``:
+    the ``path`` taken (``"cosets"`` or ``"slice"``), the ``slice_rows``
+    listed (the slice cocycles, or one least cocycle per coset), the
+    ``fibre`` of cocycles each of them stands for, so that ``num_cocycles``
+    is their product, the number of ``moves`` and the ``closure_rounds`` of
+    label propagation (0 on the coset path).
+    """
 
     representatives: list[Cocycle]
     base_class: int
     num_cocycles: int
     _sizes: list[int] = field(repr=False)
     _system: _System = field(repr=False)
-    _lookup: _RankLookup | _CosetLookup = field(repr=False)
+    _lookup: _SliceLookup | _CosetLookup = field(repr=False)
+    stats: dict = field(default_factory=dict, repr=False)
 
     @property
     def class_count(self) -> int:
@@ -216,6 +231,44 @@ class _System:
         self.t_section = np.full(self.G.order, -1, dtype=np.int64)
         for h in range(self.H.order - 1, -1, -1):
             self.t_section[xm.t(h)] = h
+        # the tables as Python lists, for the scalar laws and actions
+        self._gmul, self._ginv = self.G.table.tolist(), self.G.inverse.tolist()
+        self._hmul, self._hinv = self.H.table.tolist(), self.H.inverse.tolist()
+        self._t, self._alpha = xm.t.map.tolist(), xm.alpha.perms.tolist()
+        self._edge_ends = [(e, i, j) for e, (i, j) in enumerate(self.edges)]
+        self._tri_parts = [(ti, i, *parts) for ti, ((i, _, _), parts) in enumerate(zip(self.tris, self.tri_edges))]
+        self._init_slice(im)
+
+    def _init_slice(self, image_t: list[int]) -> None:
+        """Tables of the gauge slice (see ``_classify_slice``).
+
+        The forest holds the edge (p(j), j) of every vertex j with a smaller
+        neighbour, p(j) the least of them; the other vertices are the roots.
+        A slice cocycle is 1 on the forest and, on every other edge, the
+        least element of the coset t(H) g of its value.
+        """
+        G = self.G
+        parent_edge: dict[int, int] = {}
+        for e, (_, j) in enumerate(self.edges):
+            parent_edge.setdefault(j, e)  # edges are sorted, so the least i comes first
+        self.forest = [parent_edge[j] for j in sorted(parent_edge)]
+        self.roots = [v for v in range(self.cx.vertex_count) if v not in parent_edge]
+        image = np.asarray(image_t, dtype=np.int64)
+        self.coset_min = G.table[image[:, None], np.arange(G.order)[None, :]].min(axis=0)
+        self.slice_allowed = np.tile(self.coset_min == np.arange(G.order), (len(self.edges), 1))
+        self.slice_allowed[self.forest, 1:] = False
+        E = len(self.edges)
+        self.fibre = G.order ** len(self.forest) * len(image) ** (E - len(self.forest))
+        # lift[g]: the k with t(k) g = coset_min[g], which re-slices an edge
+        self.lift = self.t_section[G.table[self.coset_min, G.inverse]]
+        # the re-slicing walk: each non-root j in vertex order, with the
+        # edge (p(j), j) and p(j)
+        self.slice_walk = [(j, parent_edge[j], self.edges[parent_edge[j]][0]) for j in sorted(parent_edge)]
+        self._edge_cols = np.array(self.edges, dtype=np.int64).reshape(E, 2).T
+        self._tri_cols = np.array(self.tri_edges, dtype=np.int64).reshape(len(self.tris), 3).T
+        self._tri_first = np.array([i for i, _, _ in self.tris], dtype=np.int64)
+        self._lift, self._coset_min = self.lift.tolist(), self.coset_min.tolist()
+        self._lifts = bool(self.lift.any())  # False when t(H) is trivial
 
     # conversions
 
@@ -255,41 +308,31 @@ class _System:
     # laws
 
     def check_digits(self, gds, hds) -> None:
-        G, H, t, alpha = self.G, self.H, self.xm.t, self.xm.alpha
-        for tri, (e_ij, e_jk, e_ik) in zip(self.tris, self.tri_edges):
-            if G.mul(t(hds[self.tidx[tri]]), G.mul(gds[e_ij], gds[e_jk])) != gds[e_ik]:
-                raise TriangleViolation(tri)
+        gmul, t = self._gmul, self._t
+        for ti, _, e_ij, e_jk, e_ik in self._tri_parts:
+            if gmul[t[hds[ti]]][gmul[gds[e_ij]][gds[e_jk]]] != gds[e_ik]:
+                raise TriangleViolation(self.tris[ti])
         for tet, parts in zip(self.tets, self.tet_parts):
             if not self.tet_law_holds(gds, hds, parts):
                 raise TetrahedronViolation(tet)
 
     def tet_law_holds(self, gds, hds, parts) -> bool:
         """h_ikl h_ijk = h_ijl alpha(g_ij)(h_jkl) on one tetrahedron."""
-        H, alpha = self.H, self.xm.alpha
+        hmul = self._hmul
         t_jkl, t_ikl, t_ijl, t_ijk, e_ij = parts
-        lhs = H.mul(hds[t_ikl], hds[t_ijk])
-        return lhs == H.mul(hds[t_ijl], alpha.apply(gds[e_ij], hds[t_jkl]))
+        return hmul[hds[t_ikl]][hds[t_ijk]] == hmul[hds[t_ijl]][self._alpha[gds[e_ij]][hds[t_jkl]]]
 
     # coboundary action on digit tuples
 
     def apply_digits(self, gds, hds, fds, kds):
-        G, H, t, alpha = self.G, self.H, self.xm.t, self.xm.alpha
-        g2 = tuple(
-            G.prod([G.inv(fds[i]), t(kds[e]), gds[e], fds[j]])
-            for e, (i, j) in enumerate(self.edges)
+        gmul, hmul, hinv, t, alpha = self._gmul, self._hmul, self._hinv, self._t, self._alpha
+        finv = [self._ginv[x] for x in fds]
+        g2 = tuple(gmul[gmul[gmul[finv[i]][t[kds[e]]]][gds[e]]][fds[j]] for e, i, j in self._edge_ends)
+        h2 = tuple(
+            alpha[finv[i]][hmul[hmul[hmul[kds[e_ik]][hds[ti]]][hinv[alpha[gds[e_ij]][kds[e_jk]]]]][hinv[kds[e_ij]]]]
+            for ti, i, e_ij, e_jk, e_ik in self._tri_parts
         )
-        h2 = []
-        for (i, j, k), (e_ij, e_jk, e_ik) in zip(self.tris, self.tri_edges):
-            inner = H.prod(
-                [
-                    kds[e_ik],
-                    hds[self.tidx[(i, j, k)]],
-                    H.inv(alpha.apply(gds[e_ij], kds[e_jk])),
-                    H.inv(kds[e_ij]),
-                ]
-            )
-            h2.append(alpha.apply(G.inv(fds[i]), inner))
-        return g2, tuple(h2)
+        return g2, h2
 
     # elementary witness moves: values drawn from generating sets suffice
     # because witnesses compose
@@ -381,6 +424,68 @@ class _System:
             g_new[pos] = G.table[self.xm.t(val), g_mat[:, pos]]
         return g_new, h_new
 
+    # the gauge slice
+
+    def slice_moves(self):
+        """The residual moves on the slice (see ``_classify_slice``): vertex
+        moves at the roots over generators of G, edge moves on the forest over
+        generators of H, and edge moves on every edge over generators of ker t."""
+        kernel, inclusion = subgroup_as_group(self.H, self.kernel_t)
+        return (
+            [("v", v, a) for v in self.roots for a in _generating_set(self.G)]
+            + [("e", e, k) for e in self.forest for k in _generating_set(self.H)]
+            + [("e", e, inclusion(k)) for e in range(len(self.edges)) for k in _generating_set(kernel)]
+        )
+
+    def reslice(self, g_mat: np.ndarray, h_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each row carried into the slice by a witness, as new int64 matrices.
+
+        Walking the non-root vertices in order, the vertex move at j by the
+        inverse of the current g_(p(j), j) would clear the forest edge
+        (p(j), j) without changing the forest edge of a smaller vertex.  These
+        moves compose to one vertex witness, f_j = g_(p(j), j)^-1 f_p(j) with
+        f = 1 at the roots, applied at once.  One edge witness then takes
+        every edge value to the least element of its coset of t(H).  The work
+        runs on one contiguous row per simplex and flat product tables.
+        """
+        ng, nh, ginv, hinv = self.G.order, self.H.order, self.G.inverse, self.H.inverse
+        gmul, hmul, act = self.G.table.ravel(), self.H.table.ravel(), self.xm.alpha.perms.ravel()
+        g, h = np.ascontiguousarray(g_mat.T, dtype=np.int64), np.ascontiguousarray(h_mat.T, dtype=np.int64)
+        f = np.zeros((self.cx.vertex_count, len(g_mat)), dtype=np.int64)
+        for j, fe, p in self.slice_walk:
+            f[j] = gmul[ginv[g[fe]] * ng + f[p]]
+        f_inv = ginv[f]
+        src, dst = self._edge_cols
+        g = gmul[gmul[f_inv[src] * ng + g] * ng + f[dst]]
+        h = act[f_inv[self._tri_first] * nh + h]
+        if self._lifts:
+            k = self.lift[g]
+            e_ij, e_jk, e_ik = self._tri_cols
+            h = hmul[hmul[k[e_ik] * nh + h] * nh + hinv[act[g[e_ij] * nh + k[e_jk]]]]
+            g, h = self.coset_min[g], hmul[h * nh + hinv[k[e_ij]]]
+        return g.T, h.T
+
+    def reslice_digits(self, gds, hds) -> tuple[list[int], list[int]]:
+        """``reslice`` on one row, in plain Python lists."""
+        gmul, ginv, alpha = self._gmul, self._ginv, self._alpha
+        f = [0] * self.cx.vertex_count
+        for j, fe, p in self.slice_walk:
+            f[j] = gmul[ginv[gds[fe]]][f[p]]
+        if any(f):
+            f_inv = [ginv[x] for x in f]
+            g = [gmul[gmul[f_inv[i]][gds[e]]][f[j]] for e, i, j in self._edge_ends]
+            h = [alpha[f_inv[i]][hds[ti]] for ti, i, _, _, _ in self._tri_parts]
+        else:
+            g, h = list(gds), list(hds)
+        if self._lifts and any(k := [self._lift[x] for x in g]):
+            hmul, hinv = self._hmul, self._hinv
+            h = [
+                hmul[hmul[hmul[k[e_ik]][h[ti]]][hinv[alpha[g[e_ij]][k[e_jk]]]]][hinv[k[e_ij]]]
+                for ti, _, e_ij, e_jk, e_ik in self._tri_parts
+            ]
+            g = [self._coset_min[x] for x in g]
+        return g, h
+
     # enumeration
 
     def candidate_count(self) -> int:
@@ -423,8 +528,11 @@ def _encode(mat: np.ndarray, weights: list[int]) -> np.ndarray:
     return ranks
 
 
-def _enumerate_digit_arrays(sys: _System, budget: int) -> tuple[np.ndarray, np.ndarray]:
-    """All valid cocycles as (g digits, h digits) arrays in lexicographic order.
+def _enumerate_digit_arrays(
+    sys: _System, budget: int, allowed: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """All valid cocycles as (g digits, h digits) arrays in lexicographic order,
+    or only those whose edge e takes values v with ``allowed[e, v]``.
 
     Partial rows are extended one simplex at a time, edges then triangles in
     lexicographic order, by every allowed value with the new digit varying
@@ -465,7 +573,7 @@ def _enumerate_digit_arrays(sys: _System, budget: int) -> tuple[np.ndarray, np.n
     n = 1
     values = np.arange(G.order)[None, :]
     for e in range(len(sys.edges)):
-        ok = np.ones((n, G.order), dtype=bool)
+        ok = np.ones((n, G.order), dtype=bool) if allowed is None else np.tile(allowed[e], (n, 1))
         for ti in closing_tris[e]:
             g_ij, g_jk, g_ik = (values if x == e else g_cols[x][:, None] for x in sys.tri_edges[ti])
             ok &= sys.in_image_t[G.table[g_ik, G.inverse[G.table[g_ij, g_jk]]]]
@@ -658,6 +766,7 @@ def _classify_cosets(sys: _System, budget: int) -> Classification:
         _sizes=[n // count] * count,
         _system=sys,
         _lookup=lookup,
+        stats={"path": "cosets", "slice_rows": count, "fibre": n // count, "moves": len(acts), "closure_rounds": 0},
     )
 
 
@@ -765,14 +874,43 @@ class _CosetLookup:
         return label
 
 
-def _classify_orbits(sys: _System, g_mat: np.ndarray, h_mat: np.ndarray) -> Classification:
-    """Orbits of the enumerated cocycles (rows in rank order) under the
-    elementary moves.
+def _classify_slice(sys: _System, g_mat: np.ndarray, h_mat: np.ndarray) -> Classification:
+    """Classes of the slice cocycles (rows in rank order) under the residual
+    moves, each followed by ``_System.reslice``.
 
-    Each move is applied to whole digit columns and shifts the rank of every
-    row by the weighted change of the columns it touches; the moved rows are
-    found by searchsorted over the sorted ranks.  Classes are then the
-    components of the move graph, by min-label propagation with pointer
+    The slice holds the cocycles that are 1 on the forest edges (p(j), j)
+    and, on every other edge, the least element of the coset t(H) g of their
+    value.  Why the residual moves of ``_System.slice_moves`` suffice: let Q
+    be the witnesses with f = 1 at the roots, H^E x| G^non-roots.  It is the
+    kernel of the projection of the witness group W onto G^roots, so Q is
+    normal and W = Q x| G^roots.  Within a Q-orbit, the vertex moves along
+    the forest fix the forest edges one by one and the edge moves fix each
+    coset, so the slice meets the g-part of every Q-orbit in exactly one g.
+    Two slice rows of one Q-orbit then differ by an element of the
+    stabiliser of that g in Q.  Its f-part is the homomorphism onto
+    t(H)^non-roots given by the k on the forest, and the elements with f = 1
+    are (ker t)^E, so it is an extension of t(H)^non-roots by (ker t)^E; the
+    re-sliced forest-edge moves over generators x of H have f = t(x)^-1 on
+    the subtree of a vertex, and these generate t(H)^non-roots, and the ker t edge moves
+    generate (ker t)^E.  The root vertex moves over generators of G then join
+    the Q-orbits of one W-orbit, since Q a = a Q.  So the classes are the
+    components of the graph the re-sliced residual moves draw on the slice.
+    Each re-sliced move permutes the slice: two slice rows with one image
+    lie in one Q-orbit, since the move normalises Q, so they share their g,
+    and the move and the re-slicing then act on both by one witness, which
+    is a bijection on the triangle data.
+
+    Exactly ``sys.fibre`` cocycles re-slice to each slice row: the forest
+    values are free, every other edge value is free within its coset, and
+    the re-slicing witness those values fix acts on the triangle data as a
+    bijection.  A class therefore has that many cocycles per slice row.  Its
+    least cocycle lies in the slice, since one move makes any other cocycle
+    smaller: the vertex move at j clearing a nonzero (p(j), j) changes only
+    that edge and later ones, as no edge (i, j) has i < p(j), and the edge
+    move taking g_e to its coset minimum changes only triangle digits after
+    it.  So the least slice row of a class is its least cocycle, and classes
+    are numbered and represented as the full orbit closure numbers them.
+    Classes are the components found by min-label propagation with pointer
     jumping (Tarjan, JACM 1975).
     """
     rank_space = sys.G.order ** len(sys.edges) * sys.H.order ** len(sys.tris)
@@ -782,22 +920,26 @@ def _classify_orbits(sys: _System, g_mat: np.ndarray, h_mat: np.ndarray) -> Clas
     ranks = _encode(g_mat, gw) + _encode(h_mat, hw)
     n = len(ranks)
 
+    moves = sys.slice_moves()
     neighbours = []
-    for move in sys.moves():
-        moved = ranks.copy()
-        for mat, new, weights in zip((g_mat, h_mat), sys.move_columns(move, g_mat, h_mat), (gw, hw)):
+    for move in moves:
+        g_new, h_new = g_mat.copy(), h_mat.copy()
+        for mat, new in zip((g_new, h_new), sys.move_columns(move, g_mat, h_mat)):
             for col, values in new.items():
-                moved += (values - mat[:, col]) * weights[col]
+                mat[:, col] = values
+        g_new, h_new = sys.reslice(g_new, h_new)
+        moved = _encode(g_new, gw) + _encode(h_new, hw)
         nbr = np.minimum(np.searchsorted(ranks, moved), n - 1)
         left = np.flatnonzero(ranks[nbr] != moved)
         if len(left):
             raise MoveLeavesCocycles(move, sys.digits_to_cocycle(g_mat[left[0]], h_mat[left[0]]))
         neighbours.append(nbr)
 
-    # every move permutes the finite set, so the least label reachable along
-    # moves is the least label of the orbit
-    labels = np.arange(n, dtype=np.int64)
+    # every re-sliced move permutes the slice, so the least label reachable
+    # along moves is the least label of the class
+    labels, rounds = np.arange(n, dtype=np.int64), 0
     while True:
+        rounds += 1
         before = labels
         for nbr in neighbours:
             labels = np.minimum(labels, labels[nbr])
@@ -810,21 +952,25 @@ def _classify_orbits(sys: _System, g_mat: np.ndarray, h_mat: np.ndarray) -> Clas
     return Classification(
         representatives=reps,
         base_class=int(labels[0]),  # row 0 is the trivial cocycle, rank 0
-        num_cocycles=n,
-        _sizes=np.bincount(labels).tolist(),
+        num_cocycles=n * sys.fibre,
+        _sizes=[size * sys.fibre for size in np.bincount(labels).tolist()],
         _system=sys,
-        _lookup=_RankLookup(sys, ranks, labels),
+        _lookup=_SliceLookup(sys, ranks, labels),
+        stats={"path": "slice", "slice_rows": n, "fibre": sys.fibre, "moves": len(moves), "closure_rounds": rounds},
     )
 
 
-class _RankLookup:
-    """Class labels on the orbit path: a row's rank is looked up among the
-    sorted ranks of the classified cocycles."""
+class _SliceLookup:
+    """Class labels on the slice: a row is re-sliced, and the rank of the
+    result is looked up among the sorted ranks of the slice rows.  The
+    re-slicing witness maps cocycles to cocycles and other rows to other
+    rows, so a row off the valid set is not found."""
 
     def __init__(self, sys: _System, ranks: np.ndarray, labels: np.ndarray):
         self.sys, self.ranks, self._labels = sys, ranks, labels
 
     def labels(self, g_mat: np.ndarray, h_mat: np.ndarray) -> np.ndarray:
+        g_mat, h_mat = self.sys.reslice(g_mat, h_mat)
         ranks = _encode(g_mat, self.sys.g_weights) + _encode(h_mat, self.sys.h_weights)
         index = np.minimum(self.ranks.searchsorted(ranks), len(self.ranks) - 1)
         if (self.ranks[index] != ranks).any():
@@ -832,7 +978,9 @@ class _RankLookup:
         return self._labels[index]
 
     def label(self, c: Cocycle) -> int:
-        rank = self.sys.rank_of(c)
+        sys = self.sys
+        gds, hds = sys.reslice_digits(*sys.cocycle_to_digits(c))
+        rank = sum(map(operator.mul, gds, sys.g_weights)) + sum(map(operator.mul, hds, sys.h_weights))
         index = int(self.ranks.searchsorted(rank))
         if index == len(self.ranks) or self.ranks[index] != rank:
             raise ValueError("not a valid cocycle of this classification")
@@ -849,15 +997,18 @@ def classify_h1(
     compose, so this reaches the full orbit of the witness group.  With
     trivial G and no tetrahedra the orbits are cosets of the subgroup the
     move deltas generate, and an echelon chain of that subgroup gives the
-    classes, their sizes and their least cocycles directly; every other
-    instance is enumerated and closed under vectorized moves.  Classes are
-    numbered by their least cocycle, which is also their representative.
+    classes, their sizes and their least cocycles directly.  Every other
+    instance is classified on its gauge slice: only the cocycles that are 1
+    on a forest of edges and coset-minimal on the other edges are
+    enumerated and closed under the residual moves, each move followed by
+    re-slicing, and every slice cocycle stands for the same number of
+    cocycles.  Classes are numbered by their least cocycle, which is also
+    their representative.  ``stats`` says which path ran and what it listed.
     """
     sys = _system(cx, xm)
     if sys.G.order == 1 and not sys.tets:
         return _classify_cosets(sys, budget)
-    g_mat, h_mat = _enumerate_digit_arrays(sys, budget)
-    return _classify_orbits(sys, g_mat, h_mat)
+    return _classify_slice(sys, *_enumerate_digit_arrays(sys, budget, sys.slice_allowed))
 
 
 def relation_matrix(

@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+import time
 import tracemalloc
 from types import SimpleNamespace
 
@@ -10,9 +12,10 @@ from hypothesis import strategies as st
 
 from cech2.cohomology import (
     DEFAULT_BUDGET,
+    Classification,
     Cocycle,
     CoboundaryWitness,
-    _classify_orbits,
+    _classify_slice,
     _CosetLookup,
     _echelon_chain,
     _encode,
@@ -44,7 +47,14 @@ from cech2.errors import (
     TriangleViolation,
 )
 from cech2.fixtures import coefficient_from_spec
-from cech2.groups import conjugacy_classes, cyclic_group, direct_product, klein_four_group
+from cech2.groups import (
+    conjugacy_classes,
+    cyclic_group,
+    direct_product,
+    inversion_action,
+    klein_four_group,
+    semidirect_product,
+)
 
 
 class TestValidateCocycle:
@@ -402,7 +412,7 @@ def _walk_orbits(sys, g_mat, h_mat):
 
 class TestClassifyAgainstReferenceWalker:
     # rp2_6 shift:Z2 and sphere2 shift:K4 (H not cyclic) take the coset
-    # path; the others go through the orbit engine, without triangles, with
+    # path; the others are classified on the slice, without triangles, with
     # triangles, and with a tetrahedron
     @pytest.mark.parametrize(
         "space,spec",
@@ -430,13 +440,236 @@ class TestClassifyAgainstReferenceWalker:
         assert cls.labels_of(g_mat, h_mat).tolist() == labels
         assert cls.labels_of(g_mat[::-3], h_mat[::-3]).tolist() == labels[::-3]
 
-    def test_raises_when_a_move_leaves_the_cocycles(self, sphere2, z2z4):
-        # drop one cocycle of the single orbit: some move now lands outside
-        sys = _System(sphere2, z2z4)
-        g_mat, h_mat = _enumerate_digit_arrays(sys, DEFAULT_BUDGET)
-        keep = np.arange(len(g_mat)) != 100
+    def test_raises_when_a_move_leaves_the_cocycles(self):
+        # drop one slice row of a class with several: a re-sliced move from
+        # another row of that class now lands outside
+        cx, xm = standard_space("circle6"), coefficient_from_spec("discrete:S3")
+        sys = _System(cx, xm)
+        g_mat, h_mat = _enumerate_digit_arrays(sys, DEFAULT_BUDGET, sys.slice_allowed)
+        labels = classify_h1(cx, xm).labels_of(g_mat, h_mat)
+        assert len(g_mat) == 6 and np.bincount(labels).tolist() == [1, 3, 2]
+        keep = np.arange(len(g_mat)) != np.flatnonzero(labels == 1)[1]
         with pytest.raises(MoveLeavesCocycles):
-            _classify_orbits(sys, g_mat[keep], h_mat[keep])
+            _classify_slice(sys, g_mat[keep], h_mat[keep])
+
+
+def _reference_classify_orbits(sys: _System, g_mat: np.ndarray, h_mat: np.ndarray) -> Classification:
+    """Orbits of the enumerated cocycles (rows in rank order) under the
+    elementary moves.
+
+    Each move is applied to whole digit columns and shifts the rank of every
+    row by the weighted change of the columns it touches; the moved rows are
+    found by searchsorted over the sorted ranks.  Classes are then the
+    components of the move graph, by min-label propagation with pointer
+    jumping (Tarjan, JACM 1975).
+    """
+    rank_space = sys.G.order ** len(sys.edges) * sys.H.order ** len(sys.tris)
+    if rank_space > np.iinfo(np.int64).max:
+        raise BudgetExceeded(rank_space, int(np.iinfo(np.int64).max))
+    gw, hw = sys.g_weights, sys.h_weights
+    ranks = _encode(g_mat, gw) + _encode(h_mat, hw)
+    n = len(ranks)
+
+    neighbours = []
+    for move in sys.moves():
+        moved = ranks.copy()
+        for mat, new, weights in zip((g_mat, h_mat), sys.move_columns(move, g_mat, h_mat), (gw, hw)):
+            for col, values in new.items():
+                moved += (values - mat[:, col]) * weights[col]
+        nbr = np.minimum(np.searchsorted(ranks, moved), n - 1)
+        left = np.flatnonzero(ranks[nbr] != moved)
+        if len(left):
+            raise MoveLeavesCocycles(move, sys.digits_to_cocycle(g_mat[left[0]], h_mat[left[0]]))
+        neighbours.append(nbr)
+
+    # every move permutes the finite set, so the least label reachable along
+    # moves is the least label of the orbit
+    labels = np.arange(n, dtype=np.int64)
+    while True:
+        before = labels
+        for nbr in neighbours:
+            labels = np.minimum(labels, labels[nbr])
+        labels = labels[labels]
+        if np.array_equal(labels, before):
+            break
+
+    roots, labels = np.unique(labels, return_inverse=True)
+    reps = [sys.digits_to_cocycle(g_mat[r], h_mat[r]) for r in roots]
+    return Classification(
+        representatives=reps,
+        base_class=int(labels[0]),  # row 0 is the trivial cocycle, rank 0
+        num_cocycles=n,
+        _sizes=np.bincount(labels).tolist(),
+        _system=sys,
+        _lookup=_ReferenceRankLookup(sys, ranks, labels),
+    )
+
+
+class _ReferenceRankLookup:
+    """Class labels on the orbit path: a row's rank is looked up among the
+    sorted ranks of the classified cocycles."""
+
+    def __init__(self, sys: _System, ranks: np.ndarray, labels: np.ndarray):
+        self.sys, self.ranks, self._labels = sys, ranks, labels
+
+    def labels(self, g_mat: np.ndarray, h_mat: np.ndarray) -> np.ndarray:
+        ranks = _encode(g_mat, self.sys.g_weights) + _encode(h_mat, self.sys.h_weights)
+        index = np.minimum(self.ranks.searchsorted(ranks), len(self.ranks) - 1)
+        if (self.ranks[index] != ranks).any():
+            raise ValueError("not a valid cocycle of this classification")
+        return self._labels[index]
+
+    def label(self, c: Cocycle) -> int:
+        rank = self.sys.rank_of(c)
+        index = int(self.ranks.searchsorted(rank))
+        if index == len(self.ranks) or self.ranks[index] != rank:
+            raise ValueError("not a valid cocycle of this classification")
+        return int(self._labels[index])
+
+
+_SLICE_SPECS = [
+    f"{kind}:{group}"
+    for kind in ("discrete", "shift", "aut")
+    for group in ("Z2", "Z3", "Z4", "S3", "K4")
+    if (kind, group) != ("shift", "S3")  # a shift 2-group needs abelian H
+] + ["z2z4"]
+_SLICE_SPECS += [f"hat:{spec}" for spec in _SLICE_SPECS]
+
+
+def _space(name: str):
+    """A stock space, or the barycentric subdivision ``sd(name)`` of one."""
+    if name.startswith("sd("):
+        return barycentric_subdivide(standard_space(name[3:-1]))
+    return standard_space(name)
+
+
+def _slice_cases():
+    spaces = {name: _space(name) for name in standard_space_names() + ["sd(circle3)", "sd(point)"]}
+    cases = []
+    for spec in _SLICE_SPECS:
+        xm = coefficient_from_spec(spec)
+        for name, cx in spaces.items():
+            sys = _System(cx, xm)
+            if sys.candidate_count() <= DEFAULT_BUDGET and (xm.G.order > 1 or sys.tets):
+                cases.append((name, spec))
+    return cases
+
+
+class TestSliceAgainstFullClosure:
+    """The slice classifier against the full closure of every cocycle:
+    report bytes, cocycle count, the label of every cocycle and class_of."""
+
+    @pytest.mark.parametrize("space,spec", _slice_cases())
+    def test_same_classification(self, space, spec):
+        cx, xm = _space(space), coefficient_from_spec(spec)
+        cls = classify_h1(cx, xm)
+        sys = _System(cx, xm)
+        g_mat, h_mat = _enumerate_digit_arrays(sys, DEFAULT_BUDGET)
+        ref = _reference_classify_orbits(sys, g_mat, h_mat)
+        assert json.dumps(cls.to_report(), sort_keys=True) == json.dumps(ref.to_report(), sort_keys=True)
+        assert cls.num_cocycles == ref.num_cocycles == len(g_mat)
+        assert np.array_equal(cls.labels_of(g_mat, h_mat), ref.labels_of(g_mat, h_mat))
+        for i in range(0, len(g_mat), max(1, len(g_mat) // 40)):
+            c = sys.digits_to_cocycle(g_mat[i], h_mat[i])
+            assert cls.class_of(c) == ref.class_of(c)
+        assert cls.stats["path"] == "slice"
+        assert cls.stats["slice_rows"] * cls.stats["fibre"] == cls.num_cocycles
+
+    def test_cases(self):
+        cases = _slice_cases()
+        assert len(cases) == 199
+        assert {spec for _, spec in cases} == set(_SLICE_SPECS)
+        # the mutants that drop the root moves or the ker t moves each break some of these
+        assert ("circle3", "discrete:S3") in cases and ("sphere2", "aut:Z3") in cases
+
+
+def _d4():
+    """The dihedral group of order 8 as Z4 x| Z2, Z2 acting by inversion."""
+    z2, z4 = cyclic_group(2), cyclic_group(4)
+    return semidirect_product(z2, z4, inversion_action(z2, z4))
+
+
+class TestSliceReach:
+    """Instances the full closure could not afford: the slice lists a few
+    rows, each standing for a large fibre of cocycles."""
+
+    @pytest.mark.parametrize(
+        "space,spec,budget,classes,cocycles",
+        [
+            ("torus7", "discrete:S3", 6**21, 8, 18 * 6**6),  # commuting pairs up to conjugacy
+            ("rp2_6", "discrete:S3", 6**15, 2, 31_104),
+            ("torus7", "z2z4", 4**21, 4, 2**29),
+        ],
+    )
+    def test_classifies_within_a_second_and_16_mib(self, space, spec, budget, classes, cocycles):
+        cx, xm = standard_space(space), coefficient_from_spec(spec)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            cls = classify_h1(cx, xm, budget=budget)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0 and peak < 16 * 2**20
+        assert cls.class_count == classes and cls.num_cocycles == cocycles == sum(cls.sizes())
+        assert all(type(size) is int for size in cls.sizes())
+        _check_class_of(cx, xm, cls)
+
+    def test_homotopy_cardinality(self):
+        # |Z^1| |H|^V / (|G|^V |H|^E) on torus7 with z2z4
+        cx, xm = standard_space("torus7"), coefficient_from_spec("z2z4")
+        cls = classify_h1(cx, xm, budget=4**21)
+        V, E = cx.vertex_count, len(cx.simplices_of_dim(1))
+        assert cls.num_cocycles * xm.H.order**V == 2 * xm.G.order**V * xm.H.order**E
+
+    @pytest.mark.parametrize("space,classes,cocycles", [("sphere2", 2, 524_288), ("tetra_solid", 1, None)])
+    def test_nonabelian_h_with_central_kernel(self, space, classes, cocycles):
+        # aut:D4: t is D4 -> Inn(D4) in Aut(D4), its kernel the centre of D4
+        cx, xm = standard_space(space), aut_two_group(_d4())
+        assert len(xm.t.kernel()) == 2 and not xm.H.is_abelian()
+        cls = classify_h1(cx, xm, budget=_System(cx, xm).candidate_count())
+        assert cls.class_count == classes
+        assert cocycles is None or cls.num_cocycles == cocycles
+        _check_class_of(cx, xm, cls)
+
+
+def _check_class_of(cx, xm, cls, copies=4):
+    """class_of sends each representative and random cohomologous copies of
+    it to its own label."""
+    rng = random.Random(f"{cx.name} {xm.name}")
+    for i, rep in enumerate(cls.representatives):
+        assert cls.class_of(rep) == i
+        for _ in range(copies):
+            w = CoboundaryWitness(
+                f={v: rng.randrange(xm.G.order) for v in cx.vertices},
+                k={e: rng.randrange(xm.H.order) for e in cx.simplices_of_dim(1)},
+            )
+            assert cls.class_of(apply_coboundary(rep, w, cx, xm)) == i
+
+
+class TestClassificationStats:
+    def test_slice_path(self):
+        cx, xm = standard_space("circle6"), coefficient_from_spec("discrete:S3")
+        cls = classify_h1(cx, xm)
+        sys = _system(cx, xm)
+        assert cls.stats == {
+            "path": "slice",
+            "slice_rows": 6,
+            "fibre": 6**5,
+            "moves": len(sys.slice_moves()),
+            "closure_rounds": cls.stats["closure_rounds"],
+        }
+        assert cls.stats["moves"] == 2 and cls.stats["closure_rounds"] >= 2
+        assert cls.stats["slice_rows"] * cls.stats["fibre"] == cls.num_cocycles
+
+    def test_coset_path(self, sphere2, z2):
+        cls = classify_h1(sphere2, shift_two_group(z2))
+        assert cls.stats == {"path": "cosets", "slice_rows": 2, "fibre": 8, "moves": 6, "closure_rounds": 0}
+
+    def test_not_in_the_report(self, circle3, s3):
+        cls = classify_h1(circle3, discrete_two_group(s3))
+        assert set(cls.to_report()) == {"classes", "sizes", "base_class", "representatives"}
 
 
 def _reference_classify_cosets(sys: _System, budget: int):
@@ -742,17 +975,17 @@ class TestEnumeratorAgainstReference:
 class TestClassOf:
     def test_raises_off_the_valid_set(self, sphere2, z2):
         cases = []
-        # triangle law broken, orbit engine
+        # triangle law broken, slice
         c = trivial_cocycle(sphere2, discrete_two_group(z2))
         c.g[(0, 1)] = 1
         cases.append((sphere2, discrete_two_group(z2), c))
-        # tetrahedron law broken, orbit engine with trivial G
+        # tetrahedron law broken, slice with trivial G
         cx = standard_space("tetra_solid")
         c = trivial_cocycle(cx, shift_two_group(z2))
         c.h[(0, 1, 2)] = 1
         cases.append((cx, shift_two_group(z2), c))
         # values outside the group, which a plain rank would alias to a
-        # neighbouring cocycle: orbit engine, then coset path
+        # neighbouring cocycle: slice, then coset path
         cx = standard_space("circle6")
         xm = coefficient_from_spec("discrete:Z4")
         c = trivial_cocycle(cx, xm)
