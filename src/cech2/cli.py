@@ -17,7 +17,6 @@ from pathlib import Path
 from . import fixtures
 from .cohomology import (
     DEFAULT_BUDGET,
-    DEFAULT_WITNESS_BUDGET,
     abelian_oracle_h2,
     classify_h1,
     refine_compare,
@@ -138,12 +137,19 @@ def _suite_hat_iso(args) -> dict:
     return {"suite": "hat-iso", "ok": all(r["rows_exact"] and r["iso"] for r in results.values()), "cases": results}
 
 
+def _cases(args, defaults: list[tuple[str, str]]) -> list[tuple[str, str]]:
+    """The one case --space and --coeff name together, or the defaults when
+    neither is given."""
+    if args.space and args.coeff:
+        return [(args.space, args.coeff)]
+    if args.space or args.coeff:
+        missing = "--coeff" if args.space else "--space"
+        raise _InputError(f"verify {args.suite} needs {missing} too: --space and --coeff name one case together")
+    return defaults
+
+
 def _suite_refine(args) -> dict:
-    cases = (
-        [(args.space, args.coeff)]
-        if args.space and args.coeff
-        else [("circle3", "discrete:Z2"), ("circle3", "discrete:S3"), ("point", "discrete:S3")]
-    )
+    cases = _cases(args, [("circle3", "discrete:Z2"), ("circle3", "discrete:S3"), ("point", "discrete:S3")])
     results = {}
     for space, coeff in cases:
         counts = refine_compare(
@@ -155,11 +161,7 @@ def _suite_refine(args) -> dict:
 
 
 def _suite_abelian(args) -> dict:
-    cases = (
-        [(args.space, args.coeff)]
-        if args.space and args.coeff
-        else [(m, f"shift:{h}") for m in ("sphere2", "torus7", "rp2_6") for h in ("Z2", "Z3")]
-    )
+    cases = _cases(args, [(m, f"shift:{h}") for m in ("sphere2", "torus7", "rp2_6") for h in ("Z2", "Z3")])
     results = {}
     for space, coeff in cases:
         cx = fixtures.space_from_spec(space)
@@ -281,6 +283,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "budget", 1) < 1:
             raise _InputError(f"--budget must be at least 1, got {args.budget}")
+        if getattr(args, "depth", 0) < 0:
+            raise _InputError(f"--depth must be at least 0, got {args.depth}")
         return args.func(args)
     except BudgetExceeded as e:
         _say(f"budget exceeded: {e}")

@@ -17,10 +17,13 @@ defines the rest of the Cech datum.
 Two cocycles are cohomologous when vertex data f_i and edge data k_ij satisfy
 the square law t(k_ij) g_ij f_j = f_i g'_ij together with a coherence
 condition on triangles; solving that condition for h' gives the closed form
-used by ``apply_coboundary``:
 
     g'_ij  = f_i^-1 t(k_ij) g_ij f_j
     h'_ijk = alpha(f_i^-1)( k_ik h_ijk alpha(g_ij)(k_jk)^-1 k_ij^-1 )
+
+``_System.act`` applies it to digit matrices for every matrix user: moves are
+one-row witnesses, re-slicing is two witnesses, and the witness searches sweep
+blocks of witness rows.  ``apply_digits`` is its scalar form on one cocycle.
 
 Witnesses form a group under composition and are generated by the elementary
 ones supported on a single vertex or a single edge, so orbits (= cohomology
@@ -46,7 +49,6 @@ partial rows, not with |G|^E.  The budget still caps the candidate count
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -216,7 +218,7 @@ class _System:
             )
             for (i, j, k, l) in self.tets
         ]
-        # weights of the g and h digits in a cocycle's rank (see rank_of)
+        # weights of the g and h digits in a cocycle's rank (see ranks)
         E, T = len(self.edges), len(self.tris)
         self.h_weights = [self.H.order ** (T - 1 - col) for col in range(T)]
         self.g_weights = [self.G.order ** (E - 1 - col) * self.H.order**T for col in range(E)]
@@ -235,6 +237,11 @@ class _System:
         self._gmul, self._ginv = self.G.table.tolist(), self.G.inverse.tolist()
         self._hmul, self._hinv = self.H.table.tolist(), self.H.inverse.tolist()
         self._t, self._alpha = xm.t.map.tolist(), xm.alpha.perms.tolist()
+        # flat tables, edge ends, triangle edges and first vertices for act
+        self._gflat, self._hflat, self._alphaflat = self.G.table.ravel(), self.H.table.ravel(), xm.alpha.perms.ravel()
+        self._edge_cols = np.array(self.edges, dtype=np.int64).reshape(E, 2).T
+        self._tri_cols = np.array(self.tri_edges, dtype=np.int64).reshape(T, 3).T
+        self._tri_first = np.array([i for i, _, _ in self.tris], dtype=np.int64)
         self._edge_ends = [(e, i, j) for e, (i, j) in enumerate(self.edges)]
         self._tri_parts = [(ti, i, *parts) for ti, ((i, _, _), parts) in enumerate(zip(self.tris, self.tri_edges))]
         self._init_slice(im)
@@ -264,11 +271,10 @@ class _System:
         # the re-slicing walk: each non-root j in vertex order, with the
         # edge (p(j), j) and p(j)
         self.slice_walk = [(j, parent_edge[j], self.edges[parent_edge[j]][0]) for j in sorted(parent_edge)]
-        self._edge_cols = np.array(self.edges, dtype=np.int64).reshape(E, 2).T
-        self._tri_cols = np.array(self.tri_edges, dtype=np.int64).reshape(len(self.tris), 3).T
-        self._tri_first = np.array([i for i, _, _ in self.tris], dtype=np.int64)
         self._lift, self._coset_min = self.lift.tolist(), self.coset_min.tolist()
         self._lifts = bool(self.lift.any())  # False when t(H) is trivial
+        self._no_f = np.zeros((1, self.cx.vertex_count), dtype=np.int64)
+        self._no_k = np.zeros((1, E), dtype=np.int64)
 
     # conversions
 
@@ -334,95 +340,81 @@ class _System:
         )
         return g2, h2
 
+    def act(self, g_mat, h_mat, f, k) -> tuple[np.ndarray, np.ndarray]:
+        """The coboundary action on digit matrices: row r of (g_mat, h_mat)
+        moved by the witness in row r of (f, k), as new int64 matrices.
+
+        Either side may have a single row, which then meets every row of the
+        other.  The closed form runs on one contiguous row per simplex and
+        flat product tables, in two passes: the edge data k, then the vertex
+        data f.  Each pass rewrites only the simplices where some witness row
+        is not the identity at a vertex or edge it reads, so a one-row
+        witness rewrites only the columns it touches.
+        """
+        ng, nh, ginv, hinv = self.G.order, self.H.order, self.G.inverse, self.H.inverse
+        gmul, hmul, alpha, t = self._gflat, self._hflat, self._alphaflat, self.xm.t.map
+        f, k = np.ascontiguousarray(f.T, dtype=np.int64), np.ascontiguousarray(k.T, dtype=np.int64)
+        rows = {len(g_mat), f.shape[1], k.shape[1]} - {1}
+        n = rows.pop() if rows else 1
+        g = np.empty((len(self.edges), n), dtype=np.int64)
+        h = np.empty((len(self.tris), n), dtype=np.int64)
+        g[...], h[...] = g_mat.T, h_mat.T
+        f_set, k_set = f.any(axis=1), k.any(axis=1)
+        # the edge data first, as it reads the old g_ij, then the vertex data
+        (tris,) = k_set[self._tri_cols].any(axis=0).nonzero()
+        if len(tris):
+            ij, jk, ik = self._tri_cols[:, tris]
+            inner = hmul[hmul[k[ik] * nh + h[tris]] * nh + hinv[alpha[g[ij] * nh + k[jk]]]]
+            h[tris] = hmul[inner * nh + hinv[k[ij]]]
+        (edges,) = k_set.nonzero()
+        if len(edges):
+            g[edges] = gmul[t[k[edges]] * ng + g[edges]]
+        (tris,) = f_set[self._tri_first].nonzero()
+        if len(tris):
+            h[tris] = alpha[ginv[f[self._tri_first[tris]]] * nh + h[tris]]
+        (edges,) = f_set[self._edge_cols].any(axis=0).nonzero()
+        if len(edges):
+            src, dst = self._edge_cols[:, edges]
+            g[edges] = gmul[gmul[ginv[f[src]] * ng + g[edges]] * ng + f[dst]]
+        return g.T, h.T
+
     # elementary witness moves: values drawn from generating sets suffice
     # because witnesses compose
 
     def moves(self):
-        out = []
-        for v in range(self.cx.vertex_count):
-            for a in _generating_set(self.G):
-                out.append(("v", v, a))
-        for e in range(len(self.edges)):
-            for kv in _generating_set(self.H):
-                out.append(("e", e, kv))
-        return out
+        g_gens, h_gens = _generating_set(self.G), _generating_set(self.H)
+        return [("v", v, a) for v in range(self.cx.vertex_count) for a in g_gens] + [
+            ("e", e, x) for e in range(len(self.edges)) for x in h_gens
+        ]
 
-    def compile_move(self, move):
-        """Closure applying one elementary move to (g digits, h digits)."""
-        G, H, alpha, t = self.G, self.H, self.xm.alpha, self.xm.t
-        kind, pos, val = move
-        if kind == "v":
-            ainv = G.inv(val)
-            left = [e for e, (i, j) in enumerate(self.edges) if i == pos]
-            right = [e for e, (i, j) in enumerate(self.edges) if j == pos]
-            tris_at = [ti for ti, (i, j, k) in enumerate(self.tris) if i == pos]
+    def move_witness(self, *moves) -> tuple[np.ndarray, np.ndarray]:
+        """Elementary moves as witness rows (f, k), one per move: the move's
+        value at its vertex or edge, the identity elsewhere."""
+        f = np.zeros((len(moves), self.cx.vertex_count), dtype=np.int64)
+        k = np.zeros((len(moves), len(self.edges)), dtype=np.int64)
+        for row, (kind, pos, val) in enumerate(moves):
+            (f if kind == "v" else k)[row, pos] = val
+        return f, k
 
-            def act(gds, hds):
-                g2 = list(gds)
-                for e in left:
-                    g2[e] = G.mul(ainv, g2[e])
-                for e in right:
-                    g2[e] = G.mul(g2[e], val)
-                if tris_at:
-                    h2 = list(hds)
-                    for ti in tris_at:
-                        h2[ti] = alpha.apply(ainv, h2[ti])
-                    return tuple(g2), tuple(h2)
-                return tuple(g2), hds
+    def witness_blocks(self, budget: int):
+        """Every witness as blocks of (f digits, k digits) rows, f
+        lexicographically major and then k, in blocks of 64 rows doubling up
+        to 16384, as most searches stop early.  Raises BudgetExceeded, before
+        any block is built, when |G|^V |H|^E exceeds ``budget``."""
+        V, E = self.cx.vertex_count, len(self.edges)
+        total, limit = self.G.order**V * self.H.order**E, min(budget, np.iinfo(np.int64).max)
+        if total > limit:
+            raise BudgetExceeded(total, limit)
+        radix = np.array([self.G.order] * V + [self.H.order] * E, dtype=np.int64)
+        weights = np.cumprod(radix[::-1])[::-1] // radix  # no product exceeds total, so none overflows
 
-        else:
-            tk = t(val)
-            kinv = H.inv(val)
-            roles = []  # (triangle, which slot carries this edge, ij-edge index)
-            for ti, (e_ij, e_jk, e_ik) in enumerate(self.tri_edges):
-                if e_ik == pos:
-                    roles.append((ti, "ik", e_ij))
-                elif e_jk == pos:
-                    roles.append((ti, "jk", e_ij))
-                elif e_ij == pos:
-                    roles.append((ti, "ij", e_ij))
+        def blocks(start=0, size=64):
+            while start < total:
+                digits = np.arange(start, min(start + size, total), dtype=np.int64)[:, None] // weights % radix
+                yield digits[:, :V], digits[:, V:]
+                start, size = start + size, min(2 * size, 2**14)
 
-            def act(gds, hds):
-                g2 = list(gds)
-                h2 = list(hds)
-                for ti, role, e_ij in roles:
-                    if role == "ik":
-                        h2[ti] = H.mul(val, h2[ti])
-                    elif role == "jk":
-                        h2[ti] = H.mul(h2[ti], H.inv(alpha.apply(gds[e_ij], val)))
-                    else:
-                        h2[ti] = H.mul(h2[ti], kinv)
-                g2[pos] = G.mul(tk, g2[pos])
-                return tuple(g2), tuple(h2)
-
-        return act
-
-    def move_columns(self, move, g_mat, h_mat):
-        """``compile_move`` over whole digit matrices: the g and h columns the
-        move changes, as {column: new values}."""
-        G, H, alpha = self.G, self.H, self.xm.alpha
-        kind, pos, val = move
-        g_new, h_new = {}, {}
-        if kind == "v":
-            ainv = G.inv(val)
-            for e, (i, j) in enumerate(self.edges):
-                if i == pos:
-                    g_new[e] = G.table[ainv, g_mat[:, e]]
-                elif j == pos:
-                    g_new[e] = G.table[g_mat[:, e], val]
-            for ti, (i, _, _) in enumerate(self.tris):
-                if i == pos:
-                    h_new[ti] = alpha.perms[ainv, h_mat[:, ti]]
-        else:
-            for ti, (e_ij, e_jk, e_ik) in enumerate(self.tri_edges):
-                if e_ik == pos:
-                    h_new[ti] = H.table[val, h_mat[:, ti]]
-                elif e_jk == pos:
-                    h_new[ti] = H.table[h_mat[:, ti], H.inverse[alpha.perms[g_mat[:, e_ij], val]]]
-                elif e_ij == pos:
-                    h_new[ti] = H.table[h_mat[:, ti], H.inv(val)]
-            g_new[pos] = G.table[self.xm.t(val), g_mat[:, pos]]
-        return g_new, h_new
+        return blocks()
 
     # the gauge slice
 
@@ -431,10 +423,12 @@ class _System:
         moves at the roots over generators of G, edge moves on the forest over
         generators of H, and edge moves on every edge over generators of ker t."""
         kernel, inclusion = subgroup_as_group(self.H, self.kernel_t)
+        g_gens, h_gens = _generating_set(self.G), _generating_set(self.H)
+        kernel_gens = [inclusion(k) for k in _generating_set(kernel)]
         return (
-            [("v", v, a) for v in self.roots for a in _generating_set(self.G)]
-            + [("e", e, k) for e in self.forest for k in _generating_set(self.H)]
-            + [("e", e, inclusion(k)) for e in range(len(self.edges)) for k in _generating_set(kernel)]
+            [("v", v, a) for v in self.roots for a in g_gens]
+            + [("e", e, k) for e in self.forest for k in h_gens]
+            + [("e", e, k) for e in range(len(self.edges)) for k in kernel_gens]
         )
 
     def reslice(self, g_mat: np.ndarray, h_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -445,25 +439,15 @@ class _System:
         (p(j), j) without changing the forest edge of a smaller vertex.  These
         moves compose to one vertex witness, f_j = g_(p(j), j)^-1 f_p(j) with
         f = 1 at the roots, applied at once.  One edge witness then takes
-        every edge value to the least element of its coset of t(H).  The work
-        runs on one contiguous row per simplex and flat product tables.
+        every edge value to the least element of its coset of t(H).
         """
-        ng, nh, ginv, hinv = self.G.order, self.H.order, self.G.inverse, self.H.inverse
-        gmul, hmul, act = self.G.table.ravel(), self.H.table.ravel(), self.xm.alpha.perms.ravel()
-        g, h = np.ascontiguousarray(g_mat.T, dtype=np.int64), np.ascontiguousarray(h_mat.T, dtype=np.int64)
         f = np.zeros((self.cx.vertex_count, len(g_mat)), dtype=np.int64)
         for j, fe, p in self.slice_walk:
-            f[j] = gmul[ginv[g[fe]] * ng + f[p]]
-        f_inv = ginv[f]
-        src, dst = self._edge_cols
-        g = gmul[gmul[f_inv[src] * ng + g] * ng + f[dst]]
-        h = act[f_inv[self._tri_first] * nh + h]
+            f[j] = self.G.table[self.G.inverse[g_mat[:, fe]], f[p]]
+        g_mat, h_mat = self.act(g_mat, h_mat, f.T, self._no_k)
         if self._lifts:
-            k = self.lift[g]
-            e_ij, e_jk, e_ik = self._tri_cols
-            h = hmul[hmul[k[e_ik] * nh + h] * nh + hinv[act[g[e_ij] * nh + k[e_jk]]]]
-            g, h = self.coset_min[g], hmul[h * nh + hinv[k[e_ij]]]
-        return g.T, h.T
+            g_mat, h_mat = self.act(g_mat, h_mat, self._no_f, self.lift[g_mat])
+        return g_mat, h_mat
 
     def reslice_digits(self, gds, hds) -> tuple[list[int], list[int]]:
         """``reslice`` on one row, in plain Python lists."""
@@ -491,17 +475,17 @@ class _System:
     def candidate_count(self) -> int:
         return self.G.order ** len(self.edges) * max(1, len(self.kernel_t)) ** len(self.tris)
 
-    def rank_of(self, c: Cocycle) -> int:
-        """Position of ``c`` in lexicographic (edge digits, triangle digits)
-        order over all of G^E x H^T; enumeration lists cocycles in this order."""
-        gds, hds = self.cocycle_to_digits(c)
-        ng, nh = self.G.order, self.H.order
-        rank = 0
-        for x in gds:
-            rank = rank * ng + x
-        for x in hds:
-            rank = rank * nh + x
-        return rank
+    def ranks(self, g_mat: np.ndarray, h_mat: np.ndarray) -> np.ndarray:
+        """The position of each row in lexicographic (edge digits, triangle
+        digits) order over all of G^E x H^T, as int64; enumeration lists
+        cocycles in this order.
+
+        Raises BudgetExceeded when the ranks |G|^E |H|^T outgrow int64.
+        """
+        rank_space = self.G.order ** len(self.edges) * self.H.order ** len(self.tris)
+        if rank_space > np.iinfo(np.int64).max:
+            raise BudgetExceeded(rank_space, int(np.iinfo(np.int64).max))
+        return _encode(g_mat, self.g_weights) + _encode(h_mat, self.h_weights)
 
 
 @functools.lru_cache(maxsize=8)
@@ -681,20 +665,18 @@ def cohomologous_check(
 ) -> Optional[CoboundaryWitness]:
     """First witness (f lexicographically major, then k) carrying c to c2.
 
-    Exhaustive over G^V x H^E; returns None when the cocycles are not
-    cohomologous.
+    Exhaustive over G^V x H^E, swept in blocks of witness rows; returns None
+    when the cocycles are not cohomologous.
     """
     sys = _system(cx, xm)
-    V, E = cx.vertex_count, len(sys.edges)
-    total = xm.G.order**V * xm.H.order**E
-    if total > witness_budget:
-        raise BudgetExceeded(total, witness_budget)
-    gds, hds = sys.cocycle_to_digits(c)
-    target = sys.cocycle_to_digits(c2)
-    for fds in itertools.product(range(xm.G.order), repeat=V):
-        for kds in itertools.product(range(xm.H.order), repeat=E):
-            if sys.apply_digits(gds, hds, fds, kds) == target:
-                return sys.digits_to_witness(fds, kds)
+    blocks = sys.witness_blocks(witness_budget)
+    source = [np.array([digits]) for digits in sys.cocycle_to_digits(c)]
+    target_g, target_h = sys.cocycle_to_digits(c2)
+    for f, k in blocks:
+        g, h = sys.act(*source, f, k)
+        hits = np.flatnonzero((g == target_g).all(axis=1) & (h == target_h).all(axis=1))
+        if len(hits):
+            return sys.digits_to_witness(f[hits[0]], k[hits[0]])
     return None
 
 
@@ -733,40 +715,28 @@ def _classify_cosets(sys: _System, budget: int) -> Classification:
     n = H.order**T
     if n > budget:
         raise BudgetExceeded(n, budget)
-    add = H.table
 
-    def decode(x: int) -> np.ndarray:
-        digits = np.empty(T, dtype=np.int64)
-        for pos in range(T - 1, -1, -1):
-            x, r = divmod(x, H.order)
-            digits[pos] = r
-        return digits
-
-    acts = [sys.compile_move(m) for m in sys.moves()]
-    zero_g = tuple([0] * len(sys.edges))
-    zero_h = tuple([0] * T)
-    deltas = []
-    for act in acts:
-        g2, h2 = act(zero_g, zero_h)
-        assert g2 == zero_g
-        deltas.append(np.asarray(h2, dtype=np.int64))
-    # translation cross-check against the general action, on a spread of states
-    for sid in range(0, n, max(1, n // 13)):
-        state = decode(sid)
-        sample = tuple(state.tolist())
-        for act, d in zip(acts, deltas):
-            assert act(zero_g, sample)[1] == tuple(add[state, d].tolist())
+    # the spread of states starts at the basepoint, where the deltas are read
+    moves = sys.moves()
+    f, k = sys.move_witness(*moves)
+    zero_g = np.zeros((1, len(sys.edges)), dtype=np.int64)
+    for sid in range(0, n, max(1, n // 13)):  # n may outgrow int64
+        state = np.array([sid // H.order ** (T - 1 - p) % H.order for p in range(T)], dtype=np.int64)
+        moved_g, moved_h = sys.act(zero_g, state[None, :], f, k)
+        if sid == 0:
+            deltas = moved_h
+        assert not moved_g.any() and np.array_equal(moved_h, H.table[state, deltas])
 
     lookup = _CosetLookup(sys, _echelon_chain(H, deltas, T))
     count = len(lookup.representatives)
     return Classification(
-        representatives=[sys.digits_to_cocycle(zero_g, row) for row in lookup.representatives],
+        representatives=[sys.digits_to_cocycle(zero_g[0], row) for row in lookup.representatives],
         base_class=0,  # the trivial cocycle is the least of all
         num_cocycles=n,
         _sizes=[n // count] * count,
         _system=sys,
         _lookup=lookup,
-        stats={"path": "cosets", "slice_rows": count, "fibre": n // count, "moves": len(acts), "closure_rounds": 0},
+        stats={"path": "cosets", "slice_rows": count, "fibre": n // count, "moves": len(moves), "closure_rounds": 0},
     )
 
 
@@ -874,6 +844,13 @@ class _CosetLookup:
         return label
 
 
+def _search(ranks: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The position of each key among the sorted ranks, and whether it is
+    there."""
+    index = np.minimum(ranks.searchsorted(keys), len(ranks) - 1)
+    return index, ranks[index] == keys
+
+
 def _classify_slice(sys: _System, g_mat: np.ndarray, h_mat: np.ndarray) -> Classification:
     """Classes of the slice cocycles (rows in rank order) under the residual
     moves, each followed by ``_System.reslice``.
@@ -913,26 +890,16 @@ def _classify_slice(sys: _System, g_mat: np.ndarray, h_mat: np.ndarray) -> Class
     Classes are the components found by min-label propagation with pointer
     jumping (Tarjan, JACM 1975).
     """
-    rank_space = sys.G.order ** len(sys.edges) * sys.H.order ** len(sys.tris)
-    if rank_space > np.iinfo(np.int64).max:
-        raise BudgetExceeded(rank_space, int(np.iinfo(np.int64).max))
-    gw, hw = sys.g_weights, sys.h_weights
-    ranks = _encode(g_mat, gw) + _encode(h_mat, hw)
+    ranks = sys.ranks(g_mat, h_mat)
     n = len(ranks)
 
     moves = sys.slice_moves()
     neighbours = []
     for move in moves:
-        g_new, h_new = g_mat.copy(), h_mat.copy()
-        for mat, new in zip((g_new, h_new), sys.move_columns(move, g_mat, h_mat)):
-            for col, values in new.items():
-                mat[:, col] = values
-        g_new, h_new = sys.reslice(g_new, h_new)
-        moved = _encode(g_new, gw) + _encode(h_new, hw)
-        nbr = np.minimum(np.searchsorted(ranks, moved), n - 1)
-        left = np.flatnonzero(ranks[nbr] != moved)
-        if len(left):
-            raise MoveLeavesCocycles(move, sys.digits_to_cocycle(g_mat[left[0]], h_mat[left[0]]))
+        nbr, found = _search(ranks, sys.ranks(*sys.reslice(*sys.act(g_mat, h_mat, *sys.move_witness(move)))))
+        if not found.all():
+            left = np.argmin(found)
+            raise MoveLeavesCocycles(move, sys.digits_to_cocycle(g_mat[left], h_mat[left]))
         neighbours.append(nbr)
 
     # every re-sliced move permutes the slice, so the least label reachable
@@ -970,10 +937,8 @@ class _SliceLookup:
         self.sys, self.ranks, self._labels = sys, ranks, labels
 
     def labels(self, g_mat: np.ndarray, h_mat: np.ndarray) -> np.ndarray:
-        g_mat, h_mat = self.sys.reslice(g_mat, h_mat)
-        ranks = _encode(g_mat, self.sys.g_weights) + _encode(h_mat, self.sys.h_weights)
-        index = np.minimum(self.ranks.searchsorted(ranks), len(self.ranks) - 1)
-        if (self.ranks[index] != ranks).any():
+        index, found = _search(self.ranks, self.sys.ranks(*self.sys.reslice(g_mat, h_mat)))
+        if not found.all():
             raise ValueError("not a valid cocycle of this classification")
         return self._labels[index]
 
@@ -1020,30 +985,20 @@ def relation_matrix(
     """Boolean matrix R[a, b] = "some witness carries cocycle a to cocycle b",
     with the cocycles as ``enumerate_cocycles`` lists them.
 
-    Built by sweeping the full witness group from every cocycle; feasible on
+    Built by sweeping the full witness group from every cocycle, block by
+    block, and looking the images up among the cocycles; feasible on
     instances with a few hundred cocycles, where the equivalence-relation
     axioms can be checked directly.
     """
     sys = _system(cx, xm)
     g_mat, h_mat = _enumerate_digit_arrays(sys, budget)
-    n = len(g_mat)
-    states = [
-        (tuple(int(x) for x in g_mat[i]), tuple(int(x) for x in h_mat[i])) for i in range(n)
-    ]
-    index = {s: i for i, s in enumerate(states)}
-    V, E = cx.vertex_count, len(sys.edges)
-    total = xm.G.order**V * xm.H.order**E
-    if total > witness_budget:
-        raise BudgetExceeded(total, witness_budget)
-    rel = np.zeros((n, n), dtype=bool)
-    witnesses = [
-        (fds, kds)
-        for fds in itertools.product(range(xm.G.order), repeat=V)
-        for kds in itertools.product(range(xm.H.order), repeat=E)
-    ]
-    for a, (gds, hds) in enumerate(states):
-        for fds, kds in witnesses:
-            rel[a, index[sys.apply_digits(gds, hds, fds, kds)]] = True
+    ranks = sys.ranks(g_mat, h_mat)
+    rel = np.zeros((len(g_mat), len(g_mat)), dtype=bool)
+    for f, k in sys.witness_blocks(witness_budget):
+        for a in range(len(g_mat)):
+            index, found = _search(ranks, sys.ranks(*sys.act(g_mat[a : a + 1], h_mat[a : a + 1], f, k)))
+            assert found.all()  # the action keeps cocycles valid
+            rel[a, index] = True
     return rel, CocycleSequence(sys.edges, sys.tris, g_mat, h_mat)
 
 

@@ -249,11 +249,7 @@ def _moved_across_classes(sys: _System, g_mat: np.ndarray, h_mat: np.ndarray, la
     base = labels(g_mat, h_mat)
     moved = np.zeros(len(g_mat), dtype=bool)
     for move in sys.moves():
-        g2, h2 = g_mat.copy(), h_mat.copy()
-        for mat, new in zip((g2, h2), sys.move_columns(move, g_mat, h_mat)):
-            for col, values in new.items():
-                mat[:, col] = values
-        moved |= labels(g2, h2) != base
+        moved |= labels(*sys.act(g_mat, h_mat, *sys.move_witness(move))) != base
     return np.flatnonzero(moved).tolist()
 
 

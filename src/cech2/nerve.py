@@ -90,9 +90,12 @@ def _level_table(xm: CrossedModule, p: int) -> FiniteGroup:
 def nerve_two_group(xm: CrossedModule, depth: int = DEFAULT_LEVEL_CAP, cap: int = DEFAULT_LEVEL_CAP) -> TruncatedSimplicialGroup:
     """Levels 0..depth with all faces and degeneracies, each a verified hom.
 
-    Raises BudgetExceeded when depth exceeds ``cap`` or the top level's
-    order |G| |H|^depth exceeds MAX_LEVEL_ORDER, before any table is built.
+    Raises ValueError on a negative depth, and BudgetExceeded when depth
+    exceeds ``cap`` or the top level's order |G| |H|^depth exceeds
+    MAX_LEVEL_ORDER, before any table is built.
     """
+    if depth < 0:
+        raise ValueError(f"nerve depth must be at least 0, got {depth}")
     if depth > cap:
         raise BudgetExceeded(depth, cap)
     G, H, t = xm.G, xm.H, xm.t

@@ -151,6 +151,22 @@ class TestVerify:
         res = run("verify", "nerve", "--coeff", "z2z4")
         assert res.returncode == 0
 
+    def test_nerve_suite_negative_depth_is_an_input_error(self):
+        res = run("verify", "nerve", "--depth", "-2")
+        assert res.returncode == 2
+        assert json.loads(res.stdout) == {"ok": False, "error": "input", "detail": "--depth must be at least 0, got -2"}
+
+    @pytest.mark.parametrize("suite", ["abelian", "refine"])
+    @pytest.mark.parametrize("flag,value,missing", [("--space", "torus7", "--coeff"), ("--coeff", "shift:Z2", "--space")])
+    def test_lone_space_or_coeff_is_an_input_error(self, suite, flag, value, missing):
+        # the suite's default cases would otherwise run, ignoring the flag
+        res = run("verify", suite, flag, value)
+        assert res.returncode == 2
+        report = json.loads(res.stdout)
+        assert report["ok"] is False and report["error"] == "input"
+        assert f"needs {missing}" in report["detail"]
+        assert "Traceback" not in res.stderr
+
     def test_ses_from_file(self, tmp_path):
         from cech2.fixtures import group_to_json
         from cech2.groups import cyclic_group
@@ -189,6 +205,12 @@ class TestNerveCommand:
         res = run("nerve", "--coeff", "aut:Z3", "--depth", "2")
         assert res.returncode == 0
         assert json.loads(res.stdout)["levels"] == [2, 6, 18]
+
+    def test_negative_depth_is_an_input_error(self):
+        res = run("nerve", "--coeff", "z2z4", "--depth", "-1")
+        assert res.returncode == 2
+        assert json.loads(res.stdout) == {"ok": False, "error": "input", "detail": "--depth must be at least 0, got -1"}
+        assert "Traceback" not in res.stderr
 
     def test_level_order_guard(self):
         # the default depth 4 asks for a level of order 6 * 6^4 = 7776

@@ -1,5 +1,6 @@
 import itertools
 import json
+import operator
 import random
 import time
 import tracemalloc
@@ -12,7 +13,9 @@ from hypothesis import strategies as st
 
 from cech2.cohomology import (
     DEFAULT_BUDGET,
+    DEFAULT_WITNESS_BUDGET,
     Classification,
+    CocycleSequence,
     Cocycle,
     CoboundaryWitness,
     _classify_slice,
@@ -265,6 +268,184 @@ class TestCohomologousCheck:
             cohomologous_check(c, c, circle3, xm, witness_budget=10)
 
 
+def _reference_cohomologous_check(
+    c: Cocycle,
+    c2: Cocycle,
+    cx,
+    xm,
+    witness_budget: int = DEFAULT_WITNESS_BUDGET,
+):
+    """First witness (f lexicographically major, then k) carrying c to c2.
+
+    Exhaustive over G^V x H^E; returns None when the cocycles are not
+    cohomologous.
+    """
+    sys = _system(cx, xm)
+    V, E = cx.vertex_count, len(sys.edges)
+    total = xm.G.order**V * xm.H.order**E
+    if total > witness_budget:
+        raise BudgetExceeded(total, witness_budget)
+    gds, hds = sys.cocycle_to_digits(c)
+    target = sys.cocycle_to_digits(c2)
+    for fds in itertools.product(range(xm.G.order), repeat=V):
+        for kds in itertools.product(range(xm.H.order), repeat=E):
+            if sys.apply_digits(gds, hds, fds, kds) == target:
+                return sys.digits_to_witness(fds, kds)
+    return None
+
+
+def _reference_relation_matrix(
+    cx,
+    xm,
+    budget: int = DEFAULT_BUDGET,
+    witness_budget: int = DEFAULT_WITNESS_BUDGET,
+):
+    """Boolean matrix R[a, b] = "some witness carries cocycle a to cocycle b",
+    with the cocycles as ``enumerate_cocycles`` lists them.
+
+    Built by sweeping the full witness group from every cocycle; feasible on
+    instances with a few hundred cocycles, where the equivalence-relation
+    axioms can be checked directly.
+    """
+    sys = _system(cx, xm)
+    g_mat, h_mat = _enumerate_digit_arrays(sys, budget)
+    n = len(g_mat)
+    states = [
+        (tuple(int(x) for x in g_mat[i]), tuple(int(x) for x in h_mat[i])) for i in range(n)
+    ]
+    index = {s: i for i, s in enumerate(states)}
+    V, E = cx.vertex_count, len(sys.edges)
+    total = xm.G.order**V * xm.H.order**E
+    if total > witness_budget:
+        raise BudgetExceeded(total, witness_budget)
+    rel = np.zeros((n, n), dtype=bool)
+    witnesses = [
+        (fds, kds)
+        for fds in itertools.product(range(xm.G.order), repeat=V)
+        for kds in itertools.product(range(xm.H.order), repeat=E)
+    ]
+    for a, (gds, hds) in enumerate(states):
+        for fds, kds in witnesses:
+            rel[a, index[sys.apply_digits(gds, hds, fds, kds)]] = True
+    return rel, CocycleSequence(sys.edges, sys.tris, g_mat, h_mat)
+
+
+class TestWitnessSweep:
+    """The block sweep of ``cohomologous_check`` and ``relation_matrix``
+    against the itertools loops they replaced."""
+
+    @pytest.mark.parametrize("space,spec,stride", [("circle3", "discrete:S3", 19), ("sphere2", "shift:Z2", 1)])
+    def test_same_witness_on_all_pairs(self, space, spec, stride):
+        # every ordered pair from every stride-th cocycle: all 46,656 pairs of
+        # circle3 discrete:S3 would take about 40 s, and a stride prime to 6
+        # lets the 12 sources vary in every digit
+        cx, xm = standard_space(space), coefficient_from_spec(spec)
+        cocycles = enumerate_cocycles(cx, xm)
+        for c in cocycles[::stride]:
+            for c2 in cocycles:
+                assert cohomologous_check(c, c2, cx, xm) == _reference_cohomologous_check(c, c2, cx, xm)
+
+    @pytest.mark.parametrize(
+        "space,spec", [("circle3", "hat:z2z4"), ("circle3", "hat:aut:Z3"), ("circle6", "hat:shift:Z2")]
+    )
+    def test_same_witness_on_the_benchmark_shapes(self, space, spec):
+        # cocycles with random edge values, each paired with a random
+        # cohomologous copy and with another random cocycle
+        cx, xm = standard_space(space), coefficient_from_spec(spec)
+        rng = random.Random(f"{space} {spec}")
+        edges = cx.simplices_of_dim(1)
+        found = 0
+        for _ in range(4):
+            c = Cocycle(g={e: rng.randrange(xm.G.order) for e in edges}, h={})
+            other = Cocycle(g={e: rng.randrange(xm.G.order) for e in edges}, h={})
+            w = CoboundaryWitness(
+                f={v: rng.randrange(xm.G.order) for v in cx.vertices}, k={e: rng.randrange(xm.H.order) for e in edges}
+            )
+            for target in (apply_coboundary(c, w, cx, xm), other):
+                got = cohomologous_check(c, target, cx, xm)
+                assert got == _reference_cohomologous_check(c, target, cx, xm)
+                found += got is not None
+        assert found >= 4
+
+    @pytest.mark.parametrize("space,xm_name", [("circle3", "s3"), ("sphere2", "shift2")])
+    def test_same_relation_matrix(self, space, xm_name, s3, z2):
+        cx = standard_space(space)
+        xm = discrete_two_group(s3) if xm_name == "s3" else shift_two_group(z2)
+        rel, cocycles = relation_matrix(cx, xm)
+        ref, ref_cocycles = _reference_relation_matrix(cx, xm)
+        assert np.array_equal(rel, ref) and cocycles == ref_cocycles
+
+    def test_blocks_list_every_witness_in_order(self, circle3, z2z4):
+        sys = _System(circle3, z2z4)
+        blocks = list(sys.witness_blocks(4**3 * 2**3))
+        assert [len(f) for f, _ in blocks] == [64, 128, 256, 64]
+        rows = np.concatenate([np.concatenate(block, axis=1) for block in blocks])
+        expected = [fds + kds for fds in itertools.product(range(4), repeat=3) for kds in itertools.product(range(2), repeat=3)]
+        assert rows.tolist() == [list(row) for row in expected]
+
+    def test_budget_is_checked_before_any_block(self, circle3, s3):
+        xm = discrete_two_group(s3)
+        sys = _System(circle3, xm)
+        with pytest.raises(BudgetExceeded):
+            sys.witness_blocks(6**3 - 1)  # raises on the call, not on the first block
+        # also before the cocycles are read: this one is not even total
+        broken = Cocycle(g={}, h={})
+        with pytest.raises(BudgetExceeded):
+            cohomologous_check(broken, broken, circle3, xm, witness_budget=10)
+        with pytest.raises(BudgetExceeded):
+            relation_matrix(circle3, xm, witness_budget=10)
+
+
+class TestAct:
+    """``_System.act`` on digit matrices against the scalar ``apply_digits``,
+    row for row."""
+
+    @staticmethod
+    def _check(sys, g_mat, h_mat, f, k):
+        g2, h2 = sys.act(g_mat, h_mat, f, k)
+        n = max(len(g_mat), len(f))
+        assert g2.shape == (n, len(sys.edges)) and h2.shape == (n, len(sys.tris))
+        assert g2.dtype == h2.dtype == np.int64
+        for r in range(n):
+            args = [m[r if len(m) > 1 else 0].tolist() for m in (g_mat, h_mat, f, k)]
+            assert (g2[r].tolist(), h2[r].tolist()) == tuple(map(list, sys.apply_digits(*args)))
+
+    @pytest.mark.parametrize("space", ["point", "circle3", "sphere2", "tetra_solid"])
+    def test_equals_apply_digits(self, space, library_xmods):
+        cx = standard_space(space)
+        rng = np.random.default_rng(len(space))
+        for xm in library_xmods:
+            sys = _System(cx, xm)
+            g_all, h_all = _enumerate_digit_arrays(sys, sys.candidate_count())
+            rows = np.arange(0, len(g_all), max(1, len(g_all) // 60))  # about 60 rows, for the scalar side
+            g_mat, h_mat = g_all[rows], h_all[rows]
+            # per-row random witnesses
+            f = rng.integers(xm.G.order, size=(len(rows), cx.vertex_count))
+            k = rng.integers(xm.H.order, size=(len(rows), len(sys.edges)))
+            self._check(sys, g_mat, h_mat, f, k)
+            # one cocycle under many witnesses
+            self._check(sys, g_mat[-1:], h_mat[-1:], f, k)
+            # every one-row move witness over those rows
+            for move in sys.moves() + sys.slice_moves():
+                f, k = sys.move_witness(move)
+                assert np.count_nonzero(f) + np.count_nonzero(k) == 1
+                self._check(sys, g_mat, h_mat, f, k)
+            # the stacked witnesses are the rows of the single ones
+            f, k = sys.move_witness(*sys.moves())
+            for row, move in enumerate(sys.moves()):
+                assert all(np.array_equal(a[row : row + 1], b) for a, b in zip((f, k), sys.move_witness(move)))
+
+    def test_leaves_its_input_alone(self, sphere2, z2z4):
+        sys = _System(sphere2, z2z4)
+        g_mat, h_mat = _enumerate_digit_arrays(sys, DEFAULT_BUDGET)
+        g_copy, h_copy = g_mat.copy(), h_mat.copy()
+        g2, _ = sys.act(g_mat, h_mat, *sys.move_witness(("v", 1, 1)))
+        g2_copy = g2.copy()
+        g3, _ = sys.act(g2, h_mat, *sys.move_witness(("v", 2, 1)))
+        assert np.array_equal(g_mat, g_copy) and np.array_equal(h_mat, h_copy) and np.array_equal(g2, g2_copy)
+        assert not np.array_equal(g2, g3)
+
+
 class TestEnumerateCocycles:
     def test_circle3_discrete_z2(self, circle3, z2):
         assert len(enumerate_cocycles(circle3, discrete_two_group(z2))) == 8
@@ -371,6 +552,85 @@ def _members(cls, g_mat, h_mat) -> list[np.ndarray]:
     return [np.flatnonzero(labels == i) for i in range(cls.class_count)]
 
 
+def _reference_compile_move(sys, move):
+    """Closure applying one elementary move to (g digits, h digits)."""
+    G, H, alpha, t = sys.G, sys.H, sys.xm.alpha, sys.xm.t
+    kind, pos, val = move
+    if kind == "v":
+        ainv = G.inv(val)
+        left = [e for e, (i, j) in enumerate(sys.edges) if i == pos]
+        right = [e for e, (i, j) in enumerate(sys.edges) if j == pos]
+        tris_at = [ti for ti, (i, j, k) in enumerate(sys.tris) if i == pos]
+
+        def act(gds, hds):
+            g2 = list(gds)
+            for e in left:
+                g2[e] = G.mul(ainv, g2[e])
+            for e in right:
+                g2[e] = G.mul(g2[e], val)
+            if tris_at:
+                h2 = list(hds)
+                for ti in tris_at:
+                    h2[ti] = alpha.apply(ainv, h2[ti])
+                return tuple(g2), tuple(h2)
+            return tuple(g2), hds
+
+    else:
+        tk = t(val)
+        kinv = H.inv(val)
+        roles = []  # (triangle, which slot carries this edge, ij-edge index)
+        for ti, (e_ij, e_jk, e_ik) in enumerate(sys.tri_edges):
+            if e_ik == pos:
+                roles.append((ti, "ik", e_ij))
+            elif e_jk == pos:
+                roles.append((ti, "jk", e_ij))
+            elif e_ij == pos:
+                roles.append((ti, "ij", e_ij))
+
+        def act(gds, hds):
+            g2 = list(gds)
+            h2 = list(hds)
+            for ti, role, e_ij in roles:
+                if role == "ik":
+                    h2[ti] = H.mul(val, h2[ti])
+                elif role == "jk":
+                    h2[ti] = H.mul(h2[ti], H.inv(alpha.apply(gds[e_ij], val)))
+                else:
+                    h2[ti] = H.mul(h2[ti], kinv)
+            g2[pos] = G.mul(tk, g2[pos])
+            return tuple(g2), tuple(h2)
+
+    return act
+
+
+def _reference_move_columns(sys, move, g_mat, h_mat):
+    """``_reference_compile_move`` over whole digit matrices: the g and h
+    columns the move changes, as {column: new values}."""
+    G, H, alpha = sys.G, sys.H, sys.xm.alpha
+    kind, pos, val = move
+    g_new, h_new = {}, {}
+    if kind == "v":
+        ainv = G.inv(val)
+        for e, (i, j) in enumerate(sys.edges):
+            if i == pos:
+                g_new[e] = G.table[ainv, g_mat[:, e]]
+            elif j == pos:
+                g_new[e] = G.table[g_mat[:, e], val]
+        for ti, (i, _, _) in enumerate(sys.tris):
+            if i == pos:
+                h_new[ti] = alpha.perms[ainv, h_mat[:, ti]]
+    else:
+        for ti, (e_ij, e_jk, e_ik) in enumerate(sys.tri_edges):
+            if e_ik == pos:
+                h_new[ti] = H.table[val, h_mat[:, ti]]
+            elif e_jk == pos:
+                h_new[ti] = H.table[h_mat[:, ti], H.inverse[alpha.perms[g_mat[:, e_ij], val]]]
+            elif e_ij == pos:
+                h_new[ti] = H.table[h_mat[:, ti], H.inv(val)]
+        g_new[pos] = G.table[sys.xm.t(val), g_mat[:, pos]]
+    return g_new, h_new
+
+
 def _walk_orbits(sys, g_mat, h_mat):
     """Reference classification: the plain dictionary walker, closing each
     unlabelled cocycle under the scalar elementary moves in Python.
@@ -383,7 +643,7 @@ def _walk_orbits(sys, g_mat, h_mat):
         for i in range(len(g_mat))
     ]
     index = {s: i for i, s in enumerate(states)}
-    acts = [sys.compile_move(m) for m in sys.moves()]
+    acts = [_reference_compile_move(sys, m) for m in sys.moves()]
     labels = [-1] * len(states)
     classes: list[list[int]] = []
     for seed in range(len(states)):
@@ -473,7 +733,7 @@ def _reference_classify_orbits(sys: _System, g_mat: np.ndarray, h_mat: np.ndarra
     neighbours = []
     for move in sys.moves():
         moved = ranks.copy()
-        for mat, new, weights in zip((g_mat, h_mat), sys.move_columns(move, g_mat, h_mat), (gw, hw)):
+        for mat, new, weights in zip((g_mat, h_mat), _reference_move_columns(sys, move, g_mat, h_mat), (gw, hw)):
             for col, values in new.items():
                 moved += (values - mat[:, col]) * weights[col]
         nbr = np.minimum(np.searchsorted(ranks, moved), n - 1)
@@ -520,7 +780,8 @@ class _ReferenceRankLookup:
         return self._labels[index]
 
     def label(self, c: Cocycle) -> int:
-        rank = self.sys.rank_of(c)
+        gds, hds = self.sys.cocycle_to_digits(c)
+        rank = sum(map(operator.mul, gds + hds, self.sys.g_weights + self.sys.h_weights))
         index = int(self.ranks.searchsorted(rank))
         if index == len(self.ranks) or self.ranks[index] != rank:
             raise ValueError("not a valid cocycle of this classification")
@@ -695,7 +956,7 @@ def _reference_classify_cosets(sys: _System, budget: int):
             digits[pos] = r
         return digits
 
-    acts = [sys.compile_move(m) for m in sys.moves()]
+    acts = [_reference_compile_move(sys, m) for m in sys.moves()]
     zero_g = tuple([0] * len(sys.edges))
     zero_h = tuple([0] * T)
     deltas = []
@@ -1031,7 +1292,7 @@ class TestTetrahedronLaw:
             sys = _System(cx, xm)
             g_mat, h_mat = _enumerate_digit_arrays(sys, DEFAULT_BUDGET)
             valid = {(tuple(g.tolist()), tuple(h.tolist())) for g, h in zip(g_mat, h_mat)}
-            acts = [sys.compile_move(m) for m in sys.moves()]
+            acts = [_reference_compile_move(sys, m) for m in sys.moves()]
             # every move on a spread of at most 400 cocycles, in scalar code
             for row in range(0, len(g_mat), max(1, len(g_mat) // 400)):
                 state = (tuple(g_mat[row].tolist()), tuple(h_mat[row].tolist()))

@@ -35,6 +35,7 @@ from cech2.exactness import (
 )
 from cech2.fixtures import z2z4z2_discrete_ses
 from cech2.groups import cyclic_group, validate_hom
+from test_cohomology import _reference_compile_move
 
 
 @pytest.fixture(scope="module")
@@ -168,7 +169,7 @@ def _reference_verify_lemma2(ses, cx, budget=DEFAULT_BUDGET) -> dict:
 
     # alpha* well-defined: same K-class along every elementary move, swept
     # over every cocycle
-    moves_hg = [(m, sys_hg.compile_move(m)) for m in sys_hg.moves()]
+    moves_hg = [(m, _reference_compile_move(sys_hg, m)) for m in sys_hg.moves()]
     g_mat, h_mat = _enumerate_digit_arrays(sys_hg, budget)
     for idx in range(len(g_mat)):
         gds = tuple(int(x) for x in g_mat[idx])
@@ -183,7 +184,7 @@ def _reference_verify_lemma2(ses, cx, budget=DEFAULT_BUDGET) -> dict:
                 break
     # beta well-defined, same strategy on the K side
     gk_mat, hk_mat = _enumerate_digit_arrays(sys_k, budget)
-    moves_k = [(m, sys_k.compile_move(m)) for m in sys_k.moves()]
+    moves_k = [(m, _reference_compile_move(sys_k, m)) for m in sys_k.moves()]
     for idx in range(len(gk_mat)):
         gds = tuple(int(x) for x in gk_mat[idx])
         hds = tuple(int(x) for x in hk_mat[idx])

@@ -48,6 +48,12 @@ class TestNerveConstruction:
         with pytest.raises(BudgetExceeded):
             nerve_two_group(z2z4, 5)
 
+    @pytest.mark.parametrize("depth", [-1, -2])
+    def test_negative_depth(self, z2z4, depth):
+        with pytest.raises(ValueError, match=f"got {depth}"):
+            nerve_two_group(z2z4, depth)
+        assert [g.order for g in nerve_two_group(z2z4, 0).levels] == [4]
+
     def test_level_order_guard(self, s3, monkeypatch):
         xm = aut_two_group(s3)
         assert [g.order for g in nerve_two_group(xm, 3).levels] == [6, 36, 216, 1296]
