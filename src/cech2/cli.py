@@ -24,7 +24,7 @@ from .cohomology import (
 )
 from .complexes import standard_space
 from .crossed_modules import iso_hat_check, validate_ses
-from .errors import BudgetExceeded, CechError
+from .errors import BudgetExceeded, CechError, MalformedInput
 from .exactness import verify_lemma2, verify_lemma3
 from .nerve import check_bar_multiplication, check_level_iso, check_simplicial_identities, nerve_two_group
 
@@ -32,10 +32,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
-
-
-class _InputError(Exception):
-    """Malformed input that argparse and the JSON loaders let through."""
 
 
 def _emit(report: dict, out: str | None) -> None:
@@ -69,7 +65,7 @@ def cmd_validate(args) -> int:
             # keys must be integer vertex lists, increasing and total
             summary = validate_cocycle(fixtures.cocycle_from_json(obj), cx, xm)
         except ValueError as e:
-            raise _InputError(f"cocycle {args.cocycle}: {e}") from e
+            raise MalformedInput(f"cocycle {args.cocycle}: {e}") from e
         checks.append({"check": "cocycle", **summary})
         _say("cocycle satisfies both laws")
     _emit({"ok": ok, "checks": checks}, args.out)
@@ -82,6 +78,7 @@ def cmd_h1(args) -> int:
     _say(f"classifying H^1({cx.name or 'complex'}, {xm.name}) ...")
     cls = classify_h1(cx, xm, budget=args.budget)
     report = cls.to_report()
+    report["ok"] = True
     report["space"] = cx.name
     report["coefficients"] = xm.name
     report["cocycles"] = int(cls.num_cocycles)
@@ -144,7 +141,7 @@ def _cases(args, defaults: list[tuple[str, str]]) -> list[tuple[str, str]]:
         return [(args.space, args.coeff)]
     if args.space or args.coeff:
         missing = "--coeff" if args.space else "--space"
-        raise _InputError(f"verify {args.suite} needs {missing} too: --space and --coeff name one case together")
+        raise MalformedInput(f"verify {args.suite} needs {missing} too: --space and --coeff name one case together")
     return defaults
 
 
@@ -227,6 +224,7 @@ def cmd_nerve(args) -> int:
     ids = check_simplicial_identities(nsg)
     iso = check_level_iso(nsg, xm)
     report = {
+        "ok": ids["ok"] and iso["ok"],
         "coefficients": xm.name,
         "levels": ids["levels"],
         "identities": ids["ok"],
@@ -235,7 +233,7 @@ def cmd_nerve(args) -> int:
     }
     _say(f"nerve levels {ids['levels']}")
     _emit(report, args.out)
-    return EXIT_OK if ids["ok"] and iso["ok"] else EXIT_FAIL
+    return EXIT_OK if report["ok"] else EXIT_FAIL
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -282,15 +280,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if getattr(args, "budget", 1) < 1:
-            raise _InputError(f"--budget must be at least 1, got {args.budget}")
+            raise MalformedInput(f"--budget must be at least 1, got {args.budget}")
         if getattr(args, "depth", 0) < 0:
-            raise _InputError(f"--depth must be at least 0, got {args.depth}")
+            raise MalformedInput(f"--depth must be at least 0, got {args.depth}")
         return args.func(args)
     except BudgetExceeded as e:
         _say(f"budget exceeded: {e}")
         _emit({"ok": False, "error": "budget", "detail": str(e)}, getattr(args, "out", None))
         return EXIT_BUDGET
-    except (json.JSONDecodeError, FileNotFoundError, KeyError, _InputError) as e:
+    except (json.JSONDecodeError, UnicodeDecodeError, OSError, KeyError, MalformedInput) as e:
         _say(f"input error: {e}")
         _emit({"ok": False, "error": "input", "detail": str(e)}, getattr(args, "out", None))
         return EXIT_INPUT

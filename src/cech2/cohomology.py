@@ -23,7 +23,8 @@ condition on triangles; solving that condition for h' gives the closed form
 
 ``_System.act`` applies it to digit matrices for every matrix user: moves are
 one-row witnesses, re-slicing is two witnesses, and the witness searches sweep
-blocks of witness rows.  ``apply_digits`` is its scalar form on one cocycle.
+blocks of witness rows.  ``apply_digits`` is its scalar form on one cocycle;
+re-slicing one row is one witness through it.
 
 Witnesses form a group under composition and are generated by the elementary
 ones supported on a single vertex or a single edge, so orbits (= cohomology
@@ -271,7 +272,7 @@ class _System:
         # the re-slicing walk: each non-root j in vertex order, with the
         # edge (p(j), j) and p(j)
         self.slice_walk = [(j, parent_edge[j], self.edges[parent_edge[j]][0]) for j in sorted(parent_edge)]
-        self._lift, self._coset_min = self.lift.tolist(), self.coset_min.tolist()
+        self._lift = self.lift.tolist()
         self._lifts = bool(self.lift.any())  # False when t(H) is trivial
         self._no_f = np.zeros((1, self.cx.vertex_count), dtype=np.int64)
         self._no_k = np.zeros((1, E), dtype=np.int64)
@@ -449,26 +450,16 @@ class _System:
             g_mat, h_mat = self.act(g_mat, h_mat, self._no_f, self.lift[g_mat])
         return g_mat, h_mat
 
-    def reslice_digits(self, gds, hds) -> tuple[list[int], list[int]]:
-        """``reslice`` on one row, in plain Python lists."""
-        gmul, ginv, alpha = self._gmul, self._ginv, self._alpha
+    def reslice_digits(self, gds, hds) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``reslice`` on one row, as one witness through ``apply_digits``: the
+        vertex walk f composed, as ``compose_witnesses`` composes, with the
+        coset lift applied after it, k_ij = alpha(f_i)(lift(f_i^-1 g_ij f_j))."""
+        gmul, ginv, alpha, lift = self._gmul, self._ginv, self._alpha, self._lift
         f = [0] * self.cx.vertex_count
         for j, fe, p in self.slice_walk:
             f[j] = gmul[ginv[gds[fe]]][f[p]]
-        if any(f):
-            f_inv = [ginv[x] for x in f]
-            g = [gmul[gmul[f_inv[i]][gds[e]]][f[j]] for e, i, j in self._edge_ends]
-            h = [alpha[f_inv[i]][hds[ti]] for ti, i, _, _, _ in self._tri_parts]
-        else:
-            g, h = list(gds), list(hds)
-        if self._lifts and any(k := [self._lift[x] for x in g]):
-            hmul, hinv = self._hmul, self._hinv
-            h = [
-                hmul[hmul[hmul[k[e_ik]][h[ti]]][hinv[alpha[g[e_ij]][k[e_jk]]]]][hinv[k[e_ij]]]
-                for ti, _, e_ij, e_jk, e_ik in self._tri_parts
-            ]
-            g = [self._coset_min[x] for x in g]
-        return g, h
+        k = [alpha[f[i]][lift[gmul[gmul[ginv[f[i]]][gds[e]]][f[j]]]] for e, i, j in self._edge_ends]
+        return self.apply_digits(gds, hds, f, k)
 
     # enumeration
 
@@ -488,12 +479,13 @@ class _System:
         return _encode(g_mat, self.g_weights) + _encode(h_mat, self.h_weights)
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=128)
 def _system(cx: SimplicialComplex, xm: CrossedModule) -> _System:
     """The ``_System`` of a (complex, coefficients) pair, built once.
 
     Both classes hash by identity, so a pair is found again only through the
-    same two objects; the bound keeps the pairs used last.
+    same two objects; the bound keeps the pairs used last, and covers the
+    ~75 pairs a pass over all stock spaces and coefficients cycles through.
     """
     return _System(cx, xm)
 
@@ -504,12 +496,8 @@ def _outside(digits, order: int) -> int:
 
 
 def _encode(mat: np.ndarray, weights: list[int]) -> np.ndarray:
-    """Weighted digit sums of the rows, one column at a time so that no int64
-    copy of the whole matrix is made."""
-    ranks = np.zeros(len(mat), dtype=np.int64)
-    for col, w in enumerate(weights):
-        ranks += mat[:, col].astype(np.int64) * w
-    return ranks
+    """Weighted digit sums of the rows, as int64."""
+    return mat.astype(np.int64, copy=False) @ np.array(weights, dtype=np.int64)
 
 
 def _enumerate_digit_arrays(

@@ -245,14 +245,14 @@ def _generating_set(G: FiniteGroup) -> list[int]:
     return gens
 
 
-def group_automorphisms(H: FiniteGroup, bound: int = AUT_ENUMERATION_BOUND) -> list[tuple[int, ...]]:
+def group_automorphisms(H: FiniteGroup) -> list[tuple[int, ...]]:
     """All automorphisms of H, identity first then lexicographic.
 
-    Exhaustive over generator images; bounded because the search is
-    factorial in the worst case.
+    Exhaustive over generator images; refused above order
+    AUT_ENUMERATION_BOUND because the search is factorial in the worst case.
     """
-    if H.order > bound:
-        raise BudgetExceeded(H.order, bound)
+    if H.order > AUT_ENUMERATION_BOUND:
+        raise BudgetExceeded(H.order, AUT_ENUMERATION_BOUND)
     gens = _generating_set(H)
     # express every element as parent * generator, by closure order
     parent: dict[int, tuple[int, int]] = {}
@@ -291,9 +291,9 @@ def group_automorphisms(H: FiniteGroup, bound: int = AUT_ENUMERATION_BOUND) -> l
     return [ident] + rest
 
 
-def aut_two_group(H: FiniteGroup, bound: int = AUT_ENUMERATION_BOUND) -> CrossedModule:
+def aut_two_group(H: FiniteGroup) -> CrossedModule:
     """The automorphism 2-group H -> Aut(H); t maps h to conjugation by h."""
-    autos = group_automorphisms(H, bound=bound)
+    autos = group_automorphisms(H)
     pos = {a: i for i, a in enumerate(autos)}
     n = len(autos)
     table = np.empty((n, n), dtype=np.int64)

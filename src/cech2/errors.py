@@ -10,6 +10,12 @@ class CechError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class MalformedInput(CechError):
+    """Input the program cannot take: a JSON value where another kind is
+    expected, a number that is not an integer, a flag value out of range or
+    a flag missing its partner."""
+
+
 # group-core
 
 class NoIdentityAtZero(CechError):
@@ -147,6 +153,11 @@ class BudgetExceeded(CechError):
 
 
 # exactness
+
+class NotExact(CechError, ValueError):
+    """A group sequence that is not short exact, or a section that is not a
+    normalized section of its quotient."""
+
 
 class DefectNotInKernel(CechError):
     def __init__(self, simplex, defect):

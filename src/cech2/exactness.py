@@ -18,7 +18,6 @@ minimal-index section stands in for the topological fibration hypothesis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -45,7 +44,7 @@ from .crossed_modules import (
     validate_crossed_module,
     validate_two_group_hom,
 )
-from .errors import DefectNotInKernel, ValuesNotInKernel
+from .errors import DefectNotInKernel, NotExact, ValuesNotInKernel
 from .groups import FiniteGroup, GroupHom, validate_action, validate_hom
 
 
@@ -81,25 +80,27 @@ def minimal_section(projection: GroupHom) -> np.ndarray:
 def validate_group_ses(
     inclusion: GroupHom, projection: GroupHom, section=None
 ) -> GroupSES:
-    """Exactness plus section normalization, witnessed failures via asserts."""
+    """Exactness plus section normalization; raises NotExact on a failure."""
     if inclusion.cod is not projection.dom:
-        raise ValueError("inclusion codomain must be projection domain")
+        raise NotExact("inclusion codomain must be projection domain")
     if not inclusion.is_injective():
-        raise ValueError("left map is not injective")
+        raise NotExact("left map is not injective")
     if not projection.is_surjective():
-        raise ValueError("right map is not surjective")
+        raise NotExact("right map is not surjective")
     if set(inclusion.image()) != set(projection.kernel()):
-        raise ValueError("image of inclusion differs from kernel of projection")
+        raise NotExact("image of inclusion differs from kernel of projection")
     sec = minimal_section(projection) if section is None else np.asarray(section, dtype=np.int64)
+    if sec.shape != (projection.cod.order,) or sec.min() < 0 or sec.max() >= projection.dom.order:
+        raise NotExact(f"section must list one element of {projection.dom.name} per element of {projection.cod.name}")
     if sec[0] != 0:
-        raise ValueError("section must send the identity to the identity")
+        raise NotExact("section must send the identity to the identity")
     for k in range(projection.cod.order):
         if projection(int(sec[k])) != k:
-            raise ValueError(f"section is not a section at {k}")
+            raise NotExact(f"section is not a section at {k}")
     return GroupSES(inclusion, projection, sec)
 
 
-def conjugation_crossed_module(ses: GroupSES, name: str = "") -> CrossedModule:
+def conjugation_crossed_module(ses: GroupSES) -> CrossedModule:
     """(G, H, inclusion, conjugation); needs H normal in G, which exactness gives."""
     G, H = ses.G, ses.H
     pre = {int(ses.inclusion(h)): h for h in H.elements()}
@@ -113,7 +114,7 @@ def conjugation_crossed_module(ses: GroupSES, name: str = "") -> CrossedModule:
             row.append(pre[x])
         perms.append(row)
     alpha = validate_action(G, H, perms)
-    return validate_crossed_module(G, H, ses.inclusion, alpha, name=name or f"({H.name}->{G.name})")
+    return validate_crossed_module(G, H, ses.inclusion, alpha, name=f"({H.name}->{G.name})")
 
 
 def discrete_crossed_module_ses(f: GroupHom, p: GroupHom) -> CrossedModuleSES:
@@ -262,23 +263,18 @@ def lemma3_kernel_lift(
     ses: CrossedModuleSES,
     witness: CoboundaryWitness,
     cx: SimplicialComplex,
-    sections: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> tuple[Cocycle, CoboundaryWitness]:
     """Lift a kernel-class cocycle back through the left map.
 
     ``witness`` trivializes the pushforward of c along the right map.  Its
-    vertex and edge data are lifted through sections of the quotient, the
-    lifted witness is applied to c, and the result lands in the kernel of
-    the projection = image of the left map, where it pulls back.  Returns
-    the pulled-back cocycle together with the lifted witness, which shows
-    the pushforward of the lift is cohomologous to c.
+    vertex and edge data are lifted through the minimal sections of the
+    quotient, the lifted witness is applied to c, and the result lands in
+    the kernel of the projection = image of the left map, where it pulls
+    back.  Returns the pulled-back cocycle together with the lifted witness,
+    which shows the pushforward of the lift is cohomologous to c.
     """
     mid = ses.left.cod
-    if sections is None:
-        sec_g = minimal_section(ses.right.fG)
-        sec_h = minimal_section(ses.right.fH)
-    else:
-        sec_g, sec_h = sections
+    sec_g, sec_h = minimal_section(ses.right.fG), minimal_section(ses.right.fH)
     lifted = CoboundaryWitness(
         f={v: int(sec_g[x]) for v, x in witness.f.items()},
         k={e: int(sec_h[x]) for e, x in witness.k.items()},
@@ -304,13 +300,13 @@ def verify_lemma3(
     ses: CrossedModuleSES,
     cx: SimplicialComplex,
     budget: int = DEFAULT_BUDGET,
-    witness_budget: int = DEFAULT_WITNESS_BUDGET,
 ) -> dict:
     """image(f*) = kernel(p*) on actual classifications.
 
-    Kernel membership runs the witness search from the pushforward to the
-    trivial cocycle and, when a witness is found, the explicit lift;
-    exactness is then asserted as equality of class-index sets.
+    Kernel membership runs the witness search (within
+    DEFAULT_WITNESS_BUDGET) from the pushforward to the trivial cocycle and,
+    when a witness is found, the explicit lift; exactness is then asserted
+    as equality of class-index sets.
     """
     xm0, xm1, xm2 = ses.left.dom, ses.left.cod, ses.right.cod
     cls0 = classify_h1(cx, xm0, budget=budget)
@@ -329,7 +325,7 @@ def verify_lemma3(
     for i, rep in enumerate(cls1.representatives):
         pushed = pushforward_cocycle(ses.right, rep)
         validate_cocycle(pushed, cx, xm2)
-        w = cohomologous_check(pushed, trivial_cocycle(cx, xm2), cx, xm2, witness_budget)
+        w = cohomologous_check(pushed, trivial_cocycle(cx, xm2), cx, xm2, DEFAULT_WITNESS_BUDGET)
         if w is None:
             continue
         kernel.add(i)

@@ -21,6 +21,7 @@ from .crossed_modules import (
     validate_crossed_module,
 )
 from .cohomology import Cocycle, cocycle_to_json  # noqa: F401 (re-exported)
+from .errors import MalformedInput
 from .exactness import GroupSES, discrete_crossed_module_ses, validate_group_ses
 from .groups import (
     FiniteGroup,
@@ -86,7 +87,42 @@ _BUILTIN_XMODS = {
 }
 
 
-# JSON formats
+# JSON formats: where an index or a group element is expected only a JSON
+# integer is accepted, so that no float or boolean is silently truncated,
+# and only one that int64 holds, as the tables are int64 arrays; any other
+# shape raises MalformedInput, a missing key KeyError
+
+
+def _object(obj, what: str) -> dict:
+    if not isinstance(obj, dict):
+        raise MalformedInput(f"{what} must be a JSON object, got {obj!r}")
+    return obj
+
+
+def _integer(x, what: str) -> int:
+    if type(x) is not int or not -(2**63) <= x < 2**63:  # bool is a subclass of int
+        raise MalformedInput(f"{what} must be a JSON integer within int64, got {x!r}")
+    return x
+
+
+def _integers(xs, what: str) -> list[int]:
+    if not isinstance(xs, list):
+        raise MalformedInput(f"{what} must be a list of integers, got {xs!r}")
+    return [_integer(x, what) for x in xs]
+
+
+def _rows(rows, what: str) -> list[list[int]]:
+    if not isinstance(rows, list):
+        raise MalformedInput(f"{what} must be a list of lists of integers, got {rows!r}")
+    return [_integers(row, what) for row in rows]
+
+
+def _table(rows, what: str) -> list[list[int]]:
+    """A list of integer rows of one length."""
+    table = _rows(rows, what)
+    if len({len(row) for row in table}) > 1:
+        raise MalformedInput(f"{what} must have rows of one length")
+    return table
 
 
 def group_to_json(g: FiniteGroup) -> dict:
@@ -94,7 +130,8 @@ def group_to_json(g: FiniteGroup) -> dict:
 
 
 def group_from_json(obj: dict) -> FiniteGroup:
-    return validate_group(obj["table"], name=obj.get("name", "G"))
+    obj = _object(obj, "a group")
+    return validate_group(_table(obj["table"], "a group table"), name=obj.get("name", "G"))
 
 
 def hom_to_json(f: GroupHom) -> dict:
@@ -102,7 +139,8 @@ def hom_to_json(f: GroupHom) -> dict:
 
 
 def hom_from_json(obj: dict, registry: dict[str, FiniteGroup]) -> GroupHom:
-    return validate_hom(registry[obj["dom"]], registry[obj["cod"]], obj["map"])
+    obj = _object(obj, "a homomorphism")
+    return validate_hom(registry[obj["dom"]], registry[obj["cod"]], _integers(obj["map"], "a hom value"))
 
 
 def action_to_json(a: GroupAction) -> dict:
@@ -110,7 +148,8 @@ def action_to_json(a: GroupAction) -> dict:
 
 
 def action_from_json(obj: dict, registry: dict[str, FiniteGroup]) -> GroupAction:
-    return validate_action(registry[obj["actor"]], registry[obj["target"]], obj["perms"])
+    obj = _object(obj, "an action")
+    return validate_action(registry[obj["actor"]], registry[obj["target"]], _table(obj["perms"], "an action table"))
 
 
 def crossed_module_to_json(xm: CrossedModule) -> dict:
@@ -123,10 +162,11 @@ def crossed_module_to_json(xm: CrossedModule) -> dict:
 
 
 def crossed_module_from_json(obj: dict) -> CrossedModule:
+    obj = _object(obj, "a crossed module")
     G = group_from_json(obj["G"])
     H = group_from_json(obj["H"])
-    t = validate_hom(H, G, obj["t"])
-    alpha = validate_action(G, H, obj["alpha"])
+    t = validate_hom(H, G, _integers(obj["t"], "t"))
+    alpha = validate_action(G, H, _table(obj["alpha"], "alpha"))
     return validate_crossed_module(G, H, t, alpha, name=obj.get("name", ""))
 
 
@@ -136,26 +176,35 @@ def complex_to_json(cx: SimplicialComplex) -> dict:
 
 
 def complex_from_json(obj: dict) -> SimplicialComplex:
-    return build_complex(obj["vertices"], obj["maximal"])
+    obj = _object(obj, "a complex")
+    vertices = _integer(obj["vertices"], "the vertex count")
+    if vertices < 0:
+        raise MalformedInput(f"the vertex count must be at least 0, got {vertices}")
+    return build_complex(vertices, _rows(obj["maximal"], "the maximal simplices"))
 
 
 def cocycle_from_json(obj: dict) -> Cocycle:
-    g = {tuple(int(x) for x in key.split(",")): int(v) for key, v in obj.get("g", {}).items()}
-    h = {tuple(int(x) for x in key.split(",")): int(v) for key, v in obj.get("h", {}).items()}
+    obj = _object(obj, "a cocycle")
+    g, h = (
+        {tuple(int(x) for x in key.split(",")): _integer(v, f"the value on {key}") for key, v in values.items()}
+        for values in (_object(obj.get("g", {}), "g"), _object(obj.get("h", {}), "h"))
+    )
     return Cocycle(g=g, h=h)
 
 
 def group_ses_from_json(obj: dict) -> GroupSES:
+    obj = _object(obj, "a group sequence")
     H = group_from_json(obj["H"])
     G = group_from_json(obj["G"])
     K = group_from_json(obj["K"])
-    incl = validate_hom(H, G, obj["t"])
-    proj = validate_hom(G, K, obj["p"])
-    return validate_group_ses(incl, proj, obj.get("section"))
+    incl = validate_hom(H, G, _integers(obj["t"], "t"))
+    proj = validate_hom(G, K, _integers(obj["p"], "p"))
+    section = obj.get("section")
+    return validate_group_ses(incl, proj, None if section is None else _integers(section, "section"))
 
 
 def two_group_ses_from_json(obj: dict) -> CrossedModuleSES:
-    kind = obj.get("type", "discrete")
+    kind = _object(obj, "a 2-group sequence").get("type", "discrete")
     if kind == "hat":
         xm = coefficient_from_spec(obj["coeff"]) if isinstance(obj["coeff"], str) else crossed_module_from_json(obj["coeff"])
         _, ses = hat_construction(xm)

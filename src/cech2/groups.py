@@ -311,9 +311,8 @@ def conjugacy_classes(group: FiniteGroup) -> list[list[int]]:
     return sorted(classes, key=lambda c: c[0])
 
 
-def conjugacy_class_index(group: FiniteGroup, x: int, classes=None) -> int:
-    classes = conjugacy_classes(group) if classes is None else classes
-    for i, c in enumerate(classes):
+def conjugacy_class_index(group: FiniteGroup, x: int) -> int:
+    for i, c in enumerate(conjugacy_classes(group)):
         if x in c:
             return i
     raise ValueError(f"element {x} not in any class")

@@ -87,17 +87,17 @@ def _level_table(xm: CrossedModule, p: int) -> FiniteGroup:
     return validate_group(code, name=f"N({xm.name})_{p}")
 
 
-def nerve_two_group(xm: CrossedModule, depth: int = DEFAULT_LEVEL_CAP, cap: int = DEFAULT_LEVEL_CAP) -> TruncatedSimplicialGroup:
+def nerve_two_group(xm: CrossedModule, depth: int = DEFAULT_LEVEL_CAP) -> TruncatedSimplicialGroup:
     """Levels 0..depth with all faces and degeneracies, each a verified hom.
 
     Raises ValueError on a negative depth, and BudgetExceeded when depth
-    exceeds ``cap`` or the top level's order |G| |H|^depth exceeds
+    exceeds DEFAULT_LEVEL_CAP or the top level's order |G| |H|^depth exceeds
     MAX_LEVEL_ORDER, before any table is built.
     """
     if depth < 0:
         raise ValueError(f"nerve depth must be at least 0, got {depth}")
-    if depth > cap:
-        raise BudgetExceeded(depth, cap)
+    if depth > DEFAULT_LEVEL_CAP:
+        raise BudgetExceeded(depth, DEFAULT_LEVEL_CAP)
     G, H, t = xm.G, xm.H, xm.t
     nh = H.order
     top = G.order * nh**depth
@@ -245,17 +245,15 @@ def check_level_iso(nsg: TruncatedSimplicialGroup, xm: CrossedModule) -> dict:
     }
 
 
-def check_bar_multiplication(
-    G: FiniteGroup, H: FiniteGroup, alpha: GroupAction, p: int, cap: int = DEFAULT_LEVEL_CAP
-) -> dict:
+def check_bar_multiplication(G: FiniteGroup, H: FiniteGroup, alpha: GroupAction, p: int) -> dict:
     """Nerve levels of G |x bar(H) multiply by the twisted componentwise rule.
 
     Level q strings decode to (g, (h_0, ..., h_q)); the product of two such
     must be (g g', (h_i alpha(g)(h_i'))).  Checked on every pair of strings
-    for every level up to p.
+    for every level up to p; BudgetExceeded above DEFAULT_LEVEL_CAP.
     """
-    if p > cap:
-        raise BudgetExceeded(p, cap)
+    if p > DEFAULT_LEVEL_CAP:
+        raise BudgetExceeded(p, DEFAULT_LEVEL_CAP)
     tg = semidirect_two_group(G, segal_bar_two_group(H), alpha)
     ng, nh = G.order, H.order
     failures = []

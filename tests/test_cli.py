@@ -1,14 +1,183 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from cech2 import cli
+from cech2.fixtures import group_to_json
+from cech2.groups import cyclic_group
 
 CMD = [sys.executable, "-m", "cech2.cli"]
+# the child finds the package in src/ as this process does, without an install
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 
 
 def run(*args):
-    return subprocess.run(CMD + list(args), capture_output=True, text=True)
+    return subprocess.run(CMD + list(args), capture_output=True, text=True, env=ENV)
+
+
+def assert_input_error(res):
+    assert res.returncode == 2, res.stdout + res.stderr
+    report = json.loads(res.stdout)
+    assert report["ok"] is False and report["error"] == "input"
+    assert "Traceback" not in res.stderr
+
+
+Z2 = group_to_json(cyclic_group(2))
+
+
+class TestMalformedJson:
+    """Each file is valid JSON of the wrong shape, or holds a number that is
+    not a JSON integer where an index or a group element belongs: exit 2,
+    with an input error and no traceback."""
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [1, 2],
+            {"vertices": 3, "maximal": [[0, 1], [1, "a"]]},
+            {"vertices": "x", "maximal": [[0, 1]]},
+            {"vertices": 3, "maximal": 5},
+            {"vertices": 2.5, "maximal": [[0, 1]]},
+            {"vertices": 3, "maximal": [[0, 1.5]]},
+            {"vertices": -1, "maximal": []},
+        ],
+        ids=["list", "string-vertex", "string-count", "maximal-not-list", "float-count", "float-vertex", "negative-count"],
+    )
+    def test_space(self, tmp_path, obj):
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(obj))
+        assert_input_error(run("validate", "--space", str(path)))
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"g": [1], "h": {}},
+            {"g": {"0,1": 0, "0,2": 0, "1,2": 1.7}, "h": {}},
+            {"g": {"0,1": 0, "0,2": 0, "1,2": True}, "h": {}},
+        ],
+        ids=["g-not-object", "float-value", "boolean-value"],
+    )
+    def test_cocycle(self, tmp_path, obj):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(obj))
+        assert_input_error(run("validate", "--space", "circle3", "--coeff", "discrete:Z2", "--cocycle", str(path)))
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"G": 1},
+            {"G": {"table": [[0, 1], [1, "z"]]}, "H": Z2, "t": [0, 0], "alpha": [[0, 1], [0, 1]]},
+            {"G": {"table": [[0, 1], [1, 1.9]]}, "H": Z2, "t": [0, 0], "alpha": [[0, 1], [0, 1]]},
+            {"G": {"table": [[0, 1], [1, 10**20]]}, "H": Z2, "t": [0, 0], "alpha": [[0, 1], [0, 1]]},
+        ],
+        ids=["group-not-object", "string-element", "float-element", "element-beyond-int64"],
+    )
+    def test_coeff(self, tmp_path, obj):
+        path = tmp_path / "coeff.json"
+        path.write_text(json.dumps(obj))
+        assert_input_error(run("validate", "--coeff", str(path)))
+
+    def test_ses(self, tmp_path):
+        path = tmp_path / "ses.json"
+        path.write_text("[]")
+        assert_input_error(run("verify", "lemma2", "--ses", str(path), "--space", "circle3"))
+
+    def test_well_formed_invalid_table_keeps_exit_1(self, tmp_path):
+        # integers throughout, but no group: a validation failure, not an input error
+        path = tmp_path / "coeff.json"
+        path.write_text(json.dumps({"G": {"table": [[0, 1], [1, 1]]}, "H": Z2, "t": [0, 0], "alpha": [[0, 1]] * 2}))
+        res = run("validate", "--coeff", str(path))
+        assert res.returncode == 1
+        assert json.loads(res.stdout)["error"] == "MissingInverse"
+
+    @pytest.mark.parametrize(
+        "t,p,section",
+        [([0, 2], [0, 0, 0, 0], None), ([0, 2], [0, 1, 0, 1], [0]), ([0, 2], [0, 1, 0, 1], [0, 7])],
+        ids=["not-exact", "short-section", "section-outside-G"],
+    )
+    def test_well_formed_invalid_sequence_keeps_exit_1(self, tmp_path, t, p, section):
+        z4 = group_to_json(cyclic_group(4))
+        obj = {"H": Z2, "G": z4, "K": Z2, "t": t, "p": p} | ({} if section is None else {"section": section})
+        path = tmp_path / "ses.json"
+        path.write_text(json.dumps(obj))
+        res = run("verify", "lemma2", "--ses", str(path), "--space", "circle3")
+        assert res.returncode == 1, res.stdout + res.stderr
+        assert json.loads(res.stdout)["error"] == "NotExact"
+
+
+# JSON values for the fuzzed files: arbitrary ones, and objects with the
+# keys of each format whose fields are arbitrary or of the expected kind, so
+# that many reach the validators; integers stay small, so that no fuzzed
+# complex or group is large
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 4)
+    | st.floats(-3, 3, allow_nan=False)
+    | st.sampled_from(["", "a", "hat", "z2z4", "discrete:Z2"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner, max_size=4),
+    max_leaves=16,
+)
+_INT = st.integers(-1, 3)
+_LIST = st.lists(_INT, max_size=4)
+_MATRIX = st.lists(st.lists(_INT, min_size=1, max_size=3), min_size=1, max_size=3)
+_GROUP = st.sampled_from([group_to_json(cyclic_group(n)) for n in (1, 2, 3)]) | st.fixed_dictionaries({"table": _MATRIX})
+
+
+def _shaped(*optional, **fields):
+    values = {key: value | _JSON for key, value in fields.items()}
+    required = {key: value for key, value in values.items() if key not in optional}
+    return st.fixed_dictionaries(required, optional={key: values[key] for key in optional})
+
+
+_SPACE = _shaped(vertices=st.integers(-1, 4), maximal=st.lists(_LIST, max_size=4))
+_COEFF = _shaped(G=_GROUP, H=_GROUP, t=_LIST, alpha=_MATRIX)
+_SES = _shaped(
+    "section", "type", "coeff",
+    H=_GROUP, G=_GROUP, K=_GROUP, t=_LIST, p=_LIST, section=_LIST,
+    type=st.sampled_from(["discrete", "hat"]), coeff=st.sampled_from(["z2z4", "discrete:Z2", ""]) | _COEFF,
+)
+_COCYCLE = _shaped(
+    "h",
+    g=st.dictionaries(st.sampled_from(["0,1", "0,2", "0,3", "1,2", "1,3", "2,3", "1,0", "0,x"]), _INT | _JSON),
+    h=st.dictionaries(st.sampled_from(["0,1,2", "0,1,3", "0,2,3", "1,2,3"]), _INT | _JSON),
+)
+_CASES = [
+    (["validate", "--space", "{file}"], _SPACE),
+    (["validate", "--coeff", "{file}"], _COEFF),
+    (["validate", "--space", "circle3", "--coeff", "discrete:Z2", "--cocycle", "{file}"], _COCYCLE),
+    (["validate", "--space", "sphere2", "--coeff", "z2z4", "--cocycle", "{file}"], _COCYCLE),
+    (["h1", "--space", "{file}", "--coeff", "discrete:S3"], _SPACE),
+    (["h1", "--space", "sphere2", "--coeff", "{file}"], _COEFF),
+    (["verify", "lemma2", "--ses", "{file}", "--space", "circle3"], _SES),
+    (["verify", "lemma3", "--ses", "{file}", "--space", "circle3"], _SES),
+]
+_FUZZ = st.one_of([st.tuples(st.just(command), shaped | _JSON) for command, shaped in _CASES])
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=_FUZZ)
+def test_fuzzed_json_inputs(tmp_path_factory, case):
+    """Whatever JSON the files hold, ``main`` returns an exit code 0-3 and
+    prints exactly one JSON object with an ``ok`` key."""
+    command, obj = case
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"  # examples run one at a time
+    path.write_text(json.dumps(obj))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main([arg.format(file=path) for arg in command])
+    assert code in (0, 1, 2, 3)
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1 and "ok" in json.loads(lines[0])
 
 
 class TestValidate:
@@ -94,7 +263,7 @@ class TestH1:
     def test_report_shape(self):
         res = run("h1", "--space", "circle3", "--coeff", "discrete:Z4")
         report = json.loads(res.stdout)
-        assert set(report) >= {"classes", "sizes", "base_class", "representatives"}
+        assert set(report) >= {"classes", "sizes", "base_class", "representatives"} and report["ok"] is True
         assert len(report["representatives"]) == report["classes"]
         assert sum(report["sizes"]) == report["cocycles"]
 
@@ -199,7 +368,8 @@ class TestNerveCommand:
     def test_levels(self):
         res = run("nerve", "--coeff", "z2z4")
         assert res.returncode == 0
-        assert json.loads(res.stdout)["levels"] == [4, 8, 16, 32, 64]
+        report = json.loads(res.stdout)
+        assert report["ok"] is True and report["levels"] == [4, 8, 16, 32, 64]
 
     def test_depth_flag(self):
         res = run("nerve", "--coeff", "aut:Z3", "--depth", "2")

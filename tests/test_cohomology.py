@@ -446,6 +446,78 @@ class TestAct:
         assert not np.array_equal(g2, g3)
 
 
+class TestResliceDigits:
+    """The scalar re-slice, one witness through ``apply_digits``, against the
+    vector ``reslice``, row for row."""
+
+    @pytest.mark.parametrize("space", ["point", "circle3", "sphere2", "tetra_solid", "torus7"])
+    def test_equals_reslice(self, space, library_xmods):
+        cx = standard_space(space)
+        rng = np.random.default_rng(len(space))
+        for xm in library_xmods:
+            sys = _System(cx, xm)
+            if sys.candidate_count() <= 10**5:  # about 60 of all cocycles
+                g_all, h_all = _enumerate_digit_arrays(sys, sys.candidate_count())
+                rows = np.arange(0, len(g_all), max(1, len(g_all) // 60))
+                g_mat, h_mat = g_all[rows], h_all[rows]
+            elif len(sys.kernel_t) ** len(sys.tris) <= 10**4:  # the slice rows
+                g_mat, h_mat = _enumerate_digit_arrays(sys, sys.candidate_count(), sys.slice_allowed)
+            else:  # with no tetrahedra, g = 1 and any triangle data in ker t make a cocycle
+                assert not sys.tets
+                g_mat = np.zeros((60, len(sys.edges)), dtype=np.int64)
+                h_mat = rng.choice(sys.kernel_t, size=(60, len(sys.tris)))
+            # and a random cohomologous copy of each
+            f = rng.integers(xm.G.order, size=(len(g_mat), cx.vertex_count))
+            k = rng.integers(xm.H.order, size=(len(g_mat), len(sys.edges)))
+            g_mat, h_mat = (np.vstack(pair) for pair in zip((g_mat, h_mat), sys.act(g_mat, h_mat, f, k)))
+            g2, h2 = sys.reslice(g_mat, h_mat)
+            assert sys.slice_allowed[np.arange(len(sys.edges)), g2].all()
+            for r in range(len(g_mat)):
+                gds, hds = sys.reslice_digits(g_mat[r].tolist(), h_mat[r].tolist())
+                assert (list(gds), list(hds)) == (g2[r].tolist(), h2[r].tolist())
+
+
+class TestEncode:
+    """``_encode`` against the weighted digit sum in Python integers."""
+
+    @staticmethod
+    def _reference(mat, weights):
+        return [sum(map(operator.mul, row, weights)) for row in mat.tolist()]
+
+    def test_equals_weighted_sum(self):
+        rng = np.random.default_rng(9)
+        weights = [5**p for p in range(17, -1, -1)]
+        mat = rng.integers(5, size=(200, 18))
+        ranks = _encode(mat, weights)
+        assert ranks.dtype == np.int64 and ranks.tolist() == self._reference(mat, weights)
+
+    def test_zero_width(self, library_xmods):
+        # the point has no edges and no triangles: every rank is 0
+        for xm in library_xmods:
+            sys = _System(standard_space("point"), xm)
+            g_mat, h_mat = _enumerate_digit_arrays(sys, DEFAULT_BUDGET)
+            assert g_mat.shape == (1, 0) and h_mat.shape == (1, 0)
+            assert _encode(g_mat, sys.g_weights).tolist() == [0]
+            assert sys.ranks(g_mat, h_mat).tolist() == [0]
+
+    def test_uint8_digits(self):
+        # products outgrow uint8 at once; they must be taken in int64
+        weights = [256**p for p in range(6, -1, -1)]
+        mat = np.random.default_rng(3).integers(256, size=(50, 7)).astype(np.uint8)
+        mat[0] = 255
+        assert _encode(mat, weights).tolist() == self._reference(mat, weights)
+
+    def test_rank_space_just_under_int64(self):
+        # 511^7 is about 0.988 of 2^63
+        weights = [511**p for p in range(6, -1, -1)]
+        assert 0.98 * 2**63 < 511**7 <= np.iinfo(np.int64).max
+        mat = np.random.default_rng(4).integers(511, size=(20, 7))
+        mat[0], mat[1] = 510, 0
+        ranks = _encode(mat, weights)
+        assert ranks.tolist() == self._reference(mat, weights)
+        assert ranks[0] == 511**7 - 1 and ranks[1] == 0
+
+
 class TestEnumerateCocycles:
     def test_circle3_discrete_z2(self, circle3, z2):
         assert len(enumerate_cocycles(circle3, discrete_two_group(z2))) == 8

@@ -163,6 +163,10 @@ class TestNamedConstructions:
 
         with pytest.raises(BudgetExceeded):
             group_automorphisms(cyclic_group(13))
+        with pytest.raises(BudgetExceeded) as exc:
+            aut_two_group(cyclic_group(13))
+        assert (exc.value.required, exc.value.budget) == (13, 12)
+        assert aut_two_group(cyclic_group(12)).G.order == 4  # (Z/12)^x
 
 
 class TestHatConstruction:

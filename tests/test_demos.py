@@ -15,8 +15,9 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
-    # from the root of a checkout, with the library taken from its src directory
-    env = dict(os.environ, PYTHONPATH="src")
+    # from the root of a checkout, with the library taken from its src
+    # directory ahead of any PYTHONPATH entries already set
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, str(demo.relative_to(ROOT))],
         cwd=ROOT,

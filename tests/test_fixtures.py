@@ -26,6 +26,7 @@ from cech2.fixtures import (
     two_group_ses_from_json,
     z2z4_crossed_module,
 )
+from cech2.errors import MalformedInput
 from cech2.groups import inversion_action, validate_hom
 
 
@@ -41,6 +42,33 @@ class TestBuiltins:
     def test_unknown_group(self):
         with pytest.raises(KeyError):
             builtin_group("Q8")
+
+
+class TestJsonIntegersOnly:
+    """A float, a boolean or a string where an index or a group element
+    belongs is refused, never truncated."""
+
+    @pytest.mark.parametrize("bad", [1.0, 1.5, True, "1", 2**63])
+    def test_every_loader(self, bad, z2, z3):
+        registry = {"Z2": z2, "Z3": z3}
+        z2_json = group_to_json(z2)
+        loads = [
+            lambda: group_from_json({"table": [[0, 1], [1, bad]]}),
+            lambda: hom_from_json({"dom": "Z2", "cod": "Z2", "map": [0, bad]}, registry),
+            lambda: action_from_json({"actor": "Z2", "target": "Z3", "perms": [[0, 1, 2], [0, 2, bad]]}, registry),
+            lambda: crossed_module_from_json({"G": z2_json, "H": z2_json, "t": [0, bad], "alpha": [[0, 1], [0, 1]]}),
+            lambda: complex_from_json({"vertices": 2, "maximal": [[0, bad]]}),
+            lambda: complex_from_json({"vertices": bad, "maximal": []}),
+            lambda: cocycle_from_json({"g": {"0,1": bad}}),
+            lambda: group_ses_from_json({"H": z2_json, "G": z2_json, "K": z2_json, "t": [0, bad], "p": [0, 1]}),
+        ]
+        for load in loads:
+            with pytest.raises(MalformedInput):
+                load()
+
+    def test_ragged_table(self, z2):
+        with pytest.raises(MalformedInput, match="rows of one length"):
+            group_from_json({"table": [[0, 1], [1]]})
 
 
 class TestJsonRoundTrips:

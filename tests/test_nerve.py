@@ -45,8 +45,10 @@ class TestNerveConstruction:
                 assert np.array_equal(f.map, np.arange(6))
 
     def test_depth_cap(self, z2z4):
-        with pytest.raises(BudgetExceeded):
+        assert nerve_two_group(z2z4, 4).depth == 4
+        with pytest.raises(BudgetExceeded) as exc:
             nerve_two_group(z2z4, 5)
+        assert (exc.value.required, exc.value.budget) == (5, 4)
 
     @pytest.mark.parametrize("depth", [-1, -2])
     def test_negative_depth(self, z2z4, depth):
@@ -217,5 +219,6 @@ class TestBarMultiplication:
         assert report["ok"] and len(report["pairs"]) == 1
 
     def test_cap(self, z2, z3):
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded) as exc:
             check_bar_multiplication(z2, z3, inversion_action(z2, z3), 5)
+        assert (exc.value.required, exc.value.budget) == (5, 4)
