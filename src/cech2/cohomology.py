@@ -29,16 +29,17 @@ re-slicing one row is one witness through it.
 Witnesses form a group under composition and are generated by the elementary
 ones supported on a single vertex or a single edge, so orbits (= cohomology
 classes) are the components of the graph the elementary moves draw on the
-valid cocycles.  ``classify_h1`` takes one of two paths, chosen by the input:
-with trivial G and no tetrahedra every candidate is a cocycle and every move a
-translation, so orbits are cosets of the subgroup the move deltas generate,
-read off an echelon chain of that subgroup without visiting the |H|^T
-states.  Everything else is classified on a gauge slice, the maximal-tree
-gauge of lattice gauge theory: only the cocycles that are 1 on a forest of
-edges (p(j), j), p(j) the least smaller neighbour of j, and the least of
-their coset t(H) g on every other edge are enumerated.  They are closed
-under the moves that remain, each followed by re-slicing, and each slice
-cocycle stands for the same number of cocycles.
+valid cocycles.  ``classify_h1`` classifies every input on one gauge slice,
+the maximal-tree gauge of lattice gauge theory: only the cocycles that are 1
+on a forest of edges (p(j), j), p(j) the least smaller neighbour of j, and
+the least of their coset t(H) g on every other edge are enumerated.  The
+edge moves valued in K^G, the elements of ker t that every alpha(g) fixes,
+are central among the witnesses and shift the triangle data by a fixed
+delta, so the slice also keeps only the triangle data that are least in
+their coset of the subgroup S those deltas generate, read off an echelon
+chain of S.  The slice cocycles are closed under the moves that remain,
+each followed by re-slicing, and each stands for the same number of
+cocycles.
 
 Enumeration extends partial cocycles edge by edge, then triangle by
 triangle, in lexicographic order, and drops a row as soon as a law fails on a
@@ -50,6 +51,7 @@ partial rows, not with |G|^E.  The budget still caps the candidate count
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -58,19 +60,19 @@ from typing import Optional
 import numpy as np
 
 from .complexes import SimplicialComplex, barycentric_subdivide
-from .crossed_modules import CrossedModule, _generating_set
+from .crossed_modules import CrossedModule
 from .errors import (
     BudgetExceeded,
     MoveLeavesCocycles,
-    NotAbelian,
     NotACycle,
     TetrahedronViolation,
     TriangleViolation,
 )
-from .groups import subgroup_as_group
+from .groups import conjugacy_class_index, generating_set, minimal_section, require_abelian
 
 DEFAULT_BUDGET = 10**6
 DEFAULT_WITNESS_BUDGET = 10**6
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass
@@ -108,11 +110,9 @@ class Classification:
     """H^1 as a pointed set: orbits of valid cocycles under all witnesses.
 
     ``stats`` records what the classification did, outside ``to_report``:
-    the ``path`` taken (``"cosets"`` or ``"slice"``), the ``slice_rows``
-    listed (the slice cocycles, or one least cocycle per coset), the
-    ``fibre`` of cocycles each of them stands for, so that ``num_cocycles``
-    is their product, the number of ``moves`` and the ``closure_rounds`` of
-    label propagation (0 on the coset path).
+    the ``slice_rows`` listed, the ``fibre`` of cocycles each of them stands
+    for, so that ``num_cocycles`` is their product, the number of ``moves``
+    and the ``closure_rounds`` of label propagation.
     """
 
     representatives: list[Cocycle]
@@ -120,7 +120,7 @@ class Classification:
     num_cocycles: int
     _sizes: list[int] = field(repr=False)
     _system: _System = field(repr=False)
-    _lookup: _SliceLookup | _CosetLookup = field(repr=False)
+    _lookup: _SliceLookup = field(repr=False)
     stats: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -219,21 +219,13 @@ class _System:
             )
             for (i, j, k, l) in self.tets
         ]
-        # weights of the g and h digits in a cocycle's rank (see ranks)
         E, T = len(self.edges), len(self.tris)
-        self.h_weights = [self.H.order ** (T - 1 - col) for col in range(T)]
-        self.g_weights = [self.G.order ** (E - 1 - col) * self.H.order**T for col in range(E)]
         # the values a cocycle may take on edges and on triangles
         self.g_values = frozenset(range(self.G.order))
         self.h_values = frozenset(range(self.H.order))
         self.kernel_t = xm.t.kernel()
-        im = xm.t.image()
-        self.in_image_t = np.zeros(self.G.order, dtype=bool)
-        self.in_image_t[im] = True
-        # minimal t-preimage per image element, -1 off the image
-        self.t_section = np.full(self.G.order, -1, dtype=np.int64)
-        for h in range(self.H.order - 1, -1, -1):
-            self.t_section[xm.t(h)] = h
+        self.t_section = minimal_section(xm.t)
+        self.in_image_t = self.t_section >= 0
         # the tables as Python lists, for the scalar laws and actions
         self._gmul, self._ginv = self.G.table.tolist(), self.G.inverse.tolist()
         self._hmul, self._hinv = self.H.table.tolist(), self.H.inverse.tolist()
@@ -245,23 +237,24 @@ class _System:
         self._tri_first = np.array([i for i, _, _ in self.tris], dtype=np.int64)
         self._edge_ends = [(e, i, j) for e, (i, j) in enumerate(self.edges)]
         self._tri_parts = [(ti, i, *parts) for ti, ((i, _, _), parts) in enumerate(zip(self.tris, self.tri_edges))]
-        self._init_slice(im)
+        self._init_slice()
 
-    def _init_slice(self, image_t: list[int]) -> None:
+    def _init_slice(self) -> None:
         """Tables of the gauge slice (see ``_classify_slice``).
 
         The forest holds the edge (p(j), j) of every vertex j with a smaller
         neighbour, p(j) the least of them; the other vertices are the roots.
         A slice cocycle is 1 on the forest and, on every other edge, the
-        least element of the coset t(H) g of its value.
+        least element of the coset t(H) g of its value; on the triangles it
+        is the least of its coset of S (see ``quotient``).
         """
-        G = self.G
+        G, H = self.G, self.H
         parent_edge: dict[int, int] = {}
         for e, (_, j) in enumerate(self.edges):
             parent_edge.setdefault(j, e)  # edges are sorted, so the least i comes first
         self.forest = [parent_edge[j] for j in sorted(parent_edge)]
         self.roots = [v for v in range(self.cx.vertex_count) if v not in parent_edge]
-        image = np.asarray(image_t, dtype=np.int64)
+        image = np.flatnonzero(self.in_image_t)
         self.coset_min = G.table[image[:, None], np.arange(G.order)[None, :]].min(axis=0)
         self.slice_allowed = np.tile(self.coset_min == np.arange(G.order), (len(self.edges), 1))
         self.slice_allowed[self.forest, 1:] = False
@@ -276,6 +269,23 @@ class _System:
         self._lifts = bool(self.lift.any())  # False when t(H) is trivial
         self._no_f = np.zeros((1, self.cx.vertex_count), dtype=np.int64)
         self._no_k = np.zeros((1, E), dtype=np.int64)
+        # K^G: the elements of ker t that every alpha(g) fixes
+        kernel = np.asarray(self.kernel_t, dtype=np.int64)
+        self.central = np.zeros(H.order, dtype=bool)
+        self.central[kernel[(self.xm.alpha.perms[:, kernel] == kernel).all(axis=0)]] = True
+
+    @functools.cached_property
+    def quotient(self) -> _Quotient:
+        """The cosets of S, from the deltas of the edge moves valued in K^G at
+        the basepoint; built on first use, as its cost grows with |E| |T|."""
+        H, E, T = self.H, len(self.edges), len(self.tris)
+        moves = [("e", e, x) for x in generating_set(H.table, np.flatnonzero(self.central)) for e in range(E)]
+        _, deltas = self.act(self._no_k, np.zeros((1, T), dtype=np.int64), *self.move_witness(*moves))
+        return _Quotient(H, list(deltas), T)
+
+    @functools.cached_property
+    def ranks(self) -> _Ranks:
+        return _Ranks(self.slice_allowed, self.quotient.allowed)
 
     # conversions
 
@@ -383,7 +393,7 @@ class _System:
     # because witnesses compose
 
     def moves(self):
-        g_gens, h_gens = _generating_set(self.G), _generating_set(self.H)
+        g_gens, h_gens = generating_set(self.G.table), generating_set(self.H.table)
         return [("v", v, a) for v in range(self.cx.vertex_count) for a in g_gens] + [
             ("e", e, x) for e in range(len(self.edges)) for x in h_gens
         ]
@@ -422,10 +432,12 @@ class _System:
     def slice_moves(self):
         """The residual moves on the slice (see ``_classify_slice``): vertex
         moves at the roots over generators of G, edge moves on the forest over
-        generators of H, and edge moves on every edge over generators of ker t."""
-        kernel, inclusion = subgroup_as_group(self.H, self.kernel_t)
-        g_gens, h_gens = _generating_set(self.G), _generating_set(self.H)
-        kernel_gens = [inclusion(k) for k in _generating_set(kernel)]
+        generators of H, and edge moves on every edge over generators of ker t,
+        leaving out every edge move valued in K^G: on rows carried to the
+        least of their coset of S it is the identity."""
+        g_gens = generating_set(self.G.table)
+        h_gens = [x for x in generating_set(self.H.table) if not self.central[x]]
+        kernel_gens = [x for x in generating_set(self.H.table, self.kernel_t) if not self.central[x]]
         return (
             [("v", v, a) for v in self.roots for a in g_gens]
             + [("e", e, k) for e in self.forest for k in h_gens]
@@ -440,7 +452,8 @@ class _System:
         (p(j), j) without changing the forest edge of a smaller vertex.  These
         moves compose to one vertex witness, f_j = g_(p(j), j)^-1 f_p(j) with
         f = 1 at the roots, applied at once.  One edge witness then takes
-        every edge value to the least element of its coset of t(H).
+        every edge value to the least element of its coset of t(H), and the
+        triangle data are carried to the least of their coset of S.
         """
         f = np.zeros((self.cx.vertex_count, len(g_mat)), dtype=np.int64)
         for j, fe, p in self.slice_walk:
@@ -448,35 +461,25 @@ class _System:
         g_mat, h_mat = self.act(g_mat, h_mat, f.T, self._no_k)
         if self._lifts:
             g_mat, h_mat = self.act(g_mat, h_mat, self._no_f, self.lift[g_mat])
-        return g_mat, h_mat
+        return g_mat, self.quotient.carry(h_mat)
 
-    def reslice_digits(self, gds, hds) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def reslice_digits(self, gds, hds) -> tuple[tuple[int, ...], list[int]]:
         """``reslice`` on one row, as one witness through ``apply_digits``: the
         vertex walk f composed, as ``compose_witnesses`` composes, with the
-        coset lift applied after it, k_ij = alpha(f_i)(lift(f_i^-1 g_ij f_j))."""
+        coset lift applied after it, k_ij = alpha(f_i)(lift(f_i^-1 g_ij f_j));
+        then the carries of S, element by element."""
         gmul, ginv, alpha, lift = self._gmul, self._ginv, self._alpha, self._lift
         f = [0] * self.cx.vertex_count
         for j, fe, p in self.slice_walk:
             f[j] = gmul[ginv[gds[fe]]][f[p]]
         k = [alpha[f[i]][lift[gmul[gmul[ginv[f[i]]][gds[e]]][f[j]]]] for e, i, j in self._edge_ends]
-        return self.apply_digits(gds, hds, f, k)
+        g2, h2 = self.apply_digits(gds, hds, f, k)
+        return g2, self.quotient.carry_row(h2)
 
     # enumeration
 
     def candidate_count(self) -> int:
         return self.G.order ** len(self.edges) * max(1, len(self.kernel_t)) ** len(self.tris)
-
-    def ranks(self, g_mat: np.ndarray, h_mat: np.ndarray) -> np.ndarray:
-        """The position of each row in lexicographic (edge digits, triangle
-        digits) order over all of G^E x H^T, as int64; enumeration lists
-        cocycles in this order.
-
-        Raises BudgetExceeded when the ranks |G|^E |H|^T outgrow int64.
-        """
-        rank_space = self.G.order ** len(self.edges) * self.H.order ** len(self.tris)
-        if rank_space > np.iinfo(np.int64).max:
-            raise BudgetExceeded(rank_space, int(np.iinfo(np.int64).max))
-        return _encode(g_mat, self.g_weights) + _encode(h_mat, self.h_weights)
 
 
 @functools.lru_cache(maxsize=128)
@@ -500,11 +503,47 @@ def _encode(mat: np.ndarray, weights: list[int]) -> np.ndarray:
     return mat.astype(np.int64, copy=False) @ np.array(weights, dtype=np.int64)
 
 
-def _enumerate_digit_arrays(
-    sys: _System, budget: int, allowed: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+class _Ranks:
+    """Ranks of the digit rows whose edge column e takes only values v with
+    ``g_allowed[e, v]`` and whose triangle column p only values x with
+    ``h_allowed[p, x]``: each row's position, as int64, in the lexicographic
+    order of all such rows.  It is the mixed-radix number whose digits are
+    the positions of the row's values among the values their columns allow;
+    with every value allowed, it is the rank in all of G^E x H^T.
+    """
+
+    def __init__(self, g_allowed: np.ndarray, h_allowed: np.ndarray):
+        width = max(g_allowed.shape[1], h_allowed.shape[1])
+        allowed = np.vstack([np.pad(part, ((0, 0), (0, width - part.shape[1]))) for part in (g_allowed, h_allowed)])
+        radix = allowed.sum(axis=1).tolist()
+        self.space = math.prod(radix)
+        self.weights = [math.prod(radix[col + 1 :]) for col in range(len(radix))]
+        self._positions = np.cumsum(allowed, axis=1) - 1
+        # only the columns whose values are not 0..count-1 need the positions
+        self._gaps = np.flatnonzero((allowed & (self._positions != np.arange(width))).any(axis=1))
+        # each value's weighted position as a Python integer, for one row
+        self._lists = [[position * w for position in row] for row, w in zip(self._positions.tolist(), self.weights)]
+
+    def __call__(self, g_mat: np.ndarray, h_mat: np.ndarray) -> np.ndarray:
+        """Raises BudgetExceeded when the ranks outgrow int64."""
+        if self.space > _INT64_MAX:
+            raise BudgetExceeded(self.space, _INT64_MAX)
+        digits = np.hstack((g_mat, h_mat))
+        if len(self._gaps):
+            digits[:, self._gaps] = self._positions[self._gaps, digits[:, self._gaps]]
+        return _encode(digits, self.weights)
+
+    def of_row(self, gds, hds) -> int:
+        """The rank of one row, in Python integers."""
+        return sum(map(list.__getitem__, self._lists, (*gds, *hds)))
+
+
+def _enumerate_digit_arrays(sys: _System, budget: int, on_slice: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """All valid cocycles as (g digits, h digits) arrays in lexicographic order,
-    or only those whose edge e takes values v with ``allowed[e, v]``.
+    or only the slice cocycles: those whose edge e takes values v with
+    ``sys.slice_allowed[e, v]`` and whose triangle p takes values x with
+    ``sys.quotient.allowed[p, x]``, the quotient being built after the
+    budget check.
 
     Partial rows are extended one simplex at a time, edges then triangles in
     lexicographic order, by every allowed value with the new digit varying
@@ -519,6 +558,7 @@ def _enumerate_digit_arrays(
     G, H, alpha = sys.G, sys.H, sys.xm.alpha
     if sys.candidate_count() > budget:
         raise BudgetExceeded(sys.candidate_count(), budget)
+    allowed, tri_allowed = (sys.slice_allowed, sys.quotient.allowed) if on_slice else (None, None)
 
     closing_tris = [[] for _ in sys.edges]
     for ti, tri_edges in enumerate(sys.tri_edges):
@@ -558,7 +598,7 @@ def _enumerate_digit_arrays(
     preimages = np.sort(H.table[kernel[None, :], sys.t_section[:, None]], axis=1).astype(digit)
     for ti, (e_ij, e_jk, e_ik) in enumerate(sys.tri_edges):
         choices = preimages[G.table[g_cols[e_ik], G.inverse[G.table[g_cols[e_ij], g_cols[e_jk]]]]]
-        ok = np.ones(choices.shape, dtype=bool)
+        ok = np.ones(choices.shape, dtype=bool) if tri_allowed is None else tri_allowed[ti][choices]
         for parts in closing_tets[ti]:
             h_jkl, h_ikl, h_ijl, h_ijk = (choices if x == ti else h_cols[x][:, None] for x in parts[:4])
             g_ij = g_cols[parts[4]][:, None]
@@ -569,14 +609,8 @@ def _enumerate_digit_arrays(
             parent, choice = extend(ok)
             h_cols.append(choices[parent, choice])
             n = len(parent)
-    return _rows(g_cols, n), _rows(h_cols, n)
-
-
-def _rows(cols: list[np.ndarray], n: int) -> np.ndarray:
-    """n x len(cols) int64 matrix with the given columns, in row-major order."""
-    if not cols:
-        return np.zeros((n, 0), dtype=np.int64)
-    return np.array(cols).T.astype(np.int64, order="C")
+    # n x len(cols) int64 matrices, in row-major order
+    return tuple(np.array(cols).reshape(len(cols), n).T.astype(np.int64, order="C") for cols in (g_cols, h_cols))
 
 
 # public operations
@@ -677,159 +711,74 @@ def enumerate_cocycles(
     return CocycleSequence(sys.edges, sys.tris, *_enumerate_digit_arrays(sys, budget))
 
 
-def _classify_cosets(sys: _System, budget: int) -> Classification:
-    """Trivial G and no tetrahedra: every candidate is a cocycle and every
-    elementary move a translation.
+class _Quotient:
+    """The cosets of the subgroup S of H^width the generators span, their
+    values lying in an abelian subgroup of H.
 
-    Each move ships the triangle data by a fixed delta vector, so orbits are
-    the cosets of the subgroup S of H^T the deltas generate (H is abelian
-    here).  The deltas come from the general coboundary action applied to
-    the basepoint, and a spread of states cross-checks the translation claim
-    against the general action.
+    ``chain`` is the echelon chain of S, the abelian case of a Schreier-Sims
+    stabilizer chain (Holt, Eick & O'Brien, Handbook of Computational Group
+    Theory, ch. 4): per column p, {a: the transversal element of S that
+    vanishes before p and takes the value a at p}, over the a in A_p, so
+    |S| = ``order`` is the product of the |A_p|.  A vector v is sifted in at
+    its first nonzero column p: if v_p is in A_p it loses t(v_p) and sifts
+    on; otherwise A_p grows by the multiples of v_p, with
+    t(a + j v_p) = t(a) + j v, and m v - t(m v_p) sifts on, m being the
+    least j with j v_p in the old A_p.
 
-    S is held as a lexicographic echelon chain (``_echelon_chain``), the
-    abelian case of a Schreier-Sims stabilizer chain (Holt, Eick & O'Brien,
-    Handbook of Computational Group Theory, ch. 4): for each triangle column
-    p, the subgroup A_p of H of the column-p values of the elements of S
-    that vanish before p, each with a transversal element of S.  Reducing a
-    row column by column to the least value of its coset of A_p gives the
-    lex-least element of its class, since any nonzero element of S is first
-    nonzero at some such column.  So |S| is the product of the |A_p|, each
-    class has |S| members, and classes are numbered by their least cocycle
-    without visiting the |H|^T states.
-    """
-    H = sys.H
-    T = len(sys.tris)
-    n = H.order**T
-    if n > budget:
-        raise BudgetExceeded(n, budget)
-
-    # the spread of states starts at the basepoint, where the deltas are read
-    moves = sys.moves()
-    f, k = sys.move_witness(*moves)
-    zero_g = np.zeros((1, len(sys.edges)), dtype=np.int64)
-    for sid in range(0, n, max(1, n // 13)):  # n may outgrow int64
-        state = np.array([sid // H.order ** (T - 1 - p) % H.order for p in range(T)], dtype=np.int64)
-        moved_g, moved_h = sys.act(zero_g, state[None, :], f, k)
-        if sid == 0:
-            deltas = moved_h
-        assert not moved_g.any() and np.array_equal(moved_h, H.table[state, deltas])
-
-    lookup = _CosetLookup(sys, _echelon_chain(H, deltas, T))
-    count = len(lookup.representatives)
-    return Classification(
-        representatives=[sys.digits_to_cocycle(zero_g[0], row) for row in lookup.representatives],
-        base_class=0,  # the trivial cocycle is the least of all
-        num_cocycles=n,
-        _sizes=[n // count] * count,
-        _system=sys,
-        _lookup=lookup,
-        stats={"path": "cosets", "slice_rows": count, "fibre": n // count, "moves": len(moves), "closure_rounds": 0},
-    )
-
-
-def _echelon_chain(H, generators: list[np.ndarray], width: int) -> list[dict[int, np.ndarray]]:
-    """Echelon chain of the subgroup S of H^width the generators span (H
-    abelian): per column p, {a: the transversal element of S that vanishes
-    before p and takes the value a at p}, over the a in A_p.
-
-    A vector v is sifted in at its first nonzero column p: if v_p is in A_p
-    it loses t(v_p) and sifts on; otherwise A_p grows by the multiples of
-    v_p, with t(a + j v_p) = t(a) + j v, and m v - t(m v_p) sifts on, m
-    being the least j with j v_p in the old A_p.
-    """
-    add, neg = H.table, H.inverse
-    zero = np.zeros(width, dtype=np.int64)
-    chain = [{0: zero} for _ in range(width)]
-    for v in generators:
-        while (nonzero := np.flatnonzero(v)).size:
-            p = nonzero[0]
-            old = chain[p]
-            if int(v[p]) in old:
-                v = add[v, neg[old[int(v[p])]]]
-                continue
-            grown, multiple = {}, zero
-            while not grown or int(multiple[p]) not in old:
-                for a, ta in old.items():
-                    grown[int(add[a, multiple[p]])] = add[ta, multiple]
-                multiple = add[multiple, v]
-            chain[p] = grown
-            v = add[multiple, neg[old[int(multiple[p])]]]
-    return chain
-
-
-class _CosetLookup:
-    """Class labels on the coset path, from the echelon chain of S.
-
-    Column by column, a row's value selects the coset of A_p it lies in, and
-    adding the transversal element of (least member of that coset - value)
-    carries the row to the least value of the coset there; later columns are
-    then read from the carried row.  The label is the mixed-radix rank of
-    the cosets met, each column ranking the least values of its cosets in
-    order, so labels follow the order of the classes' least cocycles.
+    ``allowed[p, x]`` holds when x is least in its coset of A_p, so the rows
+    whose every value is allowed are the least of their cosets, one per
+    coset.  ``carry`` takes each row there column by column: the value at p
+    selects the transversal element that takes it to the least of its coset
+    of A_p, and later columns are read from the carried row.  Any nonzero
+    element of S is first nonzero at a column p where it lies in A_p, so the
+    result is the lex-least row of the coset.
     """
 
-    def __init__(self, sys: _System, chain: list[dict]):
-        H = sys.H
-        self.sys = sys
-        # per column: (rank of each value's coset, weight of that rank,
-        # the transversal element moving each value to its coset's least
-        # value, restricted to columns p.. ; None where A_p is trivial)
-        self.columns = []
-        minima = []
-        weight = 1
-        for p in range(len(chain) - 1, -1, -1):
-            A = chain[p]
-            least = [min(int(H.table[x, a]) for a in A) for x in range(H.order)]
-            cosets = sorted(set(least))
-            shift = None
+    def __init__(self, H, generators: list[np.ndarray], width: int):
+        add, neg = H.table, H.inverse
+        zero = np.zeros(width, dtype=np.int64)
+        self.chain = chain = [{0: zero} for _ in range(width)]
+        for v in generators:
+            while (nonzero := np.flatnonzero(v)).size:
+                p = nonzero[0]
+                old = chain[p]
+                if int(v[p]) in old:
+                    v = add[v, neg[old[int(v[p])]]]
+                    continue
+                grown, multiple = {}, zero
+                while not grown or int(multiple[p]) not in old:
+                    for a, ta in old.items():
+                        grown[int(add[a, multiple[p]])] = add[ta, multiple]
+                    multiple = add[multiple, v]
+                chain[p] = grown
+                v = add[multiple, neg[old[int(multiple[p])]]]
+        self.table, self.order = H.table, math.prod(map(len, chain))
+        self.allowed = np.ones((width, H.order), dtype=bool)
+        self.carries = []  # (p, the transversal element for each value) where A_p is not trivial
+        for p, A in enumerate(chain):
             if len(A) > 1:
-                shift = np.array([A[int(H.table[m, H.inverse[x]])][p:] for x, m in enumerate(least)])
-            self.columns.append((np.searchsorted(cosets, least), weight, shift))
-            minima.append((cosets, weight))
-            weight *= len(cosets)
-        self.columns.reverse()
-        # the same tables as Python lists for class_of, each transversal
-        # element as its nonzero (column, value) pairs after column p
+                least = H.table[:, list(A)].min(axis=1)
+                self.allowed[p] = least == np.arange(H.order)
+                self.carries.append((p, np.array([A[a][p:] for a in H.table[H.inverse, least].tolist()])))
+        # the table as lists and each carry as (column, value) pairs, for one row
         self._add = H.table.tolist()
-        self._scalar_columns = [
-            (
-                rank.tolist(),
-                weight,
-                None if shift is None else [[(p + q, d) for q, d in enumerate(row) if q and d] for row in shift.tolist()],
-            )
-            for p, (rank, weight, shift) in enumerate(self.columns)
+        self._carry_lists = [
+            (p, [[(p + q, d) for q, d in enumerate(row) if d] for row in carry.tolist()]) for p, carry in self.carries
         ]
-        # the least cocycle of each class, by label
-        labels = np.arange(weight, dtype=np.int64)
-        self.representatives = np.array(
-            [np.asarray(cosets)[(labels // w) % len(cosets)] for cosets, w in reversed(minima)],
-            dtype=np.int64,
-        ).T.reshape(weight, len(chain))
 
-    def labels(self, g_mat: np.ndarray, h_mat: np.ndarray) -> np.ndarray:
-        table = self.sys.H.table
-        labels = np.zeros(len(h_mat), dtype=np.int64)
-        rest = h_mat
-        for rank, weight, shift in self.columns:
-            value = rest[:, 0]
-            labels += rank[value] * weight
-            if shift is not None:
-                rest = table[rest, shift[value]]
-            rest = rest[:, 1:]
-        return labels
+    def carry(self, h_mat: np.ndarray) -> np.ndarray:
+        """Each row of ``h_mat`` carried, in place."""
+        for p, carry in self.carries:
+            h_mat[:, p:] = self.table[h_mat[:, p:], carry[h_mat[:, p]]]
+        return h_mat
 
-    def label(self, c: Cocycle) -> int:
-        """``labels`` on one cocycle, in plain Python: a row of a few dozen
-        digits is cheaper to carry element by element than through numpy."""
-        _, row = self.sys.cocycle_to_digits(c)
-        row, add, label = list(row), self._add, 0
-        for p, (rank, weight, shift) in enumerate(self._scalar_columns):
-            label += rank[row[p]] * weight
-            if shift is not None:
-                for q, d in shift[row[p]]:
-                    row[q] = add[row[q]][d]
-        return label
+    def carry_row(self, hds) -> list[int]:
+        """``carry`` on one row, element by element."""
+        row, add = list(hds), self._add
+        for p, carry in self._carry_lists:
+            for q, d in carry[row[p]]:
+                row[q] = add[row[q]][d]
+        return row
 
 
 def _search(ranks: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -865,21 +814,36 @@ def _classify_slice(sys: _System, g_mat: np.ndarray, h_mat: np.ndarray) -> Class
     and the move and the re-slicing then act on both by one witness, which
     is a bijection on the triangle data.
 
-    Exactly ``sys.fibre`` cocycles re-slice to each slice row: the forest
-    values are free, every other edge value is free within its coset, and
-    the re-slicing witness those values fix acts on the triangle data as a
-    bijection.  A class therefore has that many cocycles per slice row.  Its
-    least cocycle lies in the slice, since one move makes any other cocycle
+    The quotient by K^G.  The Peiffer identity alpha(t(k))(h) = k h k^-1
+    makes ker t central in H, so an edge witness k valued in K^G, the part
+    of ker t every alpha(g) fixes, keeps g and turns h_ijk into
+    h_ijk k_ik k_jk^-1 k_ij^-1 on every row: a translation by an element of
+    S, the subgroup the deltas read at the basepoint generate.  It is
+    central in W, as composing it with (f, k') on either side gives
+    (f, k' k).  So these witnesses form a normal subgroup N, their orbits
+    are the cosets of S, classes are the orbits of W/N on them, and the
+    slice keeps the least row of each coset (``_Quotient``).  Re-slicing reads
+    only g, which N keeps, so it commutes with N, each re-sliced move
+    followed by the carry permutes these rows, and the edge moves valued in
+    K^G are the identity on them.
+
+    Exactly ``sys.fibre`` |S| cocycles re-slice to each slice row: the forest
+    values are free, every other edge value is free within its coset, the
+    re-slicing witness those values fix acts on the triangle data as a
+    bijection, and the row then stands for the |S| members of its coset.  A
+    class therefore has that many cocycles per slice row.  Its least
+    cocycle lies in the slice, since one move makes any other cocycle
     smaller: the vertex move at j clearing a nonzero (p(j), j) changes only
-    that edge and later ones, as no edge (i, j) has i < p(j), and the edge
-    move taking g_e to its coset minimum changes only triangle digits after
-    it.  So the least slice row of a class is its least cocycle, and classes
+    that edge and later ones, as no edge (i, j) has i < p(j), the edge move
+    taking g_e to its coset minimum changes only triangle digits after it,
+    and the carry changes only triangle digits at and after its column.
+    So the least slice row of a class is its least cocycle, and classes
     are numbered and represented as the full orbit closure numbers them.
     Classes are the components found by min-label propagation with pointer
     jumping (Tarjan, JACM 1975).
     """
     ranks = sys.ranks(g_mat, h_mat)
-    n = len(ranks)
+    n, fibre = len(ranks), sys.fibre * sys.quotient.order
 
     moves = sys.slice_moves()
     neighbours = []
@@ -907,11 +871,11 @@ def _classify_slice(sys: _System, g_mat: np.ndarray, h_mat: np.ndarray) -> Class
     return Classification(
         representatives=reps,
         base_class=int(labels[0]),  # row 0 is the trivial cocycle, rank 0
-        num_cocycles=n * sys.fibre,
-        _sizes=[size * sys.fibre for size in np.bincount(labels).tolist()],
+        num_cocycles=n * fibre,
+        _sizes=[size * fibre for size in np.bincount(labels).tolist()],
         _system=sys,
         _lookup=_SliceLookup(sys, ranks, labels),
-        stats={"path": "slice", "slice_rows": n, "fibre": sys.fibre, "moves": len(moves), "closure_rounds": rounds},
+        stats={"slice_rows": n, "fibre": fibre, "moves": len(moves), "closure_rounds": rounds},
     )
 
 
@@ -932,8 +896,7 @@ class _SliceLookup:
 
     def label(self, c: Cocycle) -> int:
         sys = self.sys
-        gds, hds = sys.reslice_digits(*sys.cocycle_to_digits(c))
-        rank = sum(map(operator.mul, gds, sys.g_weights)) + sum(map(operator.mul, hds, sys.h_weights))
+        rank = sys.ranks.of_row(*sys.reslice_digits(*sys.cocycle_to_digits(c)))
         index = int(self.ranks.searchsorted(rank))
         if index == len(self.ranks) or self.ranks[index] != rank:
             raise ValueError("not a valid cocycle of this classification")
@@ -947,21 +910,19 @@ def classify_h1(
 
     Orbits are generated by elementary witnesses (vertex moves valued in a
     generating set of G, edge moves in a generating set of H); witnesses
-    compose, so this reaches the full orbit of the witness group.  With
-    trivial G and no tetrahedra the orbits are cosets of the subgroup the
-    move deltas generate, and an echelon chain of that subgroup gives the
-    classes, their sizes and their least cocycles directly.  Every other
-    instance is classified on its gauge slice: only the cocycles that are 1
-    on a forest of edges and coset-minimal on the other edges are
+    compose, so this reaches the full orbit of the witness group.  Every
+    instance is classified on its gauge slice (see ``_classify_slice``):
+    only the cocycles that are 1 on a forest of edges, coset-minimal on the
+    other edges and least in their coset of S on the triangles are
     enumerated and closed under the residual moves, each move followed by
-    re-slicing, and every slice cocycle stands for the same number of
+    re-slicing.  The edge moves valued in K^G need no closure: they are
+    central among the witnesses, so their orbits are the cosets of S in
+    every class alike.  Every slice cocycle stands for the same number of
     cocycles.  Classes are numbered by their least cocycle, which is also
-    their representative.  ``stats`` says which path ran and what it listed.
+    their representative.  ``stats`` says what the slice listed.
     """
     sys = _system(cx, xm)
-    if sys.G.order == 1 and not sys.tets:
-        return _classify_cosets(sys, budget)
-    return _classify_slice(sys, *_enumerate_digit_arrays(sys, budget, sys.slice_allowed))
+    return _classify_slice(sys, *_enumerate_digit_arrays(sys, budget, on_slice=True))
 
 
 def relation_matrix(
@@ -980,11 +941,12 @@ def relation_matrix(
     """
     sys = _system(cx, xm)
     g_mat, h_mat = _enumerate_digit_arrays(sys, budget)
-    ranks = sys.ranks(g_mat, h_mat)
+    rank = _Ranks(np.ones((len(sys.edges), sys.G.order), dtype=bool), np.ones((len(sys.tris), sys.H.order), dtype=bool))
+    ranks = rank(g_mat, h_mat)
     rel = np.zeros((len(g_mat), len(g_mat)), dtype=bool)
     for f, k in sys.witness_blocks(witness_budget):
         for a in range(len(g_mat)):
-            index, found = _search(ranks, sys.ranks(*sys.act(g_mat[a : a + 1], h_mat[a : a + 1], f, k)))
+            index, found = _search(ranks, rank(*sys.act(g_mat[a : a + 1], h_mat[a : a + 1], f, k)))
             assert found.all()  # the action keeps cocycles valid
             rel[a, index] = True
     return rel, CocycleSequence(sys.edges, sys.tris, g_mat, h_mat)
@@ -1001,15 +963,11 @@ def _smith_diagonal(rows: list[list[int]]) -> list[int]:
     diag = []
     top = 0
     while top < m and top < n:
-        # locate a nonzero pivot of least magnitude
-        best = None
-        for i in range(top, m):
-            for j in range(top, n):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
+        # locate a nonzero pivot of least magnitude, the first in row-major order
+        pivots = [(abs(a[i][j]), i, j) for i in range(top, m) for j in range(top, n) if a[i][j]]
+        if not pivots:
             break
-        bi, bj = best
+        _, bi, bj = min(pivots)
         a[top], a[bi] = a[bi], a[top]
         for row in a:
             row[top], row[bj] = row[bj], row[top]
@@ -1045,20 +1003,28 @@ def _smith_diagonal(rows: list[list[int]]) -> list[int]:
     return [d for d in diag if d != 0]
 
 
-def _torsion_count(H, d: int) -> int:
-    return sum(1 for x in H.elements() if H.power(x, d) == 0)
-
-
 def _hom_sizes(H, rows: list[list[int]], cols: int) -> tuple[int, int]:
     """(|kernel|, |image|) of an integer matrix acting on H^cols."""
     diag = _smith_diagonal(rows) if rows and cols else []
     image = 1
     kernel = H.order ** (cols - len(diag))
     for d in diag:
-        tor = _torsion_count(H, d)
+        tor = sum(H.power(x, d) == 0 for x in H.elements())
         kernel *= tor
         image *= H.order // tor
     return kernel, image
+
+
+def _coboundary_rows(simplices, faces) -> list[list[int]]:
+    """Per simplex, the alternating sum of its faces as a row over ``faces``."""
+    index = {s: i for i, s in enumerate(faces)}
+    rows = []
+    for s in simplices:
+        row = [0] * len(faces)
+        for drop in range(len(s)):
+            row[index[s[:drop] + s[drop + 1 :]]] += (-1) ** drop
+        rows.append(row)
+    return rows
 
 
 def abelian_oracle_h2(cx: SimplicialComplex, H) -> int:
@@ -1068,33 +1034,10 @@ def abelian_oracle_h2(cx: SimplicialComplex, H) -> int:
     Independent of the cocycle enumeration machinery: this is the oracle the
     one-object coefficient case must reproduce.
     """
-    if not H.is_abelian():
-        for a in H.elements():
-            for b in H.elements():
-                if H.mul(a, b) != H.mul(b, a):
-                    raise NotAbelian((a, b))
-    edges = cx.simplices_of_dim(1)
-    tris = cx.simplices_of_dim(2)
-    tets = cx.simplices_of_dim(3)
-    eidx = {e: i for i, e in enumerate(edges)}
-    tidx = {t: i for i, t in enumerate(tris)}
-    d1 = []
-    for (i, j, k) in tris:
-        row = [0] * len(edges)
-        row[eidx[(j, k)]] += 1
-        row[eidx[(i, k)]] -= 1
-        row[eidx[(i, j)]] += 1
-        d1.append(row)
-    d2 = []
-    for (i, j, k, l) in tets:
-        row = [0] * len(tris)
-        row[tidx[(j, k, l)]] += 1
-        row[tidx[(i, k, l)]] -= 1
-        row[tidx[(i, j, l)]] += 1
-        row[tidx[(i, j, k)]] -= 1
-        d2.append(row)
-    kernel2, _ = _hom_sizes(H, d2, len(tris))
-    _, image1 = _hom_sizes(H, d1, len(edges))
+    require_abelian(H)
+    edges, tris = cx.simplices_of_dim(1), cx.simplices_of_dim(2)
+    kernel2, _ = _hom_sizes(H, _coboundary_rows(cx.simplices_of_dim(3), tris), len(tris))
+    _, image1 = _hom_sizes(H, _coboundary_rows(tris, edges), len(edges))
     if kernel2 % image1:
         raise ValueError("cochain complex is not a complex; check the coboundaries")
     return kernel2 // image1
@@ -1107,8 +1050,6 @@ def holonomy_oracle(cx: SimplicialComplex, c: Cocycle, xm: CrossedModule) -> int
     against their increasing orientation contribute inverses.  Coefficients
     must be discrete (trivial H).
     """
-    from .groups import conjugacy_class_index
-
     if not xm.is_discrete():
         raise ValueError("holonomy oracle needs discrete coefficients")
     edges = cx.simplices_of_dim(1)
@@ -1135,8 +1076,7 @@ def holonomy_oracle(cx: SimplicialComplex, c: Cocycle, xm: CrossedModule) -> int
             break
         a, b = nbrs[at]
         nxt = b if a == prev else a
-        if steps > len(edges):
-            raise NotACycle("edges do not form a single cycle")
+    # every vertex has two neighbours, so the walk ends after the edges of its own cycle
     if steps != len(edges):
         raise NotACycle("edges do not form a single cycle")
     return conjugacy_class_index(G, hol)

@@ -12,7 +12,11 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Sequence
 
-from .errors import EmptySimplex, UnknownSpace, VertexOutOfRange
+from .errors import BudgetExceeded, EmptySimplex, UnknownSpace, VertexOutOfRange
+
+# the most faces a complex may hold, counted before its closure is built:
+# every stock space and subdivision holds fewer than a thousand
+MAX_FACES = 10**6
 
 
 class SimplicialComplex:
@@ -76,7 +80,9 @@ def build_complex(
     """Close the given simplices under faces.
 
     Input tuples are normalized to strictly increasing order; all vertices
-    0..vertex_count-1 are included even when isolated.
+    0..vertex_count-1 are included even when isolated.  Raises
+    BudgetExceeded, before the closure is built, when the vertices and the
+    2^|s| - 1 faces of each maximal simplex s number more than MAX_FACES.
     """
     normalized = []
     for s in maximal_simplices:
@@ -88,6 +94,9 @@ def build_complex(
         if t[0] < 0 or t[-1] >= vertex_count:
             raise VertexOutOfRange(t, vertex_count)
         normalized.append(t)
+    faces = vertex_count + sum(2 ** len(t) - 1 for t in normalized)
+    if faces > MAX_FACES:
+        raise BudgetExceeded(faces, MAX_FACES)
     simplices = _closure(normalized)
     simplices.update((v,) for v in range(vertex_count))
     return SimplicialComplex(vertex_count, simplices, name=name)

@@ -23,7 +23,6 @@ from .errors import (
     BudgetExceeded,
     EquivarianceViolation,
     IsoCheckFailed,
-    NotAbelian,
     NotComposable,
     PeifferViolation,
 )
@@ -32,7 +31,9 @@ from .groups import (
     GroupAction,
     GroupHom,
     direct_product,
+    generating_set,
     identity_hom,
+    require_abelian,
     semidirect_product,
     subgroup_as_group,
     trivial_action,
@@ -212,37 +213,10 @@ def discrete_two_group(G: FiniteGroup) -> CrossedModule:
 
 def shift_two_group(H: FiniteGroup) -> CrossedModule:
     """One-object 2-group of an abelian group H (H in degree 1)."""
-    if not H.is_abelian():
-        for a in H.elements():
-            for b in H.elements():
-                if H.mul(a, b) != H.mul(b, a):
-                    raise NotAbelian((a, b))
+    require_abelian(H)
     G = trivial_group()
     t = validate_hom(H, G, [0] * H.order)
     return validate_crossed_module(G, H, t, trivial_action(G, H), name=f"shift:{H.name}")
-
-
-def _generating_set(G: FiniteGroup) -> list[int]:
-    gens: list[int] = []
-    generated = {0}
-    for x in G.elements():
-        if x in generated:
-            continue
-        gens.append(x)
-        frontier = list(generated | {x})
-        closure = set(frontier)
-        queue = list(frontier)
-        while queue:
-            a = queue.pop()
-            for b in list(closure):
-                for c in (G.mul(a, b), G.mul(b, a)):
-                    if c not in closure:
-                        closure.add(c)
-                        queue.append(c)
-        generated = closure
-        if len(generated) == G.order:
-            break
-    return gens
 
 
 def group_automorphisms(H: FiniteGroup) -> list[tuple[int, ...]]:
@@ -253,7 +227,7 @@ def group_automorphisms(H: FiniteGroup) -> list[tuple[int, ...]]:
     """
     if H.order > AUT_ENUMERATION_BOUND:
         raise BudgetExceeded(H.order, AUT_ENUMERATION_BOUND)
-    gens = _generating_set(H)
+    gens = generating_set(H.table)
     # express every element as parent * generator, by closure order
     parent: dict[int, tuple[int, int]] = {}
     known = [0]

@@ -45,7 +45,7 @@ from .crossed_modules import (
     validate_two_group_hom,
 )
 from .errors import DefectNotInKernel, NotExact, ValuesNotInKernel
-from .groups import FiniteGroup, GroupHom, validate_action, validate_hom
+from .groups import FiniteGroup, GroupHom, minimal_section, validate_action, validate_hom
 
 
 @dataclass
@@ -67,14 +67,6 @@ class GroupSES:
     @property
     def K(self) -> FiniteGroup:
         return self.projection.cod
-
-
-def minimal_section(projection: GroupHom) -> np.ndarray:
-    """Least preimage per element; sends identity to identity."""
-    sec = np.full(projection.cod.order, -1, dtype=np.int64)
-    for g in range(projection.dom.order - 1, -1, -1):
-        sec[projection(g)] = g
-    return sec
 
 
 def validate_group_ses(

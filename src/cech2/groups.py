@@ -22,6 +22,7 @@ import numpy as np
 from .errors import (
     MissingInverse,
     NoIdentityAtZero,
+    NotAbelian,
     NotActionHom,
     NotAssociative,
     NotAutomorphism,
@@ -149,12 +150,15 @@ class GroupAction:
 _CUBE_CHUNK_CELLS = 1 << 22
 
 
-def _light_generators(t: np.ndarray) -> list[int]:
-    """Greedy generators: each is the least element not yet reached from 0
-    by right multiplication with the generators chosen before it, so that
-    every element is reached with all of them."""
+def generating_set(t: np.ndarray, elements: Sequence[int] | None = None) -> list[int]:
+    """Greedy generators of the group with multiplication table ``t``, or of
+    its subgroup on ``elements``: each is the least element not yet reached
+    from 0 by right multiplication with the generators chosen before it, so
+    that every element is reached with all of them.  Elements outside the
+    subgroup count as reached, as no generator leads from them into it."""
     n = len(t)
-    reached = np.zeros(n, dtype=bool)
+    reached = np.ones(n, dtype=bool)
+    reached[range(n) if elements is None else elements] = False
     reached[0] = True
     gens: list[int] = []
     while not reached.all():
@@ -208,7 +212,7 @@ def validate_group(table: Sequence[Sequence[int]], name: str = "G") -> FiniteGro
     idx = np.arange(n)
     if not (np.array_equal(t[0], idx) and np.array_equal(t[:, 0], idx)):
         raise NoIdentityAtZero("row/column 0 must act as the identity")
-    if not all(np.array_equal(t[t[:, a]], t[:, t[a]]) for a in _light_generators(t)):
+    if not all(np.array_equal(t[t[:, a]], t[:, t[a]]) for a in generating_set(t)):
         raise NotAssociative(_first_nonassociative_triple(t))
     grp = FiniteGroup(t, name=name)
     # the right inverse (first zero of a row) must also be a left inverse
@@ -256,6 +260,23 @@ def validate_action(
             if not np.array_equal(p[actor.mul(g1, g2)], p[g1][p[g2]]):
                 raise NotActionHom((g1, g2))
     return GroupAction(actor, target, p)
+
+
+def require_abelian(group: FiniteGroup) -> None:
+    """Raises NotAbelian with the first pair (a, b), in row-major order, for
+    which ab != ba."""
+    unequal = np.argwhere(group.table != group.table.T)
+    if len(unequal):
+        raise NotAbelian(tuple(int(x) for x in unequal[0]))
+
+
+def minimal_section(f: GroupHom) -> np.ndarray:
+    """The least preimage of each element of the codomain, -1 off the image;
+    the identity goes to the identity."""
+    values, first = np.unique(f.map, return_index=True)
+    section = np.full(f.cod.order, -1, dtype=np.int64)
+    section[values] = first
+    return section
 
 
 def trivial_action(actor: FiniteGroup, target: FiniteGroup) -> GroupAction:

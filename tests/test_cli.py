@@ -180,6 +180,35 @@ def test_fuzzed_json_inputs(tmp_path_factory, case):
     assert len(lines) == 1 and "ok" in json.loads(lines[0])
 
 
+class TestOversizedSpace:
+    """A space file whose closure would outgrow MAX_FACES is refused before
+    any face is built: exit 3 and one JSON object."""
+
+    @pytest.mark.parametrize(
+        "obj,faces",
+        [({"vertices": 30, "maximal": [list(range(30))]}, 30 + 2**30 - 1), ({"vertices": 3_000_000, "maximal": [[0, 1]]}, 3_000_003)],
+        ids=["30-vertex-simplex", "3e6-vertices"],
+    )
+    def test_refused_before_the_closure(self, tmp_path, monkeypatch, obj, faces):
+        from cech2 import complexes
+
+        def no_closure(simplices):
+            raise AssertionError("the closure was built")
+
+        monkeypatch.setattr(complexes, "_closure", no_closure)
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(obj))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["validate", "--space", str(path)])
+        assert code == 3
+        assert json.loads(out.getvalue()) == {
+            "ok": False,
+            "error": "budget",
+            "detail": f"workload {faces} exceeds budget {complexes.MAX_FACES}",
+        }
+
+
 class TestValidate:
     def test_valid_crossed_module_file(self, tmp_path, z2z4):
         from cech2.fixtures import crossed_module_to_json

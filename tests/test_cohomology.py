@@ -4,7 +4,6 @@ import operator
 import random
 import time
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,10 +18,10 @@ from cech2.cohomology import (
     Cocycle,
     CoboundaryWitness,
     _classify_slice,
-    _CosetLookup,
-    _echelon_chain,
     _encode,
     _enumerate_digit_arrays,
+    _Quotient,
+    _Ranks,
     _System,
     _system,
     abelian_oracle_h2,
@@ -461,7 +460,7 @@ class TestResliceDigits:
                 rows = np.arange(0, len(g_all), max(1, len(g_all) // 60))
                 g_mat, h_mat = g_all[rows], h_all[rows]
             elif len(sys.kernel_t) ** len(sys.tris) <= 10**4:  # the slice rows
-                g_mat, h_mat = _enumerate_digit_arrays(sys, sys.candidate_count(), sys.slice_allowed)
+                g_mat, h_mat = _enumerate_digit_arrays(sys, sys.candidate_count(), on_slice=True)
             else:  # with no tetrahedra, g = 1 and any triangle data in ker t make a cocycle
                 assert not sys.tets
                 g_mat = np.zeros((60, len(sys.edges)), dtype=np.int64)
@@ -472,6 +471,7 @@ class TestResliceDigits:
             g_mat, h_mat = (np.vstack(pair) for pair in zip((g_mat, h_mat), sys.act(g_mat, h_mat, f, k)))
             g2, h2 = sys.reslice(g_mat, h_mat)
             assert sys.slice_allowed[np.arange(len(sys.edges)), g2].all()
+            assert sys.quotient.allowed[np.arange(len(sys.tris)), h2].all()
             for r in range(len(g_mat)):
                 gds, hds = sys.reslice_digits(g_mat[r].tolist(), h_mat[r].tolist())
                 assert (list(gds), list(hds)) == (g2[r].tolist(), h2[r].tolist())
@@ -497,7 +497,7 @@ class TestEncode:
             sys = _System(standard_space("point"), xm)
             g_mat, h_mat = _enumerate_digit_arrays(sys, DEFAULT_BUDGET)
             assert g_mat.shape == (1, 0) and h_mat.shape == (1, 0)
-            assert _encode(g_mat, sys.g_weights).tolist() == [0]
+            assert _encode(g_mat, _lex_weights(sys)[0]).tolist() == [0]
             assert sys.ranks(g_mat, h_mat).tolist() == [0]
 
     def test_uint8_digits(self):
@@ -516,6 +516,37 @@ class TestEncode:
         ranks = _encode(mat, weights)
         assert ranks.tolist() == self._reference(mat, weights)
         assert ranks[0] == 511**7 - 1 and ranks[1] == 0
+
+
+class TestRanks:
+    """``_Ranks`` against each row's position among all the rows the masks
+    admit, listed in lexicographic order, with masks whose allowed values
+    skip some, as coset minima may."""
+
+    def test_position_among_admitted_rows(self):
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            g_allowed, h_allowed = rng.random((3, 5)) < 0.5, rng.random((2, 4)) < 0.5
+            g_allowed[:, 0] = h_allowed[:, 0] = True
+            values = [np.flatnonzero(column).tolist() for column in (*g_allowed, *h_allowed)]
+            rows = np.array(list(itertools.product(*values)), dtype=np.int64)
+            ranks = _Ranks(g_allowed, h_allowed)
+            assert ranks.space == len(rows)
+            assert ranks(rows[:, :3], rows[:, 3:]).tolist() == list(range(len(rows)))
+            assert [ranks.of_row(row[:3], row[3:]) for row in rows.tolist()] == list(range(len(rows)))
+
+    def test_every_value_allowed_is_the_lexicographic_rank(self):
+        rng = np.random.default_rng(6)
+        g_mat, h_mat = rng.integers(6, size=(50, 4)), rng.integers(2, size=(50, 3))
+        ranks = _Ranks(np.ones((4, 6), dtype=bool), np.ones((3, 2), dtype=bool))
+        lex = [int("".join(map(str, g)), 6) * 8 + int("".join(map(str, h)), 2) for g, h in zip(g_mat, h_mat)]
+        assert ranks(g_mat, h_mat).tolist() == lex
+
+    def test_rank_space_beyond_int64_is_refused(self):
+        ranks = _Ranks(np.ones((22, 8), dtype=bool), np.ones((0, 1), dtype=bool))
+        assert ranks.space == 8**22
+        with pytest.raises(BudgetExceeded):
+            ranks(np.zeros((1, 22), dtype=np.int64), np.zeros((1, 0), dtype=np.int64))
 
 
 class TestEnumerateCocycles:
@@ -608,6 +639,16 @@ class TestClassifyH1:
         assert sorted(ids.tolist()) == list(range(cls.num_cocycles))
         assert cls.sizes() == [len(ids) for ids in classes]
 
+    def test_budget_refused_before_the_quotient(self):
+        # sd(sd(torus7)) has 504 triangles: the quotient's deltas alone would
+        # be a 756 x 504 matrix, and its chain a long sift
+        cx = barycentric_subdivide(barycentric_subdivide(standard_space("torus7")))
+        xm = coefficient_from_spec("shift:Z2")
+        with pytest.raises(BudgetExceeded):
+            classify_h1(cx, xm)
+        sys = _system(cx, xm)
+        assert len(sys.tris) == 504 and "quotient" not in vars(sys)
+
     def test_representative_is_minimum(self, sphere2, z2z4):
         cls = classify_h1(sphere2, z2z4)
         sys = _System(sphere2, z2z4)
@@ -616,6 +657,14 @@ class TestClassifyH1:
             assert int(ids[0]) == min(int(x) for x in ids)
             assert rep == sys.digits_to_cocycle(g_mat[ids[0]], h_mat[ids[0]])
             assert cls.class_of(rep) == i
+
+
+def _lex_weights(sys: _System) -> tuple[list[int], list[int]]:
+    """The weights of the g and the h digits in a row's rank over all of
+    G^E x H^T, in lexicographic order."""
+    E, T = len(sys.edges), len(sys.tris)
+    h_weights = [sys.H.order ** (T - 1 - col) for col in range(T)]
+    return [sys.G.order ** (E - 1 - col) * sys.H.order**T for col in range(E)], h_weights
 
 
 def _members(cls, g_mat, h_mat) -> list[np.ndarray]:
@@ -743,9 +792,9 @@ def _walk_orbits(sys, g_mat, h_mat):
 
 
 class TestClassifyAgainstReferenceWalker:
-    # rp2_6 shift:Z2 and sphere2 shift:K4 (H not cyclic) take the coset
-    # path; the others are classified on the slice, without triangles, with
-    # triangles, and with a tetrahedron
+    # rp2_6 shift:Z2 and sphere2 shift:K4 (H not cyclic) are one slice row
+    # per class, all of ker t central; the others are classified on the
+    # slice without triangles, with triangles, and with a tetrahedron
     @pytest.mark.parametrize(
         "space,spec",
         [
@@ -777,7 +826,7 @@ class TestClassifyAgainstReferenceWalker:
         # another row of that class now lands outside
         cx, xm = standard_space("circle6"), coefficient_from_spec("discrete:S3")
         sys = _System(cx, xm)
-        g_mat, h_mat = _enumerate_digit_arrays(sys, DEFAULT_BUDGET, sys.slice_allowed)
+        g_mat, h_mat = _enumerate_digit_arrays(sys, DEFAULT_BUDGET, on_slice=True)
         labels = classify_h1(cx, xm).labels_of(g_mat, h_mat)
         assert len(g_mat) == 6 and np.bincount(labels).tolist() == [1, 3, 2]
         keep = np.arange(len(g_mat)) != np.flatnonzero(labels == 1)[1]
@@ -798,7 +847,7 @@ def _reference_classify_orbits(sys: _System, g_mat: np.ndarray, h_mat: np.ndarra
     rank_space = sys.G.order ** len(sys.edges) * sys.H.order ** len(sys.tris)
     if rank_space > np.iinfo(np.int64).max:
         raise BudgetExceeded(rank_space, int(np.iinfo(np.int64).max))
-    gw, hw = sys.g_weights, sys.h_weights
+    gw, hw = _lex_weights(sys)
     ranks = _encode(g_mat, gw) + _encode(h_mat, hw)
     n = len(ranks)
 
@@ -843,9 +892,10 @@ class _ReferenceRankLookup:
 
     def __init__(self, sys: _System, ranks: np.ndarray, labels: np.ndarray):
         self.sys, self.ranks, self._labels = sys, ranks, labels
+        self.weights = _lex_weights(sys)
 
     def labels(self, g_mat: np.ndarray, h_mat: np.ndarray) -> np.ndarray:
-        ranks = _encode(g_mat, self.sys.g_weights) + _encode(h_mat, self.sys.h_weights)
+        ranks = _encode(g_mat, self.weights[0]) + _encode(h_mat, self.weights[1])
         index = np.minimum(self.ranks.searchsorted(ranks), len(self.ranks) - 1)
         if (self.ranks[index] != ranks).any():
             raise ValueError("not a valid cocycle of this classification")
@@ -853,7 +903,7 @@ class _ReferenceRankLookup:
 
     def label(self, c: Cocycle) -> int:
         gds, hds = self.sys.cocycle_to_digits(c)
-        rank = sum(map(operator.mul, gds + hds, self.sys.g_weights + self.sys.h_weights))
+        rank = sum(map(operator.mul, gds + hds, self.weights[0] + self.weights[1]))
         index = int(self.ranks.searchsorted(rank))
         if index == len(self.ranks) or self.ranks[index] != rank:
             raise ValueError("not a valid cocycle of this classification")
@@ -883,7 +933,7 @@ def _slice_cases():
         xm = coefficient_from_spec(spec)
         for name, cx in spaces.items():
             sys = _System(cx, xm)
-            if sys.candidate_count() <= DEFAULT_BUDGET and (xm.G.order > 1 or sys.tets):
+            if sys.candidate_count() <= DEFAULT_BUDGET:
                 cases.append((name, spec))
     return cases
 
@@ -905,15 +955,16 @@ class TestSliceAgainstFullClosure:
         for i in range(0, len(g_mat), max(1, len(g_mat) // 40)):
             c = sys.digits_to_cocycle(g_mat[i], h_mat[i])
             assert cls.class_of(c) == ref.class_of(c)
-        assert cls.stats["path"] == "slice"
         assert cls.stats["slice_rows"] * cls.stats["fibre"] == cls.num_cocycles
 
     def test_cases(self):
         cases = _slice_cases()
-        assert len(cases) == 199
+        assert len(cases) == 239
         assert {spec for _, spec in cases} == set(_SLICE_SPECS)
-        # the mutants that drop the root moves or the ker t moves each break some of these
+        # the mutants that drop the root moves or the ker t moves each break
+        # some of these; the shift cases have trivial G and all of ker t central
         assert ("circle3", "discrete:S3") in cases and ("sphere2", "aut:Z3") in cases
+        assert ("torus7", "shift:Z2") in cases and ("rp2_6", "shift:Z3") in cases
 
 
 def _d4():
@@ -924,7 +975,9 @@ def _d4():
 
 class TestSliceReach:
     """Instances the full closure could not afford: the slice lists a few
-    rows, each standing for a large fibre of cocycles."""
+    rows, each standing for a large fibre of cocycles.  Ranks over the
+    values the masks admit, and the quotient by the edge moves valued in
+    K^G, bring in instances the parent refused."""
 
     @pytest.mark.parametrize(
         "space,spec,budget,classes,cocycles",
@@ -948,6 +1001,47 @@ class TestSliceReach:
         assert cls.class_count == classes and cls.num_cocycles == cocycles == sum(cls.sizes())
         assert all(type(size) is int for size in cls.sizes())
         _check_class_of(cx, xm, cls)
+
+    @pytest.mark.parametrize(
+        "space,spec,budget,classes",
+        [
+            ("torus7", "hat:z2z4", 2**63, 16),  # |Hom(Z^2, Z4)|; ranks over G^E x H^T would need 2^77
+            ("sd(sphere2)", "z2z4", 4**36, 1),  # the same, 8 slice rows out of about 7.9e28 ranks
+            ("sd(tetra_solid)", "shift:Z2", 2**60, 1),  # one slice row for 2^36 cocycles
+            ("rp2_6", "aut:Z4", 2**35, 5),  # K^G = {0, 2}, a twisted ker t = Z4
+        ],
+    )
+    def test_reach_of_the_central_quotient(self, space, spec, budget, classes):
+        cx, xm = _space(space), coefficient_from_spec(spec)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            cls = classify_h1(cx, xm, budget=budget)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0 and peak < 16 * 2**20
+        assert cls.class_count == classes and cls.num_cocycles == sum(cls.sizes())
+        # the homotopy cardinality |Z^1| |H|^V / (|G|^V |H|^E) (Yetter, J. Knot
+        # Theory Ramif. 2, 1993), a homotopy invariant: |H|/|G| on the contractible sd(tetra_solid), and 1/2 on
+        # sd(sphere2) as on sphere2 itself (test_sphere2_homotopy_cardinality)
+        V, E = cx.vertex_count, len(cx.simplices_of_dim(1))
+        chi = {"torus7": (4, 1), "sd(sphere2)": (1, 2), "sd(tetra_solid)": (2, 1), "rp2_6": (4, 1)}[space]
+        assert cls.num_cocycles * xm.H.order**V * chi[1] == chi[0] * xm.G.order**V * xm.H.order**E
+        if xm.G.order == 1:
+            assert cls.class_count == abelian_oracle_h2(cx, xm.H)
+        if spec == "aut:Z4":
+            # classes with trivial holonomy have a representative with g = 1:
+            # H^2(RP^2; Z4) = Z2, on which the inversion acts trivially; the
+            # other three are H^2(RP^2; Z4 twisted) = Z4 up to sign
+            trivial = sum(not any(rep.g.values()) for rep in cls.representatives)
+            assert trivial == abelian_oracle_h2(cx, xm.H) == 2
+        _check_class_of(cx, xm, cls)
+
+    def test_sphere2_homotopy_cardinality(self):
+        cls = classify_h1(standard_space("sphere2"), coefficient_from_spec("z2z4"))
+        assert cls.class_count == 1 and 2 * cls.num_cocycles * 2**4 == 4**4 * 2**6
 
     def test_homotopy_cardinality(self):
         # |Z^1| |H|^V / (|G|^V |H|^E) on torus7 with z2z4
@@ -987,7 +1081,6 @@ class TestClassificationStats:
         cls = classify_h1(cx, xm)
         sys = _system(cx, xm)
         assert cls.stats == {
-            "path": "slice",
             "slice_rows": 6,
             "fibre": 6**5,
             "moves": len(sys.slice_moves()),
@@ -996,9 +1089,11 @@ class TestClassificationStats:
         assert cls.stats["moves"] == 2 and cls.stats["closure_rounds"] >= 2
         assert cls.stats["slice_rows"] * cls.stats["fibre"] == cls.num_cocycles
 
-    def test_coset_path(self, sphere2, z2):
+    def test_central_kernel_quotient(self, sphere2, z2):
+        # trivial G, all of H = ker t central: one slice row per class, each
+        # standing for a coset of S, and no moves left to close
         cls = classify_h1(sphere2, shift_two_group(z2))
-        assert cls.stats == {"path": "cosets", "slice_rows": 2, "fibre": 8, "moves": 6, "closure_rounds": 0}
+        assert cls.stats == {"slice_rows": 2, "fibre": 8, "moves": 0, "closure_rounds": 1}
 
     def test_not_in_the_report(self, circle3, s3):
         cls = classify_h1(circle3, discrete_two_group(s3))
@@ -1018,7 +1113,7 @@ def _reference_classify_cosets(sys: _System, budget: int):
     n = H.order**T
     if n > budget:
         raise BudgetExceeded(n, budget)
-    hw = sys.h_weights
+    _, hw = _lex_weights(sys)
     table = H.table.astype(np.min_scalar_type(H.order - 1))
 
     def decode(x: int) -> np.ndarray:
@@ -1087,8 +1182,10 @@ def _coset_cases(limit=2**20):
 
 
 class TestCosetPathAgainstClosure:
-    """The echelon chain must reproduce the closure over all |H|^T states:
-    sizes, representatives, base class and the label of every state."""
+    """One-object coefficients without tetrahedra, once a path of their own:
+    the slice, one row per coset of S, must reproduce the closure over all
+    |H|^T states: sizes, representatives, base class and the label of every
+    state."""
 
     @pytest.mark.parametrize("space,spec", _coset_cases())
     def test_same_classification(self, space, spec):
@@ -1115,7 +1212,9 @@ class TestCosetPathAgainstClosure:
 
 class TestEchelonChain:
     """The chain against a closure of random generators in H^3, with values
-    off the generators of H so that A_p grows in several steps."""
+    off the generators of H so that A_p grows in several steps; then the
+    triangle mask and the carries it gives against the least member of each
+    coset of S."""
 
     @pytest.mark.parametrize(
         "H",
@@ -1136,26 +1235,28 @@ class TestEchelonChain:
             while frontier:
                 frontier = {plus(x, g) for x in frontier for g in gens} - sub
                 sub |= frontier
-            chain = _echelon_chain(H, [np.array(g) for g in gens], 3)
-            for p, column in enumerate(chain):
+            quotient = _Quotient(H, [np.array(g) for g in gens], 3)
+            for p, column in enumerate(quotient.chain):
                 assert set(column) == {x[p] for x in sub if not any(x[:p])}
                 for a, t in column.items():
                     assert tuple(t.tolist()) in sub and not t[:p].any() and t[p] == a
-            # classes numbered by their least member, which represents them
+            # the mask admits exactly the least member of each coset, and the
+            # carries take every state there
             least = {}
             for x in states:
                 if x not in least:
                     least.update((plus(x, s), x) for s in sub)
-            minima = sorted(set(least.values()))
-            lookup = _CosetLookup(SimpleNamespace(H=H), chain)
-            assert [tuple(r) for r in lookup.representatives.tolist()] == minima
-            labels = lookup.labels(None, np.array(states, dtype=np.int64))
-            assert labels.tolist() == [minima.index(least[x]) for x in states]
+            admitted = [x for x in states if all(quotient.allowed[p, v] for p, v in enumerate(x))]
+            assert admitted == sorted(set(least.values())) and quotient.order == len(sub)
+            carried = quotient.carry(np.array(states, dtype=np.int64))
+            assert [tuple(x) for x in carried.tolist()] == [least[x] for x in states]
+            assert [tuple(quotient.carry_row(x)) for x in states] == [least[x] for x in states]
 
 
 class TestCosetPathReach:
     """Subdivided surfaces have 3^84 states with Z3 on sd(torus7): far beyond
-    any closure, but the chain only holds one subgroup of H per triangle."""
+    any closure, but the slice lists one row per class and the echelon chain
+    holds one subgroup of H per triangle."""
 
     @pytest.mark.parametrize(
         "space,group,count",
@@ -1318,7 +1419,7 @@ class TestClassOf:
         c.h[(0, 1, 2)] = 1
         cases.append((cx, shift_two_group(z2), c))
         # values outside the group, which a plain rank would alias to a
-        # neighbouring cocycle: slice, then coset path
+        # neighbouring cocycle: on an edge, then on a triangle
         cx = standard_space("circle6")
         xm = coefficient_from_spec("discrete:Z4")
         c = trivial_cocycle(cx, xm)

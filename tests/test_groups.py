@@ -8,6 +8,7 @@ from cech2.crossed_modules import aut_two_group
 from cech2.errors import (
     MissingInverse,
     NoIdentityAtZero,
+    NotAbelian,
     NotActionHom,
     NotAssociative,
     NotAutomorphism,
@@ -105,7 +106,7 @@ class TestLightsTest:
         t = cyclic_group(5).table.copy()
         t[3, 1] = 2  # 3 + 1 now reads 2
         assert _reference_first_bad_triple(t) == (1, 2, 1)
-        assert 2 not in groups._light_generators(t)
+        assert 2 not in groups.generating_set(t)
         with pytest.raises(NotAssociative) as exc:
             validate_group(t)
         assert exc.value.triple == (1, 2, 1)
@@ -113,7 +114,7 @@ class TestLightsTest:
     def test_failure_seen_only_by_a_later_generator(self):
         t = klein_four_group().table.copy()
         t[2, 3] = t[3, 2] = 0
-        assert groups._light_generators(t) == [1, 2]
+        assert groups.generating_set(t) == [1, 2]
         assert np.array_equal(t[t[:, 1]], t[:, t[1]])  # generator 1 alone passes
         with pytest.raises(NotAssociative) as exc:
             validate_group(t)
@@ -241,3 +242,55 @@ def test_action_is_by_automorphisms_property(data):
     assert act.apply(g, z3.mul(h1, h2)) == z3.mul(act.apply(g, h1), act.apply(g, h2))
     g2 = data.draw(st.integers(0, 1))
     assert act.apply(z2.mul(g, g2), h1) == act.apply(g, act.apply(g2, h1))
+
+
+def _reference_generators(group, elements):
+    """Scan ``elements`` in order and keep each one outside the subgroup the
+    kept ones generate, closing that subgroup under products each time."""
+    gens, generated = [], {0}
+    for x in sorted(elements):
+        if x not in generated:
+            gens.append(x)
+            closure = generated | {x}
+            while (grown := closure | {group.mul(a, b) for a in closure for b in closure}) != closure:
+                closure = grown
+            generated = closure
+    return gens
+
+
+class TestGeneratingSet:
+    """One greedy routine for groups and their subgroups, against the
+    reference scan: S4, K4, Z2 x Z4, both levels of the depth-1 nerve over
+    aut:S3, and every cyclic subgroup of S4."""
+
+    def test_groups(self, s3):
+        cases = [symmetric_group(4), klein_four_group(), direct_product(cyclic_group(2), cyclic_group(4))]
+        cases += nerve_two_group(aut_two_group(s3), 1).levels
+        for group in cases:
+            assert groups.generating_set(group.table) == _reference_generators(group, range(group.order))
+
+    def test_subgroups(self):
+        s4 = symmetric_group(4)
+        for x in range(s4.order):
+            cyclic = {0}
+            while (grown := cyclic | {s4.mul(a, x) for a in cyclic}) != cyclic:
+                cyclic = grown
+            assert groups.generating_set(s4.table, sorted(cyclic)) == _reference_generators(s4, cyclic)
+
+
+class TestRequireAbelian:
+    def test_first_pair_in_row_major_order(self, s3):
+        with pytest.raises(NotAbelian) as exc:
+            groups.require_abelian(s3)
+        pairs = [(a, b) for a in range(6) for b in range(6) if s3.mul(a, b) != s3.mul(b, a)]
+        assert exc.value.pair == pairs[0]
+        groups.require_abelian(klein_four_group())
+
+
+class TestMinimalSection:
+    def test_least_preimage_and_minus_one_off_the_image(self):
+        z4, z2 = cyclic_group(4), cyclic_group(2)
+        square = validate_hom(z4, z4, [0, 2, 0, 2])
+        assert groups.minimal_section(square).tolist() == [0, -1, 1, -1]
+        parity = validate_hom(z4, z2, [0, 1, 0, 1])
+        assert groups.minimal_section(parity).tolist() == [0, 1]
