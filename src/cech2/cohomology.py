@@ -519,8 +519,7 @@ class _Ranks:
         self.space = math.prod(radix)
         self.weights = [math.prod(radix[col + 1 :]) for col in range(len(radix))]
         self._positions = np.cumsum(allowed, axis=1) - 1
-        # only the columns whose values are not 0..count-1 need the positions
-        self._gaps = np.flatnonzero((allowed & (self._positions != np.arange(width))).any(axis=1))
+        self._cols = np.arange(len(radix))
         # each value's weighted position as a Python integer, for one row
         self._lists = [[position * w for position in row] for row, w in zip(self._positions.tolist(), self.weights)]
 
@@ -528,10 +527,7 @@ class _Ranks:
         """Raises BudgetExceeded when the ranks outgrow int64."""
         if self.space > _INT64_MAX:
             raise BudgetExceeded(self.space, _INT64_MAX)
-        digits = np.hstack((g_mat, h_mat))
-        if len(self._gaps):
-            digits[:, self._gaps] = self._positions[self._gaps, digits[:, self._gaps]]
-        return _encode(digits, self.weights)
+        return _encode(self._positions[self._cols, np.hstack((g_mat, h_mat))], self.weights)
 
     def of_row(self, gds, hds) -> int:
         """The rank of one row, in Python integers."""

@@ -1025,7 +1025,7 @@ class TestSliceReach:
         assert cls.class_count == classes and cls.num_cocycles == sum(cls.sizes())
         # the homotopy cardinality |Z^1| |H|^V / (|G|^V |H|^E) (Yetter, J. Knot
         # Theory Ramif. 2, 1993), a homotopy invariant: |H|/|G| on the contractible sd(tetra_solid), and 1/2 on
-        # sd(sphere2) as on sphere2 itself (test_sphere2_homotopy_cardinality)
+        # sd(sphere2) as on sphere2 itself (test_homotopy_cardinality)
         V, E = cx.vertex_count, len(cx.simplices_of_dim(1))
         chi = {"torus7": (4, 1), "sd(sphere2)": (1, 2), "sd(tetra_solid)": (2, 1), "rp2_6": (4, 1)}[space]
         assert cls.num_cocycles * xm.H.order**V * chi[1] == chi[0] * xm.G.order**V * xm.H.order**E
@@ -1039,16 +1039,15 @@ class TestSliceReach:
             assert trivial == abelian_oracle_h2(cx, xm.H) == 2
         _check_class_of(cx, xm, cls)
 
-    def test_sphere2_homotopy_cardinality(self):
-        cls = classify_h1(standard_space("sphere2"), coefficient_from_spec("z2z4"))
-        assert cls.class_count == 1 and 2 * cls.num_cocycles * 2**4 == 4**4 * 2**6
-
     def test_homotopy_cardinality(self):
-        # |Z^1| |H|^V / (|G|^V |H|^E) on torus7 with z2z4
-        cx, xm = standard_space("torus7"), coefficient_from_spec("z2z4")
-        cls = classify_h1(cx, xm, budget=4**21)
-        V, E = cx.vertex_count, len(cx.simplices_of_dim(1))
-        assert cls.num_cocycles * xm.H.order**V == 2 * xm.G.order**V * xm.H.order**E
+        # |Z^1| |H|^V / (|G|^V |H|^E) with z2z4: 2 on torus7, 1/2 on sphere2
+        xm = coefficient_from_spec("z2z4")
+        for space, budget, (num, den), classes in [("torus7", 4**21, (2, 1), None), ("sphere2", DEFAULT_BUDGET, (1, 2), 1)]:
+            cx = standard_space(space)
+            cls = classify_h1(cx, xm, budget=budget)
+            V, E = cx.vertex_count, len(cx.simplices_of_dim(1))
+            assert classes is None or cls.class_count == classes
+            assert den * cls.num_cocycles * xm.H.order**V == num * xm.G.order**V * xm.H.order**E
 
     @pytest.mark.parametrize("space,classes,cocycles", [("sphere2", 2, 524_288), ("tetra_solid", 1, None)])
     def test_nonabelian_h_with_central_kernel(self, space, classes, cocycles):
