@@ -22,8 +22,7 @@ from .cohomology import (
     refine_compare,
     validate_cocycle,
 )
-from .complexes import standard_space
-from .crossed_modules import iso_hat_check, validate_ses
+from .crossed_modules import hat_construction, iso_hat_check, validate_ses
 from .errors import BudgetExceeded, CechError, MalformedInput
 from .exactness import verify_lemma2, verify_lemma3
 from .nerve import check_bar_multiplication, check_level_iso, check_simplicial_identities, nerve_two_group
@@ -105,8 +104,6 @@ def _suite_lemma3(args) -> dict:
     if args.ses:
         sequences = {"file": fixtures.two_group_ses_from_json(json.loads(Path(args.ses).read_text()))}
     else:
-        from .crossed_modules import hat_construction
-
         _, hat_ses = hat_construction(fixtures.z2z4_crossed_module())
         sequences = {"hat:z2z4": hat_ses, "discrete:z2-z4-z2": fixtures.z2z4z2_discrete_ses()}
     spaces = [args.space] if args.space else ["circle3", "sphere2"]
@@ -120,8 +117,6 @@ def _suite_lemma3(args) -> dict:
 
 
 def _suite_hat_iso(args) -> dict:
-    from .crossed_modules import aut_two_group, hat_construction, shift_two_group
-
     specs = [args.coeff] if args.coeff else ["z2z4", "aut:Z3", "shift:Z2"]
     results = {}
     for spec in specs:

@@ -44,8 +44,10 @@ cocycles.
 Enumeration extends partial cocycles edge by edge, then triangle by
 triangle, in lexicographic order, and drops a row as soon as a law fails on a
 simplex whose last face was just set; its work scales with the surviving
-partial rows, not with |G|^E.  The budget still caps the candidate count
-|G|^E |ker t|^T, which bounds the number of partial rows.
+partial rows, not with |G|^E.  The budget caps, before any row is built,
+the rank space of the rows (``_Ranks``), which bounds the partial rows at
+every step: |G|^E |ker t|^T over all cocycles, |G/t(H)|^(E-F) |ker t|^T on
+the slice, F its forest edges.
 """
 
 from __future__ import annotations
@@ -120,7 +122,8 @@ class Classification:
     num_cocycles: int
     _sizes: list[int] = field(repr=False)
     _system: _System = field(repr=False)
-    _lookup: _SliceLookup = field(repr=False)
+    _rows: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)  # slice ranks, g and h digits
+    _labels: np.ndarray = field(repr=False)
     stats: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -131,11 +134,16 @@ class Classification:
         return list(self._sizes)
 
     def class_of(self, c: Cocycle) -> int:
-        """Label of the class holding ``c``.
-
-        Raises ValueError when ``c`` is not one of the classified cocycles.
+        """Label of the class holding ``c``: its re-sliced row, looked up as
+        ``_search`` does.  Raises ValueError when ``c`` is not one of the
+        classified cocycles.
         """
-        return self._lookup.label(c)
+        sys, (ranks, g_mat, h_mat) = self._system, self._rows
+        gds, hds = sys.reslice_digits(*sys.cocycle_to_digits(c))
+        index = min(int(ranks.searchsorted(sys.ranks.of_row(gds, hds))), len(ranks) - 1)
+        if g_mat[index].tolist() != list(gds) or h_mat[index].tolist() != hds:
+            raise ValueError("not a valid cocycle of this classification")
+        return int(self._labels[index])
 
     def labels_of(self, g_mat: np.ndarray, h_mat: np.ndarray) -> np.ndarray:
         """``class_of`` over whole digit matrices: the label of each row's class.
@@ -146,7 +154,10 @@ class Classification:
         for mat, width, order in ((g_mat, len(sys.edges), sys.G.order), (h_mat, len(sys.tris), sys.H.order)):
             if mat.shape != (n, width) or (mat < 0).any() or (mat >= order).any():
                 raise ValueError("not a valid cocycle of this classification")
-        return self._lookup.labels(g_mat, h_mat)
+        index, found = _search(sys.ranks, self._rows, sys.reslice(g_mat, h_mat))
+        if not found.all():
+            raise ValueError("not a valid cocycle of this classification")
+        return self._labels[index]
 
     def to_report(self) -> dict:
         return {
@@ -285,7 +296,13 @@ class _System:
 
     @functools.cached_property
     def ranks(self) -> _Ranks:
-        return _Ranks(self.slice_allowed, self.quotient.allowed)
+        """Ranks of the slice rows; built after the budget check (see ``quotient``)."""
+        return _Ranks(self.slice_allowed, self.quotient.allowed, self.xm.t.map)
+
+    @functools.cached_property
+    def cocycle_ranks(self) -> _Ranks:
+        """Ranks of all cocycles, every value allowed."""
+        return _Ranks(np.ones_like(self.slice_allowed), np.ones((len(self.tris), self.H.order), dtype=bool), self.xm.t.map)
 
     # conversions
 
@@ -429,7 +446,8 @@ class _System:
 
     # the gauge slice
 
-    def slice_moves(self):
+    @functools.cached_property
+    def slice_moves(self) -> list[tuple[str, int, int]]:
         """The residual moves on the slice (see ``_classify_slice``): vertex
         moves at the roots over generators of G, edge moves on the forest over
         generators of H, and edge moves on every edge over generators of ker t,
@@ -476,11 +494,6 @@ class _System:
         g2, h2 = self.apply_digits(gds, hds, f, k)
         return g2, self.quotient.carry_row(h2)
 
-    # enumeration
-
-    def candidate_count(self) -> int:
-        return self.G.order ** len(self.edges) * max(1, len(self.kernel_t)) ** len(self.tris)
-
 
 @functools.lru_cache(maxsize=128)
 def _system(cx: SimplicialComplex, xm: CrossedModule) -> _System:
@@ -504,42 +517,56 @@ def _encode(mat: np.ndarray, weights: list[int]) -> np.ndarray:
 
 
 class _Ranks:
-    """Ranks of the digit rows whose edge column e takes only values v with
-    ``g_allowed[e, v]`` and whose triangle column p only values x with
-    ``h_allowed[p, x]``: each row's position, as int64, in the lexicographic
-    order of all such rows.  It is the mixed-radix number whose digits are
-    the positions of the row's values among the values their columns allow;
-    with every value allowed, it is the rank in all of G^E x H^T.
+    """Ranks of digit rows: the mixed-radix number whose digit on edge e is
+    the position of the row's value among the values v with
+    ``g_allowed[e, v]``, and on triangle p the position of its value x among
+    the allowed values of its t-fibre t^-1(t(x)).  Every fibre of a column
+    holds equally many allowed values, its radix: |ker t| when all are, so
+    that ``space`` is |G|^E |ker t|^T.  The triangle law fixes the fibre of
+    each triangle value by g, so ranks are injective and follow lexicographic
+    order on the cocycles the masks allow, but not off them.  Raises
+    BudgetExceeded when ``space`` outgrows int64.
     """
 
-    def __init__(self, g_allowed: np.ndarray, h_allowed: np.ndarray):
-        width = max(g_allowed.shape[1], h_allowed.shape[1])
-        allowed = np.vstack([np.pad(part, ((0, 0), (0, width - part.shape[1]))) for part in (g_allowed, h_allowed)])
-        radix = allowed.sum(axis=1).tolist()
-        self.space = math.prod(radix)
-        self.weights = [math.prod(radix[col + 1 :]) for col in range(len(radix))]
-        self._positions = np.cumsum(allowed, axis=1) - 1
-        self._cols = np.arange(len(radix))
-        # each value's weighted position as a Python integer, for one row
-        self._lists = [[position * w for position in row] for row, w in zip(self._positions.tolist(), self.weights)]
-
-    def __call__(self, g_mat: np.ndarray, h_mat: np.ndarray) -> np.ndarray:
-        """Raises BudgetExceeded when the ranks outgrow int64."""
+    def __init__(self, g_allowed: np.ndarray, h_allowed: np.ndarray, t: np.ndarray):
+        earlier_in_fibre = np.tril(t[:, None] == t[None, :], -1)  # [x, y]: y < x, t(y) = t(x)
+        positions = [np.cumsum(g_allowed, axis=1) - 1, h_allowed.astype(np.int64) @ earlier_in_fibre.T]
+        radix = g_allowed.sum(axis=1).tolist() + h_allowed[:, t == 0].sum(axis=1).tolist()
+        self.masks, self.space = (g_allowed, h_allowed), math.prod(radix)
         if self.space > _INT64_MAX:
             raise BudgetExceeded(self.space, _INT64_MAX)
-        return _encode(self._positions[self._cols, np.hstack((g_mat, h_mat))], self.weights)
+        weights = [math.prod(radix[col + 1 :]) for col in range(len(radix))]
+        E = len(g_allowed)
+        self._parts = [(pos, np.arange(len(pos)), w) for pos, w in zip(positions, (weights[:E], weights[E:]))]
+        # each value's weighted position as a Python integer, for one row
+        rows = positions[0].tolist() + positions[1].tolist()
+        self._lists = [[position * w for position in row] for row, w in zip(rows, weights)]
+
+    def __call__(self, g_mat: np.ndarray, h_mat: np.ndarray) -> np.ndarray:
+        return sum(_encode(pos[cols, mat], w) for (pos, cols, w), mat in zip(self._parts, (g_mat, h_mat)))
 
     def of_row(self, gds, hds) -> int:
         """The rank of one row, in Python integers."""
         return sum(map(list.__getitem__, self._lists, (*gds, *hds)))
 
 
+def _search(ranks: _Ranks, rows, keys) -> tuple[np.ndarray, np.ndarray]:
+    """The position of each key row (g digits, h digits) among ``rows``,
+    (increasing ranks, g digits, h digits), and whether it is there: the rank
+    finds the one candidate, and comparing the whole row confirms it."""
+    sorted_ranks, g_mat, h_mat = rows
+    g_keys, h_keys = keys
+    index = np.minimum(sorted_ranks.searchsorted(ranks(g_keys, h_keys)), len(sorted_ranks) - 1)
+    return index, (g_mat[index] == g_keys).all(axis=1) & (h_mat[index] == h_keys).all(axis=1)
+
+
 def _enumerate_digit_arrays(sys: _System, budget: int, on_slice: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """All valid cocycles as (g digits, h digits) arrays in lexicographic order,
     or only the slice cocycles: those whose edge e takes values v with
     ``sys.slice_allowed[e, v]`` and whose triangle p takes values x with
-    ``sys.quotient.allowed[p, x]``, the quotient being built after the
-    budget check.
+    ``sys.quotient.allowed[p, x]``.  Raises BudgetExceeded, before any row
+    or the quotient is built, when the rank space without the triangle mask,
+    |G|^E |ker t|^T or on the slice |G/t(H)|^(E-F) |ker t|^T, exceeds ``budget``.
 
     Partial rows are extended one simplex at a time, edges then triangles in
     lexicographic order, by every allowed value with the new digit varying
@@ -548,13 +575,14 @@ def _enumerate_digit_arrays(sys: _System, budget: int, on_slice: bool = False) -
     edge it sets; a triangle takes the values in the t-preimage of its defect,
     and a row is dropped as soon as the tetrahedron law fails on a tetrahedron
     whose last face it sets.  The work therefore scales with the surviving
-    partial rows, not with |G|^E; their number never exceeds the candidate
-    count the budget bounds.
+    partial rows, not with |G|^E; each column takes at most its radix of
+    values, so their number never exceeds the rank space.
     """
     G, H, alpha = sys.G, sys.H, sys.xm.alpha
-    if sys.candidate_count() > budget:
-        raise BudgetExceeded(sys.candidate_count(), budget)
-    allowed, tri_allowed = (sys.slice_allowed, sys.quotient.allowed) if on_slice else (None, None)
+    bound = G.order ** len(sys.edges) // (sys.fibre if on_slice else 1) * len(sys.kernel_t) ** len(sys.tris)
+    if bound > budget:
+        raise BudgetExceeded(bound, budget)
+    allowed, tri_allowed = sys.ranks.masks if on_slice else (None, None)
 
     closing_tris = [[] for _ in sys.edges]
     for ti, tri_edges in enumerate(sys.tri_edges):
@@ -777,13 +805,6 @@ class _Quotient:
         return row
 
 
-def _search(ranks: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The position of each key among the sorted ranks, and whether it is
-    there."""
-    index = np.minimum(ranks.searchsorted(keys), len(ranks) - 1)
-    return index, ranks[index] == keys
-
-
 def _classify_slice(sys: _System, g_mat: np.ndarray, h_mat: np.ndarray) -> Classification:
     """Classes of the slice cocycles (rows in rank order) under the residual
     moves, each followed by ``_System.reslice``.
@@ -838,13 +859,12 @@ def _classify_slice(sys: _System, g_mat: np.ndarray, h_mat: np.ndarray) -> Class
     Classes are the components found by min-label propagation with pointer
     jumping (Tarjan, JACM 1975).
     """
-    ranks = sys.ranks(g_mat, h_mat)
-    n, fibre = len(ranks), sys.fibre * sys.quotient.order
+    rows = (sys.ranks(g_mat, h_mat), g_mat, h_mat)
+    n, fibre = len(g_mat), sys.fibre * sys.quotient.order
 
-    moves = sys.slice_moves()
     neighbours = []
-    for move in moves:
-        nbr, found = _search(ranks, sys.ranks(*sys.reslice(*sys.act(g_mat, h_mat, *sys.move_witness(move)))))
+    for move in sys.slice_moves:
+        nbr, found = _search(sys.ranks, rows, sys.reslice(*sys.act(g_mat, h_mat, *sys.move_witness(move))))
         if not found.all():
             left = np.argmin(found)
             raise MoveLeavesCocycles(move, sys.digits_to_cocycle(g_mat[left], h_mat[left]))
@@ -870,33 +890,10 @@ def _classify_slice(sys: _System, g_mat: np.ndarray, h_mat: np.ndarray) -> Class
         num_cocycles=n * fibre,
         _sizes=[size * fibre for size in np.bincount(labels).tolist()],
         _system=sys,
-        _lookup=_SliceLookup(sys, ranks, labels),
-        stats={"slice_rows": n, "fibre": fibre, "moves": len(moves), "closure_rounds": rounds},
+        _rows=rows,
+        _labels=labels,
+        stats={"slice_rows": n, "fibre": fibre, "moves": len(sys.slice_moves), "closure_rounds": rounds},
     )
-
-
-class _SliceLookup:
-    """Class labels on the slice: a row is re-sliced, and the rank of the
-    result is looked up among the sorted ranks of the slice rows.  The
-    re-slicing witness maps cocycles to cocycles and other rows to other
-    rows, so a row off the valid set is not found."""
-
-    def __init__(self, sys: _System, ranks: np.ndarray, labels: np.ndarray):
-        self.sys, self.ranks, self._labels = sys, ranks, labels
-
-    def labels(self, g_mat: np.ndarray, h_mat: np.ndarray) -> np.ndarray:
-        index, found = _search(self.ranks, self.sys.ranks(*self.sys.reslice(g_mat, h_mat)))
-        if not found.all():
-            raise ValueError("not a valid cocycle of this classification")
-        return self._labels[index]
-
-    def label(self, c: Cocycle) -> int:
-        sys = self.sys
-        rank = sys.ranks.of_row(*sys.reslice_digits(*sys.cocycle_to_digits(c)))
-        index = int(self.ranks.searchsorted(rank))
-        if index == len(self.ranks) or self.ranks[index] != rank:
-            raise ValueError("not a valid cocycle of this classification")
-        return int(self._labels[index])
 
 
 def classify_h1(
@@ -915,7 +912,8 @@ def classify_h1(
     central among the witnesses, so their orbits are the cosets of S in
     every class alike.  Every slice cocycle stands for the same number of
     cocycles.  Classes are numbered by their least cocycle, which is also
-    their representative.  ``stats`` says what the slice listed.
+    their representative.  ``stats`` says what the slice listed.  The budget
+    caps the slice's rank space, |G/t(H)|^(E-F) |ker t|^T.
     """
     sys = _system(cx, xm)
     return _classify_slice(sys, *_enumerate_digit_arrays(sys, budget, on_slice=True))
@@ -937,12 +935,11 @@ def relation_matrix(
     """
     sys = _system(cx, xm)
     g_mat, h_mat = _enumerate_digit_arrays(sys, budget)
-    rank = _Ranks(np.ones((len(sys.edges), sys.G.order), dtype=bool), np.ones((len(sys.tris), sys.H.order), dtype=bool))
-    ranks = rank(g_mat, h_mat)
+    rows = (sys.cocycle_ranks(g_mat, h_mat), g_mat, h_mat)
     rel = np.zeros((len(g_mat), len(g_mat)), dtype=bool)
     for f, k in sys.witness_blocks(witness_budget):
         for a in range(len(g_mat)):
-            index, found = _search(ranks, rank(*sys.act(g_mat[a : a + 1], h_mat[a : a + 1], f, k)))
+            index, found = _search(sys.cocycle_ranks, rows, sys.act(g_mat[a : a + 1], h_mat[a : a + 1], f, k))
             assert found.all()  # the action keeps cocycles valid
             rel[a, index] = True
     return rel, CocycleSequence(sys.edges, sys.tris, g_mat, h_mat)

@@ -103,27 +103,26 @@ def build_complex(
 
 
 def barycentric_subdivide(c: SimplicialComplex) -> SimplicialComplex:
-    """Order complex of the face poset: vertices are the simplices of c."""
+    """Order complex of the face poset: vertices are the simplices of c,
+    numbered by (dimension, simplex).  Its maximal simplices are the full
+    flags, each descending from a maximal simplex of c through faces of one
+    dimension less, and only those are passed to ``build_complex``."""
     verts = sorted(c.simplices, key=lambda s: (len(s), s))
     index = {s: i for i, s in enumerate(verts)}
+    facets = {s[:i] + s[i + 1 :] for s in c.simplices if len(s) > 1 for i in range(len(s))}
+    flags = []
 
-    def proper_faces(s):
-        for size in range(1, len(s)):
-            yield from itertools.combinations(s, size)
+    def descend(s, flag):
+        flag = (index[s], *flag)
+        if len(s) == 1:
+            flags.append(flag)
+        else:
+            for i in range(len(s)):
+                descend(s[:i] + s[i + 1 :], flag)
 
-    maximal = []
-
-    def extend(chain_top, chain_indices):
-        extended = False
-        for face in proper_faces(chain_top):
-            extend(face, chain_indices + [index[face]])
-            extended = True
-        if not extended:
-            maximal.append(tuple(sorted(chain_indices)))
-
-    for s in c.simplices:
-        extend(s, [index[s]])
-    return build_complex(len(verts), maximal, name=f"sd({c.name})" if c.name else "sd")
+    for s in c.simplices - facets:
+        descend(s, ())
+    return build_complex(len(verts), flags, name=f"sd({c.name})" if c.name else "sd")
 
 
 _SPACES = {

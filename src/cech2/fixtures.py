@@ -8,6 +8,7 @@ works with zero external data files.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 from .complexes import SimplicialComplex, build_complex, standard_space, standard_space_names
@@ -30,6 +31,7 @@ from .groups import (
     cyclic_group,
     klein_four_group,
     symmetric_group,
+    trivial_action,
     trivial_group,
     validate_action,
     validate_group,
@@ -64,8 +66,6 @@ def z2z4_crossed_module() -> CrossedModule:
     """The inclusion Z2 -> Z4 (1 maps to 2) with the trivial action."""
     z2, z4 = cyclic_group(2), cyclic_group(4)
     t = validate_hom(z2, z4, [0, 2])
-    from .groups import trivial_action
-
     return validate_crossed_module(z4, z2, t, trivial_action(z4, z2), name="z2z4")
 
 
@@ -183,10 +183,18 @@ def complex_from_json(obj: dict) -> SimplicialComplex:
     return build_complex(vertices, _rows(obj["maximal"], "the maximal simplices"))
 
 
+def _simplex_key(key: str) -> tuple[int, ...]:
+    """A simplex from its key exactly as ``cocycle_to_json`` writes it, so
+    that no two keys name one simplex."""
+    if not re.fullmatch(r"(0|[1-9][0-9]*)(,(0|[1-9][0-9]*))*", key):
+        raise MalformedInput(f"a simplex key must be comma-joined vertices such as '0,1', got {key!r}")
+    return tuple(_integer(int(x), "a vertex") for x in key.split(","))
+
+
 def cocycle_from_json(obj: dict) -> Cocycle:
     obj = _object(obj, "a cocycle")
     g, h = (
-        {tuple(int(x) for x in key.split(",")): _integer(v, f"the value on {key}") for key, v in values.items()}
+        {_simplex_key(key): _integer(v, f"the value on {key}") for key, v in values.items()}
         for values in (_object(obj.get("g", {}), "g"), _object(obj.get("h", {}), "h"))
     )
     return Cocycle(g=g, h=h)

@@ -63,8 +63,9 @@ class TestMalformedJson:
             {"g": [1], "h": {}},
             {"g": {"0,1": 0, "0,2": 0, "1,2": 1.7}, "h": {}},
             {"g": {"0,1": 0, "0,2": 0, "1,2": True}, "h": {}},
+            {"g": {"0,1": 0, "0,2": 0, "1,2": 0, "01,2": 1}, "h": {}},
         ],
-        ids=["g-not-object", "float-value", "boolean-value"],
+        ids=["g-not-object", "float-value", "boolean-value", "non-canonical-key"],
     )
     def test_cocycle(self, tmp_path, obj):
         path = tmp_path / "c.json"

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from cech2.cohomology import (
     DEFAULT_BUDGET,
     DEFAULT_WITNESS_BUDGET,
-    Classification,
     CocycleSequence,
     Cocycle,
     CoboundaryWitness,
@@ -27,6 +26,7 @@ from cech2.cohomology import (
     abelian_oracle_h2,
     apply_coboundary,
     classify_h1,
+    cocycle_to_json,
     cohomologous_check,
     compose_witnesses,
     enumerate_cocycles,
@@ -415,7 +415,7 @@ class TestAct:
         rng = np.random.default_rng(len(space))
         for xm in library_xmods:
             sys = _System(cx, xm)
-            g_all, h_all = _enumerate_digit_arrays(sys, sys.candidate_count())
+            g_all, h_all = _enumerate_digit_arrays(sys, _candidate_count(sys))
             rows = np.arange(0, len(g_all), max(1, len(g_all) // 60))  # about 60 rows, for the scalar side
             g_mat, h_mat = g_all[rows], h_all[rows]
             # per-row random witnesses
@@ -425,7 +425,7 @@ class TestAct:
             # one cocycle under many witnesses
             self._check(sys, g_mat[-1:], h_mat[-1:], f, k)
             # every one-row move witness over those rows
-            for move in sys.moves() + sys.slice_moves():
+            for move in sys.moves() + sys.slice_moves:
                 f, k = sys.move_witness(move)
                 assert np.count_nonzero(f) + np.count_nonzero(k) == 1
                 self._check(sys, g_mat, h_mat, f, k)
@@ -455,12 +455,12 @@ class TestResliceDigits:
         rng = np.random.default_rng(len(space))
         for xm in library_xmods:
             sys = _System(cx, xm)
-            if sys.candidate_count() <= 10**5:  # about 60 of all cocycles
-                g_all, h_all = _enumerate_digit_arrays(sys, sys.candidate_count())
+            if _candidate_count(sys) <= 10**5:  # about 60 of all cocycles
+                g_all, h_all = _enumerate_digit_arrays(sys, _candidate_count(sys))
                 rows = np.arange(0, len(g_all), max(1, len(g_all) // 60))
                 g_mat, h_mat = g_all[rows], h_all[rows]
             elif len(sys.kernel_t) ** len(sys.tris) <= 10**4:  # the slice rows
-                g_mat, h_mat = _enumerate_digit_arrays(sys, sys.candidate_count(), on_slice=True)
+                g_mat, h_mat = _enumerate_digit_arrays(sys, _candidate_count(sys), on_slice=True)
             else:  # with no tetrahedra, g = 1 and any triangle data in ker t make a cocycle
                 assert not sys.tets
                 g_mat = np.zeros((60, len(sys.edges)), dtype=np.int64)
@@ -520,17 +520,26 @@ class TestEncode:
 
 class TestRanks:
     """``_Ranks`` against each row's position among all the rows the masks
-    admit, listed in lexicographic order, with masks whose allowed values
-    skip some, as coset minima may."""
+    admit with the triangle values in given t-fibres, listed in
+    lexicographic order, with masks whose allowed values skip some, as coset
+    minima may."""
 
     def test_position_among_admitted_rows(self):
         rng = np.random.default_rng(5)
+        t = np.array([0, 1, 0, 2, 1, 2])  # fibres {0, 2}, {1, 4} and {3, 5}
+        fibres = [np.flatnonzero(t == d) for d in range(3)]
         for _ in range(30):
-            g_allowed, h_allowed = rng.random((3, 5)) < 0.5, rng.random((2, 4)) < 0.5
-            g_allowed[:, 0] = h_allowed[:, 0] = True
-            values = [np.flatnonzero(column).tolist() for column in (*g_allowed, *h_allowed)]
+            g_allowed = rng.random((3, 5)) < 0.5
+            g_allowed[:, 0] = True
+            h_allowed = np.ones((2, 6), dtype=bool)
+            for p in np.flatnonzero(rng.random(2) < 0.5):  # one allowed value in every fibre
+                h_allowed[p] = False
+                h_allowed[p, [rng.choice(fibre) for fibre in fibres]] = True
+            defects = rng.integers(3, size=2)
+            values = [np.flatnonzero(column).tolist() for column in g_allowed]
+            values += [np.flatnonzero(h_allowed[p] & (t == d)).tolist() for p, d in enumerate(defects)]
             rows = np.array(list(itertools.product(*values)), dtype=np.int64)
-            ranks = _Ranks(g_allowed, h_allowed)
+            ranks = _Ranks(g_allowed, h_allowed, t)
             assert ranks.space == len(rows)
             assert ranks(rows[:, :3], rows[:, 3:]).tolist() == list(range(len(rows)))
             assert [ranks.of_row(row[:3], row[3:]) for row in rows.tolist()] == list(range(len(rows)))
@@ -538,15 +547,18 @@ class TestRanks:
     def test_every_value_allowed_is_the_lexicographic_rank(self):
         rng = np.random.default_rng(6)
         g_mat, h_mat = rng.integers(6, size=(50, 4)), rng.integers(2, size=(50, 3))
-        ranks = _Ranks(np.ones((4, 6), dtype=bool), np.ones((3, 2), dtype=bool))
-        lex = [int("".join(map(str, g)), 6) * 8 + int("".join(map(str, h)), 2) for g, h in zip(g_mat, h_mat)]
-        assert ranks(g_mat, h_mat).tolist() == lex
+        g_lex = [int("".join(map(str, g)), 6) for g in g_mat]
+        g_allowed, h_allowed = np.ones((4, 6), dtype=bool), np.ones((3, 2), dtype=bool)
+        # t trivial: one fibre, all of H
+        ranks = _Ranks(g_allowed, h_allowed, np.zeros(2, dtype=np.int64))
+        assert ranks(g_mat, h_mat).tolist() == [g * 8 + int("".join(map(str, h)), 2) for g, h in zip(g_lex, h_mat)]
+        # t injective: every fibre one element, so the triangle digits are 0
+        assert _Ranks(g_allowed, h_allowed, np.arange(2))(g_mat, h_mat).tolist() == g_lex
 
     def test_rank_space_beyond_int64_is_refused(self):
-        ranks = _Ranks(np.ones((22, 8), dtype=bool), np.ones((0, 1), dtype=bool))
-        assert ranks.space == 8**22
-        with pytest.raises(BudgetExceeded):
-            ranks(np.zeros((1, 22), dtype=np.int64), np.zeros((1, 0), dtype=np.int64))
+        with pytest.raises(BudgetExceeded) as exc:
+            _Ranks(np.ones((22, 8), dtype=bool), np.ones((0, 1), dtype=bool), np.zeros(1, dtype=np.int64))
+        assert (exc.value.required, exc.value.budget) == (8**22, np.iinfo(np.int64).max)
 
 
 class TestEnumerateCocycles:
@@ -657,6 +669,12 @@ class TestClassifyH1:
             assert int(ids[0]) == min(int(x) for x in ids)
             assert rep == sys.digits_to_cocycle(g_mat[ids[0]], h_mat[ids[0]])
             assert cls.class_of(rep) == i
+
+
+def _candidate_count(sys: _System) -> int:
+    """|G|^E |ker t|^T: the rows an enumeration of all cocycles may visit, and
+    the budget ``enumerate_cocycles`` needs."""
+    return sys.G.order ** len(sys.edges) * len(sys.kernel_t) ** len(sys.tris)
 
 
 def _lex_weights(sys: _System) -> tuple[list[int], list[int]]:
@@ -834,7 +852,7 @@ class TestClassifyAgainstReferenceWalker:
             _classify_slice(sys, g_mat[keep], h_mat[keep])
 
 
-def _reference_classify_orbits(sys: _System, g_mat: np.ndarray, h_mat: np.ndarray) -> Classification:
+def _reference_classify_orbits(sys: _System, g_mat: np.ndarray, h_mat: np.ndarray) -> "_ReferenceClassification":
     """Orbits of the enumerated cocycles (rows in rank order) under the
     elementary moves.
 
@@ -876,32 +894,36 @@ def _reference_classify_orbits(sys: _System, g_mat: np.ndarray, h_mat: np.ndarra
 
     roots, labels = np.unique(labels, return_inverse=True)
     reps = [sys.digits_to_cocycle(g_mat[r], h_mat[r]) for r in roots]
-    return Classification(
-        representatives=reps,
-        base_class=int(labels[0]),  # row 0 is the trivial cocycle, rank 0
-        num_cocycles=n,
-        _sizes=np.bincount(labels).tolist(),
-        _system=sys,
-        _lookup=_ReferenceRankLookup(sys, ranks, labels),
-    )
+    return _ReferenceClassification(sys, reps, np.bincount(labels).tolist(), ranks, labels)
 
 
-class _ReferenceRankLookup:
-    """Class labels on the orbit path: a row's rank is looked up among the
+class _ReferenceClassification:
+    """The reference's classes, with ``Classification``'s report and its
+    lookups: a row's rank over all of G^E x H^T is looked up among the
     sorted ranks of the classified cocycles."""
 
-    def __init__(self, sys: _System, ranks: np.ndarray, labels: np.ndarray):
+    def __init__(self, sys: _System, reps, sizes, ranks: np.ndarray, labels: np.ndarray):
         self.sys, self.ranks, self._labels = sys, ranks, labels
+        self.num_cocycles = len(ranks)
         self.weights = _lex_weights(sys)
+        self.report = {
+            "classes": len(reps),
+            "sizes": sizes,
+            "base_class": int(labels[0]),  # row 0 is the trivial cocycle, rank 0
+            "representatives": [cocycle_to_json(r) for r in reps],
+        }
 
-    def labels(self, g_mat: np.ndarray, h_mat: np.ndarray) -> np.ndarray:
+    def to_report(self) -> dict:
+        return self.report
+
+    def labels_of(self, g_mat: np.ndarray, h_mat: np.ndarray) -> np.ndarray:
         ranks = _encode(g_mat, self.weights[0]) + _encode(h_mat, self.weights[1])
         index = np.minimum(self.ranks.searchsorted(ranks), len(self.ranks) - 1)
         if (self.ranks[index] != ranks).any():
             raise ValueError("not a valid cocycle of this classification")
         return self._labels[index]
 
-    def label(self, c: Cocycle) -> int:
+    def class_of(self, c: Cocycle) -> int:
         gds, hds = self.sys.cocycle_to_digits(c)
         rank = sum(map(operator.mul, gds + hds, self.weights[0] + self.weights[1]))
         index = int(self.ranks.searchsorted(rank))
@@ -933,7 +955,7 @@ def _slice_cases():
         xm = coefficient_from_spec(spec)
         for name, cx in spaces.items():
             sys = _System(cx, xm)
-            if sys.candidate_count() <= DEFAULT_BUDGET:
+            if _candidate_count(sys) <= DEFAULT_BUDGET:
                 cases.append((name, spec))
     return cases
 
@@ -1054,10 +1076,81 @@ class TestSliceReach:
         # aut:D4: t is D4 -> Inn(D4) in Aut(D4), its kernel the centre of D4
         cx, xm = standard_space(space), aut_two_group(_d4())
         assert len(xm.t.kernel()) == 2 and not xm.H.is_abelian()
-        cls = classify_h1(cx, xm, budget=_System(cx, xm).candidate_count())
+        cls = classify_h1(cx, xm, budget=_candidate_count(_System(cx, xm)))
         assert cls.class_count == classes
         assert cocycles is None or cls.num_cocycles == cocycles
         _check_class_of(cx, xm, cls)
+
+
+class TestOneBound:
+    """The budget bounds the rank space of the rows enumerated, with each
+    triangle ranked by its place in its t-fibre: on the slice
+    |G/t(H)|^(E-F) |ker t|^T, F the forest edges, which never exceeds the
+    |G|^E |ker t|^T of all cocycles."""
+
+    def test_slice_bound_never_exceeds_all_cocycles(self):
+        spaces = standard_space_names() + [f"sd({name})" for name in standard_space_names()]
+        pairs = 0
+        for spec in _SLICE_SPECS:
+            xm = coefficient_from_spec(spec)
+            kernel = len(xm.t.kernel())
+            for name in spaces:
+                cx = _space(name)
+                # refused before any row is built, with the bound as the work required
+                with pytest.raises(BudgetExceeded) as exc:
+                    classify_h1(cx, xm, budget=0)
+                E, T = len(cx.simplices_of_dim(1)), len(cx.simplices_of_dim(2))
+                forest = len({j for _, j in cx.simplices_of_dim(1)})
+                cosets = xm.G.order * kernel // xm.H.order
+                assert exc.value.required == cosets ** (E - forest) * kernel**T <= _candidate_count(_System(cx, xm))
+                pairs += 1
+        assert pairs == 480
+
+    @pytest.mark.parametrize(
+        "space,spec,classes",
+        [
+            ("torus7", "discrete:Z2", 4),  # |Hom(Z^2, Z2)|, bound 2^15
+            ("rp2_6", "z2z4", 2),
+            ("torus7", "z2z4", 4),  # bound 2^15; all cocycles 4^21
+            ("sd(tetra_solid)", "aut:S3", 1),  # bound 1; all cocycles 6^50
+        ],
+    )
+    def test_reach_at_the_default_budget(self, space, spec, classes):
+        cx, xm = _space(space), coefficient_from_spec(spec)
+        assert _candidate_count(_System(cx, xm)) > DEFAULT_BUDGET
+        cls = classify_h1(cx, xm)
+        assert cls.class_count == classes
+        _check_class_of(cx, xm, cls)
+
+    @pytest.mark.parametrize("space,spec,bound", [("torus7", "shift:Z3", 3**14), ("rp2_6", "discrete:S3", 6**10)])
+    def test_refusal_reports_the_bound(self, space, spec, bound):
+        with pytest.raises(BudgetExceeded) as exc:
+            classify_h1(standard_space(space), coefficient_from_spec(spec))
+        assert (exc.value.required, exc.value.budget) == (bound, DEFAULT_BUDGET)
+
+    def test_slice_ranks_beyond_int64_are_refused(self):
+        # sd(torus7) has 126 edges and 35 forest edges: within a budget of
+        # 10^80, the slice ranks of discrete:S3 would need 6^91
+        cx, xm = _space("sd(torus7)"), coefficient_from_spec("discrete:S3")
+        with pytest.raises(BudgetExceeded) as exc:
+            classify_h1(cx, xm, budget=10**80)
+        assert (exc.value.required, exc.value.budget) == (6**91, np.iinfo(np.int64).max)
+
+    def test_a_broken_row_is_not_found(self, sphere2, z2z4):
+        # every t-fibre of z2z4 is one element, so ranks do not read the
+        # triangle data: only comparing the whole row tells a row with one
+        # flipped triangle from the cocycle it was made from
+        assert len(z2z4.t.kernel()) == 1
+        cls = classify_h1(sphere2, z2z4)
+        sys = _System(sphere2, z2z4)
+        g_mat, h_mat = _enumerate_digit_arrays(sys, DEFAULT_BUDGET)
+        for r in range(0, len(g_mat), 5):
+            h = h_mat[r : r + 1].copy()
+            h[0, r % len(sys.tris)] ^= 1
+            with pytest.raises(ValueError):
+                cls.labels_of(g_mat[r : r + 1], h)
+            with pytest.raises(ValueError):
+                cls.class_of(sys.digits_to_cocycle(g_mat[r], h[0]))
 
 
 def _check_class_of(cx, xm, cls, copies=4):
@@ -1082,7 +1175,7 @@ class TestClassificationStats:
         assert cls.stats == {
             "slice_rows": 6,
             "fibre": 6**5,
-            "moves": len(sys.slice_moves()),
+            "moves": len(sys.slice_moves),
             "closure_rounds": cls.stats["closure_rounds"],
         }
         assert cls.stats["moves"] == 2 and cls.stats["closure_rounds"] >= 2
@@ -1309,8 +1402,8 @@ def _reference_digit_arrays(sys: _System, budget: int) -> tuple[np.ndarray, np.n
     must return the same arrays, row for row."""
     G, H = sys.G, sys.H
     E, T = len(sys.edges), len(sys.tris)
-    if sys.candidate_count() > budget:
-        raise BudgetExceeded(sys.candidate_count(), budget)
+    if _candidate_count(sys) > budget:
+        raise BudgetExceeded(_candidate_count(sys), budget)
 
     g_all = _mixed_radix(G.order**E, E, G.order)
     if T == 0:
@@ -1384,7 +1477,7 @@ def _enumeration_cases(limit=300_000):
         (space, spec)
         for space in standard_space_names()
         for spec, xm in coefficients.items()
-        if _System(standard_space(space), xm).candidate_count() <= limit
+        if _candidate_count(_System(standard_space(space), xm)) <= limit
     ]
 
 
@@ -1452,7 +1545,7 @@ class TestTetrahedronLaw:
         out = []
         for xm in library_xmods:
             for candidate in (xm, hat_construction(xm)[0]):
-                if _System(cx, candidate).candidate_count() <= DEFAULT_BUDGET:
+                if _candidate_count(_System(cx, candidate)) <= DEFAULT_BUDGET:
                     out.append(candidate)
         return cx, out
 

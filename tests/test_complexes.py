@@ -1,5 +1,8 @@
+import itertools
+
 import pytest
 
+from cech2 import complexes
 from cech2.complexes import (
     barycentric_subdivide,
     build_complex,
@@ -61,6 +64,42 @@ class TestSubdivision:
     def test_point_is_fixed(self):
         sd = barycentric_subdivide(standard_space("point"))
         assert counts(sd) == [1, 0, 0, 0]
+
+    @pytest.mark.parametrize("name", standard_space_names())
+    def test_builds_from_the_maximal_flags(self, name, monkeypatch):
+        # on the space and on its subdivision: build_complex receives exactly
+        # the maximal simplices of the result, and the result is the order
+        # complex, every chain of faces numbered by (dimension, simplex)
+        passed = []
+
+        def recording(vertex_count, maximal, name=""):
+            passed.append(list(maximal))
+            return build_complex(vertex_count, maximal, name=name)
+
+        for cx in (standard_space(name), barycentric_subdivide(standard_space(name))):
+            with monkeypatch.context() as patch:
+                patch.setattr(complexes, "build_complex", recording)
+                sd = barycentric_subdivide(cx)
+            facets = {s[:i] + s[i + 1 :] for s in sd.simplices if len(s) > 1 for i in range(len(s))}
+            assert sorted(passed.pop()) == sorted(sd.simplices - facets)
+            assert sd.vertex_count == len(cx.simplices) and sd.simplices == _chains(cx)
+
+
+def _chains(cx):
+    """Every chain of faces of ``cx``, descending through all proper faces,
+    as a simplex on the faces numbered by (dimension, simplex)."""
+    index = {s: i for i, s in enumerate(sorted(cx.simplices, key=lambda s: (len(s), s)))}
+    chains = set()
+
+    def extend(chain):
+        chains.add(tuple(sorted(index[s] for s in chain)))
+        for size in range(1, len(chain[-1])):
+            for face in itertools.combinations(chain[-1], size):
+                extend(chain + (face,))
+
+    for s in cx.simplices:
+        extend((s,))
+    return chains
 
 
 class TestStandardSpaces:

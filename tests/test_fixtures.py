@@ -66,6 +66,13 @@ class TestJsonIntegersOnly:
             with pytest.raises(MalformedInput):
                 load()
 
+    @pytest.mark.parametrize("key", ["0_1,2", "01,2", " 1,+2", "1, 2", "1,2,", "", "-1,2", "\u0661,2", "1,2.0", str(2**63)])
+    def test_canonical_simplex_keys_only(self, key):
+        # each would otherwise parse as some simplex, or overwrite another key
+        with pytest.raises(MalformedInput):
+            cocycle_from_json({"g": {"1,2": 0, key: 1}})
+        assert cocycle_from_json({"g": {"0,12": 1}, "h": {"10,11,12": 0}}).h == {(10, 11, 12): 0}
+
     def test_ragged_table(self, z2):
         with pytest.raises(MalformedInput, match="rows of one length"):
             group_from_json({"table": [[0, 1], [1]]})
