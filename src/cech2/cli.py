@@ -4,7 +4,8 @@ All machine output is a single JSON document on stdout (byte-identical
 across runs for identical inputs); human-readable progress goes to stderr.
 
 Exit codes: 0 pass, 1 assertion or validation failure, 2 input error,
-3 budget exceeded.
+3 budget exceeded or out of memory: a run that a budget admits but memory
+does not ends with {"ok": false, "error": "memory"} and no traceback.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import fixtures
+from . import fixtures, nerve
 from .cohomology import (
     DEFAULT_BUDGET,
     abelian_oracle_h2,
@@ -25,6 +26,7 @@ from .cohomology import (
 from .crossed_modules import hat_construction, iso_hat_check, validate_ses
 from .errors import BudgetExceeded, CechError, MalformedInput
 from .exactness import verify_lemma2, verify_lemma3
+from .groups import cyclic_group, inversion_action
 from .nerve import check_bar_multiplication, check_level_iso, check_simplicial_identities, nerve_two_group
 
 EXIT_OK = 0
@@ -184,8 +186,6 @@ def _suite_nerve(args) -> dict:
             "cardinalities": sizes_ok,
         }
         _say(f"nerve of {spec}: levels {ids['levels']}")
-    from .groups import cyclic_group, inversion_action
-
     bar = check_bar_multiplication(
         cyclic_group(2), cyclic_group(3), inversion_action(cyclic_group(2), cyclic_group(3)), 2
     )
@@ -258,13 +258,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coeff")
     p.add_argument("--ses", help="JSON file describing a short exact sequence")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--depth", type=int, default=4, help="nerve truncation level")
+    p.add_argument("--depth", type=int, default=nerve.DEFAULT_LEVEL_CAP, help="nerve truncation level")
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("nerve", help="build a truncated nerve and check it")
     p.add_argument("--coeff", required=True)
-    p.add_argument("--depth", type=int, default=4)
+    p.add_argument("--depth", type=int, default=nerve.DEFAULT_LEVEL_CAP)
     p.add_argument("--out")
     p.set_defaults(func=cmd_nerve)
 
@@ -294,6 +294,11 @@ def main(argv=None) -> int:
             getattr(args, "out", None),
         )
         return EXIT_FAIL
+    except MemoryError as e:
+        detail = str(e) or "out of memory"  # reported once the traceback, and the arrays it holds, are dropped
+    _say(f"out of memory: {detail}")
+    _emit({"ok": False, "error": "memory", "detail": detail}, getattr(args, "out", None))
+    return EXIT_BUDGET
 
 
 if __name__ == "__main__":

@@ -22,9 +22,9 @@ condition on triangles; solving that condition for h' gives the closed form
     h'_ijk = alpha(f_i^-1)( k_ik h_ijk alpha(g_ij)(k_jk)^-1 k_ij^-1 )
 
 ``_System.act`` applies it to digit matrices for every matrix user: moves are
-one-row witnesses, re-slicing is two witnesses, and the witness searches sweep
+one-row witnesses, re-slicing is one witness, and the witness searches sweep
 blocks of witness rows.  ``apply_digits`` is its scalar form on one cocycle;
-re-slicing one row is one witness through it.
+re-slicing one row is the same witness through it.
 
 Witnesses form a group under composition and are generated by the elementary
 ones supported on a single vertex or a single edge, so orbits (= cohomology
@@ -45,9 +45,11 @@ Enumeration extends partial cocycles edge by edge, then triangle by
 triangle, in lexicographic order, and drops a row as soon as a law fails on a
 simplex whose last face was just set; its work scales with the surviving
 partial rows, not with |G|^E.  The budget caps, before any row is built,
-the rank space of the rows (``_Ranks``), which bounds the partial rows at
-every step: |G|^E |ker t|^T over all cocycles, |G/t(H)|^(E-F) |ker t|^T on
-the slice, F its forest edges.
+the product of the number of values each column may take, which bounds the
+partial rows at every step: |G|^E |ker t|^T over all cocycles,
+|G/t(H)|^(E-F) |ker t|^T on the slice, F its forest edges.  Rows are looked
+up by their keys (``_System.keys``): their digits as one byte string, whose
+byte order is the lexicographic order of the rows.
 """
 
 from __future__ import annotations
@@ -74,7 +76,6 @@ from .groups import conjugacy_class_index, generating_set, minimal_section, requ
 
 DEFAULT_BUDGET = 10**6
 DEFAULT_WITNESS_BUDGET = 10**6
-_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass
@@ -111,10 +112,13 @@ class CoboundaryWitness:
 class Classification:
     """H^1 as a pointed set: orbits of valid cocycles under all witnesses.
 
-    ``stats`` records what the classification did, outside ``to_report``:
-    the ``slice_rows`` listed, the ``fibre`` of cocycles each of them stands
-    for, so that ``num_cocycles`` is their product, the number of ``moves``
-    and the ``closure_rounds`` of label propagation.
+    Of the slice it keeps only the keys of the rows (``_System.keys``) and
+    their labels, where ``class_of`` and ``labels_of`` look up the keys of
+    their re-sliced input.  ``stats`` records what the classification did,
+    outside ``to_report``: the ``slice_rows`` listed, the ``fibre`` of
+    cocycles each of them stands for, so that ``num_cocycles`` is their
+    product, the number of ``moves`` and the ``closure_rounds`` of label
+    propagation.
     """
 
     representatives: list[Cocycle]
@@ -122,7 +126,7 @@ class Classification:
     num_cocycles: int
     _sizes: list[int] = field(repr=False)
     _system: _System = field(repr=False)
-    _rows: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)  # slice ranks, g and h digits
+    _keys: np.ndarray = field(repr=False)  # the slice rows' keys, increasing
     _labels: np.ndarray = field(repr=False)
     stats: dict = field(default_factory=dict, repr=False)
 
@@ -134,14 +138,14 @@ class Classification:
         return list(self._sizes)
 
     def class_of(self, c: Cocycle) -> int:
-        """Label of the class holding ``c``: its re-sliced row, looked up as
-        ``_search`` does.  Raises ValueError when ``c`` is not one of the
-        classified cocycles.
+        """Label of the class holding ``c``: the key of its re-sliced row,
+        looked up by ``_search``.  Raises ValueError when ``c`` is not one of
+        the classified cocycles.
         """
-        sys, (ranks, g_mat, h_mat) = self._system, self._rows
+        sys = self._system
         gds, hds = sys.reslice_digits(*sys.cocycle_to_digits(c))
-        index = min(int(ranks.searchsorted(sys.ranks.of_row(gds, hds))), len(ranks) - 1)
-        if g_mat[index].tolist() != list(gds) or h_mat[index].tolist() != hds:
+        (index,), (found,) = _search(self._keys, sys.keys([gds], [hds]))
+        if not found:
             raise ValueError("not a valid cocycle of this classification")
         return int(self._labels[index])
 
@@ -154,7 +158,7 @@ class Classification:
         for mat, width, order in ((g_mat, len(sys.edges), sys.G.order), (h_mat, len(sys.tris), sys.H.order)):
             if mat.shape != (n, width) or (mat < 0).any() or (mat >= order).any():
                 raise ValueError("not a valid cocycle of this classification")
-        index, found = _search(sys.ranks, self._rows, sys.reslice(g_mat, h_mat))
+        index, found = _search(self._keys, sys.keys(*sys.reslice(g_mat, h_mat)))
         if not found.all():
             raise ValueError("not a valid cocycle of this classification")
         return self._labels[index]
@@ -248,6 +252,8 @@ class _System:
         self._tri_first = np.array([i for i, _, _ in self.tris], dtype=np.int64)
         self._edge_ends = [(e, i, j) for e, (i, j) in enumerate(self.edges)]
         self._tri_parts = [(ti, i, *parts) for ti, ((i, _, _), parts) in enumerate(zip(self.tris, self.tri_edges))]
+        # the narrowest type that holds every digit, big-endian in keys
+        self.digit = np.min_scalar_type(max(self.G.order, self.H.order) - 1)
         self._init_slice()
 
     def _init_slice(self) -> None:
@@ -277,9 +283,6 @@ class _System:
         # edge (p(j), j) and p(j)
         self.slice_walk = [(j, parent_edge[j], self.edges[parent_edge[j]][0]) for j in sorted(parent_edge)]
         self._lift = self.lift.tolist()
-        self._lifts = bool(self.lift.any())  # False when t(H) is trivial
-        self._no_f = np.zeros((1, self.cx.vertex_count), dtype=np.int64)
-        self._no_k = np.zeros((1, E), dtype=np.int64)
         # K^G: the elements of ker t that every alpha(g) fixes
         kernel = np.asarray(self.kernel_t, dtype=np.int64)
         self.central = np.zeros(H.order, dtype=bool)
@@ -291,18 +294,20 @@ class _System:
         the basepoint; built on first use, as its cost grows with |E| |T|."""
         H, E, T = self.H, len(self.edges), len(self.tris)
         moves = [("e", e, x) for x in generating_set(H.table, np.flatnonzero(self.central)) for e in range(E)]
-        _, deltas = self.act(self._no_k, np.zeros((1, T), dtype=np.int64), *self.move_witness(*moves))
+        basepoint = np.zeros((1, E), dtype=np.int64), np.zeros((1, T), dtype=np.int64)
+        _, deltas = self.act(*basepoint, *self.move_witness(*moves))
         return _Quotient(H, list(deltas), T)
 
-    @functools.cached_property
-    def ranks(self) -> _Ranks:
-        """Ranks of the slice rows; built after the budget check (see ``quotient``)."""
-        return _Ranks(self.slice_allowed, self.quotient.allowed, self.xm.t.map)
-
-    @functools.cached_property
-    def cocycle_ranks(self) -> _Ranks:
-        """Ranks of all cocycles, every value allowed."""
-        return _Ranks(np.ones_like(self.slice_allowed), np.ones((len(self.tris), self.H.order), dtype=bool), self.xm.t.map)
+    def keys(self, g_mat, h_mat) -> np.ndarray:
+        """Each row (g digits, h digits) as one byte string: its digits as
+        big-endian ``digit`` values, then a zero digit, so that byte order is
+        lexicographic order and a row without digits still has a key.  An
+        element read from the result loses its trailing zero bytes, so keys
+        are compared as arrays."""
+        E = len(self.edges)
+        digits = np.zeros((len(g_mat), E + len(self.tris) + 1), dtype=self.digit.newbyteorder(">"))
+        digits[:, :E], digits[:, E:-1] = g_mat, h_mat
+        return digits.view(f"S{digits.shape[1] * digits.itemsize}").ravel()
 
     # conversions
 
@@ -463,28 +468,31 @@ class _System:
         )
 
     def reslice(self, g_mat: np.ndarray, h_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each row carried into the slice by a witness, as new int64 matrices.
+        """Each row carried into the slice by one witness, as new int64 matrices.
 
         Walking the non-root vertices in order, the vertex move at j by the
         inverse of the current g_(p(j), j) would clear the forest edge
         (p(j), j) without changing the forest edge of a smaller vertex.  These
         moves compose to one vertex witness, f_j = g_(p(j), j)^-1 f_p(j) with
-        f = 1 at the roots, applied at once.  One edge witness then takes
-        every edge value to the least element of its coset of t(H), and the
-        triangle data are carried to the least of their coset of S.
+        f = 1 at the roots.  The edge witness that then takes every edge value
+        to the least element of its coset of t(H) composes with it, as
+        ``compose_witnesses`` composes, to
+        k_ij = alpha(f_i)(lift(f_i^-1 g_ij f_j)), and (f, k) is applied at
+        once.  The triangle data are then carried to the least of their coset
+        of S.
         """
+        G, gmul, ng = self.G, self._gflat, self.G.order
         f = np.zeros((self.cx.vertex_count, len(g_mat)), dtype=np.int64)
         for j, fe, p in self.slice_walk:
-            f[j] = self.G.table[self.G.inverse[g_mat[:, fe]], f[p]]
-        g_mat, h_mat = self.act(g_mat, h_mat, f.T, self._no_k)
-        if self._lifts:
-            g_mat, h_mat = self.act(g_mat, h_mat, self._no_f, self.lift[g_mat])
+            f[j] = G.table[G.inverse[g_mat[:, fe]], f[p]]
+        f_i, f_j = f[self._edge_cols]  # edge by row, as act reads them
+        lifted = self.lift[gmul[gmul[G.inverse[f_i] * ng + g_mat.T] * ng + f_j]]
+        k = self._alphaflat[f_i * self.H.order + lifted]
+        g_mat, h_mat = self.act(g_mat, h_mat, f.T, k.T)
         return g_mat, self.quotient.carry(h_mat)
 
     def reslice_digits(self, gds, hds) -> tuple[tuple[int, ...], list[int]]:
-        """``reslice`` on one row, as one witness through ``apply_digits``: the
-        vertex walk f composed, as ``compose_witnesses`` composes, with the
-        coset lift applied after it, k_ij = alpha(f_i)(lift(f_i^-1 g_ij f_j));
+        """``reslice`` on one row, its witness (f, k) through ``apply_digits``;
         then the carries of S, element by element."""
         gmul, ginv, alpha, lift = self._gmul, self._ginv, self._alpha, self._lift
         f = [0] * self.cx.vertex_count
@@ -511,53 +519,11 @@ def _outside(digits, order: int) -> int:
     return next(x for x in digits if not 0 <= x < order)
 
 
-def _encode(mat: np.ndarray, weights: list[int]) -> np.ndarray:
-    """Weighted digit sums of the rows, as int64."""
-    return mat.astype(np.int64, copy=False) @ np.array(weights, dtype=np.int64)
-
-
-class _Ranks:
-    """Ranks of digit rows: the mixed-radix number whose digit on edge e is
-    the position of the row's value among the values v with
-    ``g_allowed[e, v]``, and on triangle p the position of its value x among
-    the allowed values of its t-fibre t^-1(t(x)).  Every fibre of a column
-    holds equally many allowed values, its radix: |ker t| when all are, so
-    that ``space`` is |G|^E |ker t|^T.  The triangle law fixes the fibre of
-    each triangle value by g, so ranks are injective and follow lexicographic
-    order on the cocycles the masks allow, but not off them.  Raises
-    BudgetExceeded when ``space`` outgrows int64.
-    """
-
-    def __init__(self, g_allowed: np.ndarray, h_allowed: np.ndarray, t: np.ndarray):
-        earlier_in_fibre = np.tril(t[:, None] == t[None, :], -1)  # [x, y]: y < x, t(y) = t(x)
-        positions = [np.cumsum(g_allowed, axis=1) - 1, h_allowed.astype(np.int64) @ earlier_in_fibre.T]
-        radix = g_allowed.sum(axis=1).tolist() + h_allowed[:, t == 0].sum(axis=1).tolist()
-        self.masks, self.space = (g_allowed, h_allowed), math.prod(radix)
-        if self.space > _INT64_MAX:
-            raise BudgetExceeded(self.space, _INT64_MAX)
-        weights = [math.prod(radix[col + 1 :]) for col in range(len(radix))]
-        E = len(g_allowed)
-        self._parts = [(pos, np.arange(len(pos)), w) for pos, w in zip(positions, (weights[:E], weights[E:]))]
-        # each value's weighted position as a Python integer, for one row
-        rows = positions[0].tolist() + positions[1].tolist()
-        self._lists = [[position * w for position in row] for row, w in zip(rows, weights)]
-
-    def __call__(self, g_mat: np.ndarray, h_mat: np.ndarray) -> np.ndarray:
-        return sum(_encode(pos[cols, mat], w) for (pos, cols, w), mat in zip(self._parts, (g_mat, h_mat)))
-
-    def of_row(self, gds, hds) -> int:
-        """The rank of one row, in Python integers."""
-        return sum(map(list.__getitem__, self._lists, (*gds, *hds)))
-
-
-def _search(ranks: _Ranks, rows, keys) -> tuple[np.ndarray, np.ndarray]:
-    """The position of each key row (g digits, h digits) among ``rows``,
-    (increasing ranks, g digits, h digits), and whether it is there: the rank
-    finds the one candidate, and comparing the whole row confirms it."""
-    sorted_ranks, g_mat, h_mat = rows
-    g_keys, h_keys = keys
-    index = np.minimum(sorted_ranks.searchsorted(ranks(g_keys, h_keys)), len(sorted_ranks) - 1)
-    return index, (g_mat[index] == g_keys).all(axis=1) & (h_mat[index] == h_keys).all(axis=1)
+def _search(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The position of each of ``keys`` among ``sorted_keys``, and whether it
+    is there."""
+    index = np.minimum(sorted_keys.searchsorted(keys), len(sorted_keys) - 1)
+    return index, sorted_keys[index] == keys
 
 
 def _enumerate_digit_arrays(sys: _System, budget: int, on_slice: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -565,8 +531,10 @@ def _enumerate_digit_arrays(sys: _System, budget: int, on_slice: bool = False) -
     or only the slice cocycles: those whose edge e takes values v with
     ``sys.slice_allowed[e, v]`` and whose triangle p takes values x with
     ``sys.quotient.allowed[p, x]``.  Raises BudgetExceeded, before any row
-    or the quotient is built, when the rank space without the triangle mask,
-    |G|^E |ker t|^T or on the slice |G/t(H)|^(E-F) |ker t|^T, exceeds ``budget``.
+    or the quotient is built, when the bound on the rows, |G|^E |ker t|^T or
+    on the slice |G/t(H)|^(E-F) |ker t|^T, exceeds ``budget``: each edge
+    takes at most |G| values, or one of its t(H) coset minima on the slice,
+    and each triangle at most the |ker t| values of a t-preimage.
 
     Partial rows are extended one simplex at a time, edges then triangles in
     lexicographic order, by every allowed value with the new digit varying
@@ -575,14 +543,13 @@ def _enumerate_digit_arrays(sys: _System, budget: int, on_slice: bool = False) -
     edge it sets; a triangle takes the values in the t-preimage of its defect,
     and a row is dropped as soon as the tetrahedron law fails on a tetrahedron
     whose last face it sets.  The work therefore scales with the surviving
-    partial rows, not with |G|^E; each column takes at most its radix of
-    values, so their number never exceeds the rank space.
+    partial rows, not with |G|^E, and their number never exceeds the bound.
     """
     G, H, alpha = sys.G, sys.H, sys.xm.alpha
     bound = G.order ** len(sys.edges) // (sys.fibre if on_slice else 1) * len(sys.kernel_t) ** len(sys.tris)
     if bound > budget:
         raise BudgetExceeded(bound, budget)
-    allowed, tri_allowed = sys.ranks.masks if on_slice else (None, None)
+    allowed, tri_allowed = (sys.slice_allowed, sys.quotient.allowed) if on_slice else (None, None)
 
     closing_tris = [[] for _ in sys.edges]
     for ti, tri_edges in enumerate(sys.tri_edges):
@@ -591,10 +558,9 @@ def _enumerate_digit_arrays(sys: _System, budget: int, on_slice: bool = False) -
     for parts in sys.tet_parts:
         closing_tets[max(parts[:4])].append(parts)
 
-    # digits are kept column by column in the narrowest integer type, so that
-    # every law reads contiguous columns and extending the rows is one small
-    # gather per column
-    digit = np.min_scalar_type(max(G.order, H.order) - 1)
+    # digits are kept column by column in ``sys.digit``, so that every law
+    # reads contiguous columns and extending the rows is one small gather per
+    # column
     g_cols: list[np.ndarray] = []
     h_cols: list[np.ndarray] = []
 
@@ -614,12 +580,12 @@ def _enumerate_digit_arrays(sys: _System, budget: int, on_slice: bool = False) -
             g_ij, g_jk, g_ik = (values if x == e else g_cols[x][:, None] for x in sys.tri_edges[ti])
             ok &= sys.in_image_t[G.table[g_ik, G.inverse[G.table[g_ij, g_jk]]]]
         _, value = extend(ok)
-        g_cols.append(value.astype(digit))
+        g_cols.append(value.astype(sys.digit))
         n = len(value)
 
     # preimages[d]: the t-preimage of d, sorted; rows only reach image elements
     kernel = np.asarray(sys.kernel_t, dtype=np.int64)
-    preimages = np.sort(H.table[kernel[None, :], sys.t_section[:, None]], axis=1).astype(digit)
+    preimages = np.sort(H.table[kernel[None, :], sys.t_section[:, None]], axis=1).astype(sys.digit)
     for ti, (e_ij, e_jk, e_ik) in enumerate(sys.tri_edges):
         choices = preimages[G.table[g_cols[e_ik], G.inverse[G.table[g_cols[e_ij], g_cols[e_jk]]]]]
         ok = np.ones(choices.shape, dtype=bool) if tri_allowed is None else tri_allowed[ti][choices]
@@ -806,8 +772,8 @@ class _Quotient:
 
 
 def _classify_slice(sys: _System, g_mat: np.ndarray, h_mat: np.ndarray) -> Classification:
-    """Classes of the slice cocycles (rows in rank order) under the residual
-    moves, each followed by ``_System.reslice``.
+    """Classes of the slice cocycles (rows in lexicographic order) under the
+    residual moves, each followed by ``_System.reslice``.
 
     The slice holds the cocycles that are 1 on the forest edges (p(j), j)
     and, on every other edge, the least element of the coset t(H) g of their
@@ -859,12 +825,12 @@ def _classify_slice(sys: _System, g_mat: np.ndarray, h_mat: np.ndarray) -> Class
     Classes are the components found by min-label propagation with pointer
     jumping (Tarjan, JACM 1975).
     """
-    rows = (sys.ranks(g_mat, h_mat), g_mat, h_mat)
+    keys = sys.keys(g_mat, h_mat)
     n, fibre = len(g_mat), sys.fibre * sys.quotient.order
 
     neighbours = []
     for move in sys.slice_moves:
-        nbr, found = _search(sys.ranks, rows, sys.reslice(*sys.act(g_mat, h_mat, *sys.move_witness(move))))
+        nbr, found = _search(keys, sys.keys(*sys.reslice(*sys.act(g_mat, h_mat, *sys.move_witness(move)))))
         if not found.all():
             left = np.argmin(found)
             raise MoveLeavesCocycles(move, sys.digits_to_cocycle(g_mat[left], h_mat[left]))
@@ -886,11 +852,11 @@ def _classify_slice(sys: _System, g_mat: np.ndarray, h_mat: np.ndarray) -> Class
     reps = [sys.digits_to_cocycle(g_mat[r], h_mat[r]) for r in roots]
     return Classification(
         representatives=reps,
-        base_class=int(labels[0]),  # row 0 is the trivial cocycle, rank 0
+        base_class=int(labels[0]),  # row 0 is the trivial cocycle, the least key
         num_cocycles=n * fibre,
         _sizes=[size * fibre for size in np.bincount(labels).tolist()],
         _system=sys,
-        _rows=rows,
+        _keys=keys,
         _labels=labels,
         stats={"slice_rows": n, "fibre": fibre, "moves": len(sys.slice_moves), "closure_rounds": rounds},
     )
@@ -913,7 +879,7 @@ def classify_h1(
     every class alike.  Every slice cocycle stands for the same number of
     cocycles.  Classes are numbered by their least cocycle, which is also
     their representative.  ``stats`` says what the slice listed.  The budget
-    caps the slice's rank space, |G/t(H)|^(E-F) |ker t|^T.
+    caps the bound on the slice rows, |G/t(H)|^(E-F) |ker t|^T.
     """
     sys = _system(cx, xm)
     return _classify_slice(sys, *_enumerate_digit_arrays(sys, budget, on_slice=True))
@@ -935,11 +901,11 @@ def relation_matrix(
     """
     sys = _system(cx, xm)
     g_mat, h_mat = _enumerate_digit_arrays(sys, budget)
-    rows = (sys.cocycle_ranks(g_mat, h_mat), g_mat, h_mat)
+    keys = sys.keys(g_mat, h_mat)
     rel = np.zeros((len(g_mat), len(g_mat)), dtype=bool)
     for f, k in sys.witness_blocks(witness_budget):
         for a in range(len(g_mat)):
-            index, found = _search(sys.cocycle_ranks, rows, sys.act(g_mat[a : a + 1], h_mat[a : a + 1], f, k))
+            index, found = _search(keys, sys.keys(*sys.act(g_mat[a : a + 1], h_mat[a : a + 1], f, k)))
             assert found.all()  # the action keeps cocycles valid
             rel[a, index] = True
     return rel, CocycleSequence(sys.edges, sys.tris, g_mat, h_mat)

@@ -104,10 +104,14 @@ def build_complex(
 
 def barycentric_subdivide(c: SimplicialComplex) -> SimplicialComplex:
     """Order complex of the face poset: vertices are the simplices of c,
-    numbered by (dimension, simplex).  Its maximal simplices are the full
-    flags, each descending from a maximal simplex of c through faces of one
-    dimension less, and only those are passed to ``build_complex``."""
-    verts = sorted(c.simplices, key=lambda s: (len(s), s))
+    numbered by (least vertex, dimension, simplex).  Each barycentre then
+    follows the vertex it starts at, which follows the barycentre of an edge
+    to a smaller neighbour if it has one, so the vertices of sd(c) with no
+    smaller neighbour are those of c with none.  Its maximal simplices are
+    the full flags, each descending from a maximal simplex of c through
+    faces of one dimension less, and only those are passed to
+    ``build_complex``, each in increasing order."""
+    verts = sorted(c.simplices, key=lambda s: (s[0], len(s), s))
     index = {s: i for i, s in enumerate(verts)}
     facets = {s[:i] + s[i + 1 :] for s in c.simplices if len(s) > 1 for i in range(len(s))}
     flags = []
@@ -115,7 +119,7 @@ def barycentric_subdivide(c: SimplicialComplex) -> SimplicialComplex:
     def descend(s, flag):
         flag = (index[s], *flag)
         if len(s) == 1:
-            flags.append(flag)
+            flags.append(tuple(sorted(flag)))
         else:
             for i in range(len(s)):
                 descend(s[:i] + s[i + 1 :], flag)

@@ -285,6 +285,18 @@ class TestH1:
         assert res.returncode == 0
         assert json.loads(res.stdout)["classes"] == 2
 
+    def test_out_of_memory_is_reported(self, tmp_path, monkeypatch, capsys):
+        def exhausted(cx, xm, budget):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "classify_h1", exhausted)
+        out = tmp_path / "report.json"
+        code = cli.main(["h1", "--space", "torus7", "--coeff", "aut:Z3", "--budget", str(10**20), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 3 and "Traceback" not in captured.err
+        report = {"ok": False, "error": "memory", "detail": "out of memory"}
+        assert json.loads(captured.out) == json.loads(out.read_text()) == report
+
     def test_byte_identical_reruns(self):
         a = run("h1", "--space", "circle3", "--coeff", "discrete:S3")
         b = run("h1", "--space", "circle3", "--coeff", "discrete:S3")

@@ -17,10 +17,9 @@ from cech2.cohomology import (
     Cocycle,
     CoboundaryWitness,
     _classify_slice,
-    _encode,
     _enumerate_digit_arrays,
     _Quotient,
-    _Ranks,
+    _search,
     _System,
     _system,
     abelian_oracle_h2,
@@ -477,88 +476,73 @@ class TestResliceDigits:
                 assert (list(gds), list(hds)) == (g2[r].tolist(), h2[r].tolist())
 
 
-class TestEncode:
-    """``_encode`` against the weighted digit sum in Python integers."""
+class TestKeys:
+    """``_System.keys`` against the rows they key: key order is
+    ``np.lexsort`` order and keys are equal exactly when rows are, for 1-byte
+    and 2-byte digits and with runs of trailing zeros, whose bytes an element
+    read from the keys drops."""
 
-    @staticmethod
-    def _reference(mat, weights):
-        return [sum(map(operator.mul, row, weights)) for row in mat.tolist()]
+    @pytest.mark.parametrize("order,width", [(6, 1), (256, 1), (257, 2)])
+    def test_order_and_equality_are_those_of_the_rows(self, sphere2, order, width):
+        sys = _System(sphere2, shift_two_group(cyclic_group(order)))
+        E, T = len(sys.edges), len(sys.tris)
+        rng = np.random.default_rng(order)
+        h_mat = rng.integers(order, size=(300, T))
+        h_mat[rng.random(300) < 0.3, :] = rng.integers(2, size=T)  # small rows, as often repeated
+        for r, zeros in enumerate(rng.integers(T + 1, size=300)):
+            h_mat[r, T - zeros :] = 0
+        h_mat[:3] = [0] * T, [order - 1] * T, [0] * (T - 1) + [1]
+        g_mat = np.zeros((300, E), dtype=np.int64)
+        keys = sys.keys(g_mat, h_mat)
+        assert keys.shape == (300,) and keys.dtype.itemsize == (E + T + 1) * width
+        assert np.argsort(keys, kind="stable").tolist() == np.lexsort(h_mat.T[::-1]).tolist()
+        assert np.array_equal(keys[:, None] == keys[None, :], (h_mat[:, None] == h_mat[None, :]).all(axis=2))
 
-    def test_equals_weighted_sum(self):
-        rng = np.random.default_rng(9)
-        weights = [5**p for p in range(17, -1, -1)]
-        mat = rng.integers(5, size=(200, 18))
-        ranks = _encode(mat, weights)
-        assert ranks.dtype == np.int64 and ranks.tolist() == self._reference(mat, weights)
+    def test_edge_digits_lead(self):
+        sys = _System(standard_space("circle3"), discrete_two_group(cyclic_group(300)))
+        g_mat = np.random.default_rng(7).integers(300, size=(200, 3))
+        g_mat[::4, 1:] = 0
+        keys = sys.keys(g_mat, np.zeros((200, 0), dtype=np.int64))
+        assert np.argsort(keys, kind="stable").tolist() == np.lexsort(g_mat.T[::-1]).tolist()
 
-    def test_zero_width(self, library_xmods):
-        # the point has no edges and no triangles: every rank is 0
+    def test_point_has_one_key(self, library_xmods):
+        # the point has no edges and no triangles: its one row still has a key
         for xm in library_xmods:
             sys = _System(standard_space("point"), xm)
             g_mat, h_mat = _enumerate_digit_arrays(sys, DEFAULT_BUDGET)
             assert g_mat.shape == (1, 0) and h_mat.shape == (1, 0)
-            assert _encode(g_mat, _lex_weights(sys)[0]).tolist() == [0]
-            assert sys.ranks(g_mat, h_mat).tolist() == [0]
+            keys = sys.keys(g_mat, h_mat)
+            assert len(np.unique(keys)) == 1 and _search(keys, keys)[1].all()
+            assert classify_h1(sys.cx, xm).class_of(trivial_cocycle(sys.cx, xm)) == 0
 
-    def test_uint8_digits(self):
-        # products outgrow uint8 at once; they must be taken in int64
-        weights = [256**p for p in range(6, -1, -1)]
-        mat = np.random.default_rng(3).integers(256, size=(50, 7)).astype(np.uint8)
-        mat[0] = 255
-        assert _encode(mat, weights).tolist() == self._reference(mat, weights)
+    def test_trivial_cocycle_has_the_all_zero_key(self, library_xmods):
+        # its key reads as b"" element by element, yet is found as an array
+        for xm in library_xmods:
+            cx = standard_space("sphere2")
+            sys, cls = _System(cx, xm), classify_h1(cx, xm)
+            g_mat, h_mat = _enumerate_digit_arrays(sys, DEFAULT_BUDGET, on_slice=True)
+            keys = sys.keys(g_mat, h_mat)
+            index, found = _search(keys, sys.keys(np.zeros_like(g_mat[:1]), np.zeros_like(h_mat[:1])))
+            assert keys[0] == b"" and index.tolist() == [0] and found.tolist() == [True]
+            assert cls.class_of(trivial_cocycle(cx, xm)) == cls.base_class
 
-    def test_rank_space_just_under_int64(self):
-        # 511^7 is about 0.988 of 2^63
-        weights = [511**p for p in range(6, -1, -1)]
-        assert 0.98 * 2**63 < 511**7 <= np.iinfo(np.int64).max
-        mat = np.random.default_rng(4).integers(511, size=(20, 7))
-        mat[0], mat[1] = 510, 0
-        ranks = _encode(mat, weights)
-        assert ranks.tolist() == self._reference(mat, weights)
-        assert ranks[0] == 511**7 - 1 and ranks[1] == 0
+    def test_two_byte_digits_classify_by_holonomy(self, circle3):
+        # Z257 needs 2-byte digits: with little-endian keys the moves would
+        # not find their rows (MoveLeavesCocycles)
+        xm = discrete_two_group(cyclic_group(257))
+        cls = classify_h1(circle3, xm)
+        assert cls.class_count == 257 and cls.sizes() == [257**2] * 257
 
+        def holonomy(c):  # the oracle's walk 0, 1, 2, 0 in the abelian Z257
+            return (c.g[(0, 1)] + c.g[(1, 2)] - c.g[(0, 2)]) % 257
 
-class TestRanks:
-    """``_Ranks`` against each row's position among all the rows the masks
-    admit with the triangle values in given t-fibres, listed in
-    lexicographic order, with masks whose allowed values skip some, as coset
-    minima may."""
-
-    def test_position_among_admitted_rows(self):
-        rng = np.random.default_rng(5)
-        t = np.array([0, 1, 0, 2, 1, 2])  # fibres {0, 2}, {1, 4} and {3, 5}
-        fibres = [np.flatnonzero(t == d) for d in range(3)]
-        for _ in range(30):
-            g_allowed = rng.random((3, 5)) < 0.5
-            g_allowed[:, 0] = True
-            h_allowed = np.ones((2, 6), dtype=bool)
-            for p in np.flatnonzero(rng.random(2) < 0.5):  # one allowed value in every fibre
-                h_allowed[p] = False
-                h_allowed[p, [rng.choice(fibre) for fibre in fibres]] = True
-            defects = rng.integers(3, size=2)
-            values = [np.flatnonzero(column).tolist() for column in g_allowed]
-            values += [np.flatnonzero(h_allowed[p] & (t == d)).tolist() for p, d in enumerate(defects)]
-            rows = np.array(list(itertools.product(*values)), dtype=np.int64)
-            ranks = _Ranks(g_allowed, h_allowed, t)
-            assert ranks.space == len(rows)
-            assert ranks(rows[:, :3], rows[:, 3:]).tolist() == list(range(len(rows)))
-            assert [ranks.of_row(row[:3], row[3:]) for row in rows.tolist()] == list(range(len(rows)))
-
-    def test_every_value_allowed_is_the_lexicographic_rank(self):
-        rng = np.random.default_rng(6)
-        g_mat, h_mat = rng.integers(6, size=(50, 4)), rng.integers(2, size=(50, 3))
-        g_lex = [int("".join(map(str, g)), 6) for g in g_mat]
-        g_allowed, h_allowed = np.ones((4, 6), dtype=bool), np.ones((3, 2), dtype=bool)
-        # t trivial: one fibre, all of H
-        ranks = _Ranks(g_allowed, h_allowed, np.zeros(2, dtype=np.int64))
-        assert ranks(g_mat, h_mat).tolist() == [g * 8 + int("".join(map(str, h)), 2) for g, h in zip(g_lex, h_mat)]
-        # t injective: every fibre one element, so the triangle digits are 0
-        assert _Ranks(g_allowed, h_allowed, np.arange(2))(g_mat, h_mat).tolist() == g_lex
-
-    def test_rank_space_beyond_int64_is_refused(self):
-        with pytest.raises(BudgetExceeded) as exc:
-            _Ranks(np.ones((22, 8), dtype=bool), np.ones((0, 1), dtype=bool), np.zeros(1, dtype=np.int64))
-        assert (exc.value.required, exc.value.budget) == (8**22, np.iinfo(np.int64).max)
+        assert sorted(map(holonomy, cls.representatives)) == list(range(257))
+        rng = random.Random(257)
+        for i in range(300):
+            c = Cocycle(g={e: rng.randrange(257) for e in circle3.edges}, h={})
+            assert holonomy(cls.representatives[cls.class_of(c)]) == holonomy(c)
+            if i % 60 == 0:
+                assert holonomy_oracle(circle3, c, xm) == holonomy(c)
 
 
 class TestEnumerateCocycles:
@@ -675,6 +659,11 @@ def _candidate_count(sys: _System) -> int:
     """|G|^E |ker t|^T: the rows an enumeration of all cocycles may visit, and
     the budget ``enumerate_cocycles`` needs."""
     return sys.G.order ** len(sys.edges) * len(sys.kernel_t) ** len(sys.tris)
+
+
+def _encode(mat: np.ndarray, weights: list[int]) -> np.ndarray:
+    """Weighted digit sums of the rows, as int64."""
+    return mat.astype(np.int64, copy=False) @ np.array(weights, dtype=np.int64)
 
 
 def _lex_weights(sys: _System) -> tuple[list[int], list[int]]:
@@ -1028,7 +1017,7 @@ class TestSliceReach:
         "space,spec,budget,classes",
         [
             ("torus7", "hat:z2z4", 2**63, 16),  # |Hom(Z^2, Z4)|; ranks over G^E x H^T would need 2^77
-            ("sd(sphere2)", "z2z4", 4**36, 1),  # the same, 8 slice rows out of about 7.9e28 ranks
+            ("sd(sphere2)", "z2z4", 4**36, 1),  # the same, one slice row for about 5.6e14 cocycles
             ("sd(tetra_solid)", "shift:Z2", 2**60, 1),  # one slice row for 2^36 cocycles
             ("rp2_6", "aut:Z4", 2**35, 5),  # K^G = {0, 2}, a twisted ker t = Z4
         ],
@@ -1083,10 +1072,10 @@ class TestSliceReach:
 
 
 class TestOneBound:
-    """The budget bounds the rank space of the rows enumerated, with each
-    triangle ranked by its place in its t-fibre: on the slice
-    |G/t(H)|^(E-F) |ker t|^T, F the forest edges, which never exceeds the
-    |G|^E |ker t|^T of all cocycles."""
+    """The budget bounds the rows enumerated, each triangle taking at most
+    the |ker t| values of a t-fibre: on the slice |G/t(H)|^(E-F) |ker t|^T,
+    F the forest edges, which never exceeds the |G|^E |ker t|^T of all
+    cocycles."""
 
     def test_slice_bound_never_exceeds_all_cocycles(self):
         spaces = standard_space_names() + [f"sd({name})" for name in standard_space_names()]
@@ -1128,13 +1117,25 @@ class TestOneBound:
             classify_h1(standard_space(space), coefficient_from_spec(spec))
         assert (exc.value.required, exc.value.budget) == (bound, DEFAULT_BUDGET)
 
-    def test_slice_ranks_beyond_int64_are_refused(self):
-        # sd(torus7) has 126 edges and 35 forest edges: within a budget of
-        # 10^80, the slice ranks of discrete:S3 would need 6^91
+    def test_refused_just_below_the_bound(self):
+        # sd(torus7) has 126 edges and 41 forest edges, so discrete:S3 needs
+        # a budget of 6^85, far beyond int64
         cx, xm = _space("sd(torus7)"), coefficient_from_spec("discrete:S3")
+        bound = 6**85
         with pytest.raises(BudgetExceeded) as exc:
-            classify_h1(cx, xm, budget=10**80)
-        assert (exc.value.required, exc.value.budget) == (6**91, np.iinfo(np.int64).max)
+            classify_h1(cx, xm, budget=bound - 1)
+        assert (exc.value.required, exc.value.budget) == (bound, bound - 1)
+
+    @pytest.mark.parametrize("space,spec", [("torus7", "discrete:Z2"), ("torus7", "z2z4"), ("rp2_6", "discrete:S3")])
+    def test_subdivision_beyond_int64_keeps_the_classes(self, space, spec):
+        # sd(M) at the budget its bound asks, beyond any int64 rank, and M
+        # itself give the same number of classes
+        xm, counts = coefficient_from_spec(spec), []
+        for cx in (standard_space(space), _space(f"sd({space})")):
+            with pytest.raises(BudgetExceeded) as exc:
+                classify_h1(cx, xm, budget=0)
+            counts.append(classify_h1(cx, xm, budget=exc.value.required).class_count)
+        assert exc.value.required > 2**63 and counts[0] == counts[1]
 
     def test_a_broken_row_is_not_found(self, sphere2, z2z4):
         # every t-fibre of z2z4 is one element, so ranks do not read the

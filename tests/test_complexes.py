@@ -69,7 +69,8 @@ class TestSubdivision:
     def test_builds_from_the_maximal_flags(self, name, monkeypatch):
         # on the space and on its subdivision: build_complex receives exactly
         # the maximal simplices of the result, and the result is the order
-        # complex, every chain of faces numbered by (dimension, simplex)
+        # complex, every chain of faces numbered by (least vertex, dimension,
+        # simplex)
         passed = []
 
         def recording(vertex_count, maximal, name=""):
@@ -84,11 +85,25 @@ class TestSubdivision:
             assert sorted(passed.pop()) == sorted(sd.simplices - facets)
             assert sd.vertex_count == len(cx.simplices) and sd.simplices == _chains(cx)
 
+    @pytest.mark.parametrize("name", standard_space_names())
+    def test_roots_are_those_of_the_space(self, name):
+        # the gauge slice keeps a free vertex move at every root, so
+        # subdividing must add none: on the space and on its subdivision
+        for cx in (standard_space(name), barycentric_subdivide(standard_space(name))):
+            faces = sorted(cx.simplices, key=lambda s: (s[0], len(s), s))
+            assert [faces[v] for v in _roots(barycentric_subdivide(cx))] == [(v,) for v in _roots(cx)]
+
+
+def _roots(cx):
+    """The vertices with no smaller neighbour."""
+    children = {j for _, j in cx.simplices_of_dim(1)}
+    return [v for v in cx.vertices if v not in children]
+
 
 def _chains(cx):
     """Every chain of faces of ``cx``, descending through all proper faces,
-    as a simplex on the faces numbered by (dimension, simplex)."""
-    index = {s: i for i, s in enumerate(sorted(cx.simplices, key=lambda s: (len(s), s)))}
+    as a simplex on the faces numbered by (least vertex, dimension, simplex)."""
+    index = {s: i for i, s in enumerate(sorted(cx.simplices, key=lambda s: (s[0], len(s), s)))}
     chains = set()
 
     def extend(chain):
