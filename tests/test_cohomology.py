@@ -488,7 +488,7 @@ class TestKeys:
         E, T = len(sys.edges), len(sys.tris)
         rng = np.random.default_rng(order)
         h_mat = rng.integers(order, size=(300, T))
-        h_mat[rng.random(300) < 0.3, :] = rng.integers(2, size=T)  # small rows, as often repeated
+        h_mat[rng.random(300) < 0.3, :] = rng.integers(2, size=T)  # one repeated row of small digits
         for r, zeros in enumerate(rng.integers(T + 1, size=300)):
             h_mat[r, T - zeros :] = 0
         h_mat[:3] = [0] * T, [order - 1] * T, [0] * (T - 1) + [1]
