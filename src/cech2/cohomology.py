@@ -906,7 +906,9 @@ def relation_matrix(
     for f, k in sys.witness_blocks(witness_budget):
         for a in range(len(g_mat)):
             index, found = _search(keys, sys.keys(*sys.act(g_mat[a : a + 1], h_mat[a : a + 1], f, k)))
-            assert found.all()  # the action keeps cocycles valid
+            if not found.all():  # the action must keep cocycles valid
+                w = np.argmin(found)
+                raise MoveLeavesCocycles(sys.digits_to_witness(f[w], k[w]), sys.digits_to_cocycle(g_mat[a], h_mat[a]))
             rel[a, index] = True
     return rel, CocycleSequence(sys.edges, sys.tris, g_mat, h_mat)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .errors import (
     EquivarianceViolation,
     IsoCheckFailed,
     NotComposable,
+    NotExact,
     PeifferViolation,
 )
 from .groups import (
@@ -44,6 +45,8 @@ from .groups import (
 )
 
 AUT_ENUMERATION_BOUND = 12
+# most strings multiplied pairwise, a few n x n int64 arrays of 32 MB each
+MAX_LEVEL_ORDER = 2048
 
 
 class CrossedModule:
@@ -66,8 +69,10 @@ class CrossedModule:
 class TwoGroup:
     """Strict 2-group: groups of objects and morphisms plus structure maps.
 
-    ``compose(first, then)`` performs the groupoid composition then o first
-    and raises NotComposable unless tgt(first) = src(then).
+    ``compose`` is the groupoid composition, on ints or int arrays.
+    ``strings(p)`` is the one listing of composable p-strings and
+    ``string_products`` the one pairwise product of strings: the nerve's
+    level check, the bar check and the interchange law all read these two.
     """
 
     def __init__(
@@ -77,8 +82,7 @@ class TwoGroup:
         src: GroupHom,
         tgt: GroupHom,
         unit: GroupHom,
-        compose: Callable[[int, int], int],
-        crossed_module: Optional[CrossedModule] = None,
+        compose: Callable,
         name: str = "",
     ):
         self.ob = ob
@@ -87,21 +91,53 @@ class TwoGroup:
         self.tgt = tgt
         self.unit = unit
         self._compose = compose
-        self.crossed_module = crossed_module
         self.name = name or "2-group"
 
-    def compose(self, first: int, then: int) -> int:
-        if self.tgt(first) != self.src(then):
-            raise NotComposable(self.tgt(first), self.src(then))
-        return self._compose(first, then)
+    def compose(self, first, then):
+        """then o first, on ints or elementwise on int arrays of one shape;
+        NotComposable at the first place where tgt(first) != src(then)."""
+        ends, starts = self.tgt.map[first], self.src.map[then]
+        bad = np.flatnonzero(ends != starts)
+        if bad.size:
+            raise NotComposable(int(ends.flat[bad[0]]), int(starts.flat[bad[0]]))
+        out = self._compose(np.asarray(first), np.asarray(then))
+        return int(out) if out.ndim == 0 else out
 
-    def composable_pairs(self):
-        by_src: dict[int, list[int]] = {}
-        for m in self.mor.elements():
-            by_src.setdefault(self.src(m), []).append(m)
-        for m1 in self.mor.elements():
-            for m2 in by_src.get(self.tgt(m1), []):
-                yield m1, m2
+    def strings(self, p: int) -> tuple[np.ndarray, np.ndarray]:
+        """Composable p-strings as (start objects, n x p arrows), ordered by
+        start object and then by arrows.
+
+        src is onto, as unit is a section of it, so every object has the same
+        number k of outgoing arrows and they fit one row each of ``by_src``.
+        """
+        by_src = np.argsort(self.src.map, kind="stable").reshape(self.ob.order, -1)
+        x = end = np.arange(self.ob.order)
+        arrows, k = np.empty((len(x), 0), dtype=np.int64), by_src.shape[1]
+        for _ in range(p):
+            m = by_src[end].ravel()
+            x, arrows = x.repeat(k), np.column_stack([arrows.repeat(k, axis=0), m])
+            end = self.tgt.map[m]
+        return x, arrows
+
+    def string_products(self, x: np.ndarray, arrows: np.ndarray, digits: np.ndarray, radix: int):
+        """Products of all pairs of strings (x, arrows), row times column: the
+        product of (x, m_1 .. m_p) and (y, n_1 .. n_p) is (x y, m_i n_i).
+
+        Returns the n x n products encoded from the start object x y one
+        arrow at a time, code * radix + digits[m_i n_i], and the mask of
+        composable products.  BudgetExceeded above MAX_LEVEL_ORDER strings,
+        before any n x n array.
+        """
+        if len(x) > MAX_LEVEL_ORDER:
+            raise BudgetExceeded(len(x), MAX_LEVEL_ORDER)
+        code = end = self.ob.table[x[:, None], x[None, :]]
+        composable = np.ones(code.shape, dtype=bool)
+        for m in arrows.T:
+            pm = self.mor.table[m[:, None], m[None, :]]
+            composable &= self.src.map[pm] == end
+            end = self.tgt.map[pm]
+            code = code * radix + digits[pm]
+        return code, composable
 
     def __repr__(self):
         return f"TwoGroup({self.name}, |ob|={self.ob.order}, |mor|={self.mor.order})"
@@ -170,12 +206,11 @@ def two_group_from_crossed_module(xm: CrossedModule) -> TwoGroup:
     tgt = validate_hom(mor, G, [G.mul(xm.t(m // ng), m % ng) for m in mor.elements()])
     unit = validate_hom(G, mor, [g for g in G.elements()])
 
-    def compose(first: int, then: int) -> int:
-        h1, g1 = divmod(first, ng)
-        h2, _ = divmod(then, ng)
-        return H.mul(h2, h1) * ng + g1
+    def compose(first, then):
+        h1, g1 = np.divmod(first, ng)
+        return H.table[then // ng, h1] * ng + g1
 
-    return TwoGroup(G, mor, src, tgt, unit, compose, crossed_module=xm, name=xm.name)
+    return TwoGroup(G, mor, src, tgt, unit, compose, name=xm.name)
 
 
 def crossed_module_from_two_group(tg: TwoGroup) -> CrossedModule:
@@ -334,7 +369,8 @@ def hat_construction(xm: CrossedModule) -> tuple[CrossedModule, CrossedModuleSES
     right = validate_two_group_hom(hat, xm, fG=f_prime, fH=identity_hom(H))
     ses = CrossedModuleSES(left, right)
     report = validate_ses(ses)
-    assert report["ok"], f"hat sequence failed exactness: {report['failures']}"
+    if not report["ok"]:
+        raise NotExact(f"hat sequence failed exactness: {report['failures']}")
     return hat, ses
 
 
@@ -350,7 +386,7 @@ def segal_bar_two_group(H: FiniteGroup) -> TwoGroup:
     tgt = validate_hom(mor, H, [m % nh for m in mor.elements()])
     unit = validate_hom(H, mor, [h * nh + h for h in H.elements()])
 
-    def compose(first: int, then: int) -> int:
+    def compose(first, then):
         return (first // nh) * nh + (then % nh)
 
     return TwoGroup(H, mor, src, tgt, unit, compose, name=f"bar({H.name})")
@@ -380,7 +416,7 @@ def semidirect_two_group(G: FiniteGroup, barH: TwoGroup, alpha: GroupAction) -> 
     mor.name = f"{G.name}|x({H.name}^2)"
     enc_ob = lambda g, h: h * ng + g
 
-    def decode(m: int) -> tuple[int, int, int]:
+    def decode(m):
         ab, g = divmod(m, ng)
         return g, ab // nh, ab % nh
 
@@ -388,7 +424,7 @@ def semidirect_two_group(G: FiniteGroup, barH: TwoGroup, alpha: GroupAction) -> 
     tgt = validate_hom(mor, ob, [enc_ob(g, b) for (g, a, b) in map(decode, mor.elements())])
     unit = validate_hom(ob, mor, [(x // ng * nh + x // ng) * ng + x % ng for x in ob.elements()])
 
-    def compose(first: int, then: int) -> int:
+    def compose(first, then):
         g, a, _ = decode(first)
         _, _, c = decode(then)
         return (a * nh + c) * ng + g
@@ -410,18 +446,15 @@ def iso_hat_check(xm: CrossedModule) -> TwoGroupFunctor:
     cod = semidirect_two_group(G, segal_bar_two_group(H), xm.alpha)
 
     ob_map = np.arange(dom.ob.order, dtype=np.int64)
-    mor_values = np.empty(dom.mor.order, dtype=np.int64)
-    for m in dom.mor.elements():
-        hp, x = divmod(m, dom.ob.order)  # morphism (x, h') with x = (g, h)
-        h, g = divmod(x, ng)
-        mor_values[m] = (h * nh + H.mul(hp, h)) * ng + g
+    hp, x = np.divmod(np.arange(dom.mor.order), dom.ob.order)  # morphism (x, h') with x = (g, h)
+    h, g = np.divmod(x, ng)
+    mor_values = (h * nh + H.table[hp, h]) * ng + g
 
     if len(set(mor_values.tolist())) != cod.mor.order or dom.mor.order != cod.mor.order:
         raise IsoCheckFailed("morphism map is not a bijection", None)
-    for m1 in dom.mor.elements():
-        for m2 in dom.mor.elements():
-            if mor_values[dom.mor.mul(m1, m2)] != cod.mor.mul(int(mor_values[m1]), int(mor_values[m2])):
-                raise IsoCheckFailed("morphism multiplication", (m1, m2))
+    bad = np.argwhere(mor_values[dom.mor.table] != cod.mor.table[np.ix_(mor_values, mor_values)])
+    if len(bad):
+        raise IsoCheckFailed("morphism multiplication", tuple(map(int, bad[0])))
     for m in dom.mor.elements():
         if ob_map[dom.src(m)] != cod.src(int(mor_values[m])):
             raise IsoCheckFailed("source", m)
@@ -433,11 +466,10 @@ def iso_hat_check(xm: CrossedModule) -> TwoGroupFunctor:
         for y in dom.ob.elements():
             if ob_map[dom.ob.mul(x, y)] != cod.ob.mul(int(ob_map[x]), int(ob_map[y])):
                 raise IsoCheckFailed("object multiplication", (x, y))
-    for m1, m2 in dom.composable_pairs():
-        lhs = mor_values[dom.compose(m1, m2)]
-        rhs = cod.compose(int(mor_values[m1]), int(mor_values[m2]))
-        if lhs != rhs:
-            raise IsoCheckFailed("composition", (m1, m2))
+    m1, m2 = dom.strings(2)[1].T
+    bad = np.flatnonzero(mor_values[dom.compose(m1, m2)] != cod.compose(mor_values[m1], mor_values[m2]))
+    if bad.size:
+        raise IsoCheckFailed("composition", (int(m1[bad[0]]), int(m2[bad[0]])))
     return TwoGroupFunctor(
         dom=dom,
         cod=cod,
@@ -481,12 +513,17 @@ def validate_ses(ses: CrossedModuleSES) -> dict:
 
 
 def interchange_holds(tg: TwoGroup) -> bool:
-    """(b2' o b1') * (b2 o b1) = (b2' * b2) o (b1' * b1), all composable quadruples."""
-    pairs = list(tg.composable_pairs())
-    for b1, b2 in pairs:
-        for b1p, b2p in pairs:
-            lhs = tg.mor.mul(tg.compose(b1p, b2p), tg.compose(b1, b2))
-            rhs = tg.compose(tg.mor.mul(b1p, b1), tg.mor.mul(b2p, b2))
-            if lhs != rhs:
-                return False
-    return True
+    """(b2' o b1') * (b2 o b1) = (b2' * b2) o (b1' * b1), all composable quadruples.
+
+    Each pair of composable 2-strings (b1', b2') and (b1, b2) at once; a
+    product pair that is not composable fails the law.  Raises
+    BudgetExceeded above MAX_LEVEL_ORDER composable pairs.
+    """
+    nm = tg.mor.order
+    x, arrows = tg.strings(2)
+    code, composable = tg.string_products(x, arrows, np.arange(nm), nm)
+    if not composable.all():
+        return False
+    after = tg.compose(arrows[:, 0], arrows[:, 1])
+    lhs = tg.mor.table[after[:, None], after[None, :]]
+    return bool((lhs == tg.compose(code // nm % nm, code % nm)).all())

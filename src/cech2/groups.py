@@ -14,6 +14,7 @@ formats.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable, Sequence
 
@@ -83,6 +84,13 @@ class FiniteGroup:
             o = self.element_order(a)
             census[o] = census.get(o, 0) + 1
         return census
+
+    @functools.cached_property
+    def class_labels(self) -> np.ndarray:
+        """Conjugacy class of each element, classes numbered by their least
+        element; computed once per group."""
+        conj = self.table[self.table, self.inverse[:, None]]  # [g, x] = g x g^-1
+        return np.unique(conj.min(axis=0), return_inverse=True)[1]
 
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.table, self.table.T))
@@ -320,23 +328,14 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
 
 def conjugacy_classes(group: FiniteGroup) -> list[list[int]]:
     """Partition of elements under x ~ g x g^-1, classes sorted by minimum."""
-    seen = [False] * group.order
-    classes = []
-    for x in group.elements():
-        if seen[x]:
-            continue
-        orbit = {group.conj(g, x) for g in group.elements()}
-        for y in orbit:
-            seen[y] = True
-        classes.append(sorted(orbit))
-    return sorted(classes, key=lambda c: c[0])
+    labels = group.class_labels
+    return [np.flatnonzero(labels == i).tolist() for i in range(labels.max() + 1)]
 
 
 def conjugacy_class_index(group: FiniteGroup, x: int) -> int:
-    for i, c in enumerate(conjugacy_classes(group)):
-        if x in c:
-            return i
-    raise ValueError(f"element {x} not in any class")
+    if not 0 <= x < group.order:
+        raise ValueError(f"element {x} not in any class")
+    return int(group.class_labels[x])
 
 
 def hom_kernel_image(f: GroupHom) -> tuple[list[int], list[int]]:

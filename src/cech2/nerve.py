@@ -9,13 +9,17 @@ g * |H|^p + (h_1 ... h_p in base |H|), with the levelwise multiplication
     sigma_i = t(h_{i-1} ... h_1) g
 
 Faces drop an end morphism or compose adjacent ones; degeneracies insert
-identity morphisms.  The definitional string model is rebuilt independently
-by ``check_level_iso`` and compared against this compact representation.
+identity morphisms.  ``check_level_iso`` compares this compact
+representation with the definitional string model, the composable strings
+of ``TwoGroup.strings`` and their pairwise products from
+``TwoGroup.string_products``; ``check_bar_multiplication`` reads the same
+two for G |x bar(H).
 
 Tables and maps are built by numpy broadcasting over the codes split into a
 g column and p kernel columns, so a level of order n costs O(n^2) array
 work, and ``validate_group`` checks it without an n^3 array.  The top
-level's order is capped at MAX_LEVEL_ORDER.
+level's order, and the strings the checks multiply pairwise, are capped at
+MAX_LEVEL_ORDER.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crossed_modules import (
+    MAX_LEVEL_ORDER,
     CrossedModule,
-    TwoGroup,
     segal_bar_two_group,
     semidirect_two_group,
     two_group_from_crossed_module,
@@ -35,9 +39,6 @@ from .errors import BudgetExceeded
 from .groups import FiniteGroup, GroupAction, GroupHom, validate_group, validate_hom
 
 DEFAULT_LEVEL_CAP = 4
-# largest level order nerve_two_group builds: level tables and their checks
-# hold a few n x n int64 arrays, about 32 MB each at this order
-MAX_LEVEL_ORDER = 2048
 
 
 @dataclass
@@ -171,66 +172,39 @@ def check_simplicial_identities(nsg: TruncatedSimplicialGroup) -> dict:
     return {"ok": not failures, "failures": failures, "levels": [g.order for g in nsg.levels]}
 
 
-def _strings(tg: TwoGroup, p: int) -> list[tuple[int, tuple[int, ...]]]:
-    """Composable p-strings (start object, morphisms), the definitional model."""
-    if p == 0:
-        return [(x, ()) for x in tg.ob.elements()]
-    by_src: dict[int, list[int]] = {}
-    for m in tg.mor.elements():
-        by_src.setdefault(tg.src(m), []).append(m)
-    out = [(x, (m,)) for x in tg.ob.elements() for m in by_src.get(x, [])]
-    for _ in range(p - 1):
-        out = [
-            (x, ms + (m,))
-            for (x, ms) in out
-            for m in by_src.get(tg.tgt(ms[-1]), [])
-        ]
-    return out
-
-
 def check_level_iso(nsg: TruncatedSimplicialGroup, xm: CrossedModule) -> dict:
     """Match every level against composable strings of the associated 2-group.
 
     A string maps to (start object, kernel parts of its arrows); the check
     confirms this is a bijection onto the stored level, turns string
     concatenation products into level products, and that the face maps do
-    what faces of a nerve do (drop an end, compose in the middle).  The
-    strings are listed one by one from the 2-group; their products are
-    formed for all pairs at once, and a product that is not a composable
+    what faces of a nerve do (drop an end, compose in the middle).  A
+    product from ``TwoGroup.string_products`` that is not a composable
     string counts as a mismatch.
     """
     tg = two_group_from_crossed_module(xm)
     ng, nh = xm.G.order, xm.H.order
-    src, tgt = tg.src.map, tg.tgt.map
     failures = []
     for p in range(nsg.depth + 1):
-        strings = _strings(tg, p)
+        x, arrows = tg.strings(p)
         level = nsg.levels[p]
-        if len(strings) != level.order:
-            failures.append(f"level {p}: {len(strings)} strings vs order {level.order}")
+        if len(x) != level.order:
+            failures.append(f"level {p}: {len(x)} strings vs order {level.order}")
             continue
-        x = np.array([s[0] for s in strings], dtype=np.int64)
-        arrows = list(np.array([s[1] for s in strings], dtype=np.int64).reshape(len(strings), p).T)
-        ks = [m // ng for m in arrows]
+        ks = list(arrows.T // ng)
         codes = _encode(x, ks, nh)
         if np.bincount(codes).max() > 1:
             failures.append(f"level {p}: string coordinates collide")
             continue
         # componentwise string product realizes the level multiplication
-        prod = end = tg.ob.table[x[:, None], x[None, :]]
-        composable = np.ones(prod.shape, dtype=bool)
-        for m in arrows:
-            pm = tg.mor.table[m[:, None], m[None, :]]
-            composable &= src[pm] == end
-            end = tgt[pm]
-            prod = prod * nh + pm // ng
+        prod, composable = tg.string_products(x, arrows, np.arange(tg.mor.order) // ng, nh)
         if not (composable & (prod == level.table[codes[:, None], codes[None, :]])).all():
             failures.append(f"level {p}: product mismatch")
         # faces against the string model, first failing string first
         if p >= 1:
-            want = {0: _encode(tgt[arrows[0]], ks[1:], nh), p: _encode(x, ks[:-1], nh)}
+            want = {0: _encode(tg.tgt.map[arrows[:, 0]], ks[1:], nh), p: _encode(x, ks[:-1], nh)}
             for i in range(1, p):
-                mid = np.array([tg.compose(int(a), int(b)) for a, b in zip(arrows[i - 1], arrows[i])])
+                mid = tg.compose(arrows[:, i - 1], arrows[:, i])
                 want[i] = _encode(x, ks[:i - 1] + [mid // ng] + ks[i + 1:], nh)
             order = list(want)
             bad = np.array([want[i] != nsg.faces[p][i].map[codes] for i in order])
@@ -248,47 +222,34 @@ def check_level_iso(nsg: TruncatedSimplicialGroup, xm: CrossedModule) -> dict:
 def check_bar_multiplication(G: FiniteGroup, H: FiniteGroup, alpha: GroupAction, p: int) -> dict:
     """Nerve levels of G |x bar(H) multiply by the twisted componentwise rule.
 
-    Level q strings decode to (g, (h_0, ..., h_q)); the product of two such
-    must be (g g', (h_i alpha(g)(h_i'))).  Checked on every pair of strings
-    for every level up to p; BudgetExceeded above DEFAULT_LEVEL_CAP.
+    A level q string (g, h_0) -> ... -> (g, h_q) reads as (g, (h_0 .. h_q)),
+    and the product of two must be (g g', (h_i alpha(g)(h_i'))).  Each level
+    up to p is checked on all pairs at once by ``TwoGroup.string_products``;
+    "pairs" counts the pairs before the first mismatch in row-major order.
+    Raises ValueError on a negative p, and BudgetExceeded above
+    DEFAULT_LEVEL_CAP or MAX_LEVEL_ORDER strings, |G| |H|^(p+1), at once.
     """
+    if p < 0:
+        raise ValueError(f"bar depth must be at least 0, got {p}")
     if p > DEFAULT_LEVEL_CAP:
         raise BudgetExceeded(p, DEFAULT_LEVEL_CAP)
+    top = G.order * H.order ** (p + 1)
+    if top > MAX_LEVEL_ORDER:
+        raise BudgetExceeded(top, MAX_LEVEL_ORDER)
     tg = semidirect_two_group(G, segal_bar_two_group(H), alpha)
     ng, nh = G.order, H.order
-    failures = []
-    pairs_checked = []
-
-    def decode_string(x, ms):
-        h0, g = divmod(x, ng)
-        chain = [h0]
-        for m in ms:
-            ab, gm = divmod(m, ng)
-            a, b = divmod(ab, nh)
-            if gm != g or a != chain[-1]:
-                raise AssertionError("string decode out of step")
-            chain.append(b)
-        return g, chain
-
+    target = np.arange(tg.mor.order) // ng % nh  # b of the morphism (g, (a, b))
+    failures, pairs_checked = [], []
     for q in range(p + 1):
-        strings = _strings(tg, q)
-        count = 0
-        for s1 in strings:
-            g1, c1 = decode_string(*s1)
-            for s2 in strings:
-                g2, c2 = decode_string(*s2)
-                prod = (
-                    tg.ob.mul(s1[0], s2[0]),
-                    tuple(tg.mor.mul(a, b) for a, b in zip(s1[1], s2[1])),
-                )
-                gp, cp = decode_string(*prod)
-                want = [H.mul(a, alpha.apply(g1, b)) for a, b in zip(c1, c2)]
-                if gp != G.mul(g1, g2) or cp != want:
-                    failures.append(f"level {q}: bar multiplication mismatch")
-                    break
-                count += 1
-            else:
-                continue
-            break
-        pairs_checked.append(count)
+        x, arrows = tg.strings(q)
+        code, ok = tg.string_products(x, arrows, target, nh)
+        h0, g = np.divmod(x, ng)
+        twisted = lambda h: H.table[h[:, None], alpha.perms[g[:, None], h[None, :]]]  # h alpha(g)(h')
+        want = twisted(h0) * ng + G.table[g[:, None], g[None, :]]
+        for h in target[arrows.T]:
+            want = want * nh + twisted(h)
+        ok &= code == want
+        pairs_checked.append(ok.size if ok.all() else int(np.argmin(ok)))
+        if not ok.all():
+            failures.append(f"level {q}: bar multiplication mismatch")
     return {"ok": not failures, "failures": failures, "pairs": pairs_checked}

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -24,9 +26,11 @@ from cech2.errors import (
     EquivarianceViolation,
     NotAbelian,
     NotComposable,
+    NotExact,
     PeifferViolation,
 )
 from cech2.groups import (
+    FiniteGroup,
     identity_hom,
     inversion_action,
     trivial_action,
@@ -128,6 +132,51 @@ class TestCompositions:
         hat, _ = hat_construction(z2z4)
         assert interchange_holds(two_group_from_crossed_module(hat))
 
+    def test_interchange_same_as_reference(self, library_xmods):
+        for xm in library_xmods:
+            tg = two_group_from_crossed_module(xm)
+            assert interchange_holds(tg) is _reference_interchange_holds(tg) is True, xm.name
+
+    def test_interchange_fails_on_a_corrupted_product(self, z3):
+        # aut:Z3 has t = 1, so (h, g) -> (h', g) keeps both ends and every
+        # product stays composable: the reference loop runs through as well
+        tg = copy.copy(two_group_from_crossed_module(aut_two_group(z3)))
+        table = tg.mor.table.copy()
+        assert table[2, 2] == 4  # (1, 0) (1, 0) = (2, 0)
+        table[2, 2] = 0
+        tg.mor = FiniteGroup(table, name=tg.mor.name)
+        assert interchange_holds(tg) is _reference_interchange_holds(tg) is False
+
+    def test_interchange_fails_on_a_product_that_is_not_composable(self, z2z4):
+        tg = copy.copy(two_group_from_crossed_module(z2z4))
+        table = tg.mor.table.copy()
+        assert table[1, 1] == 2  # (0, 1) (0, 1) = (0, 2)
+        table[1, 1] = 6  # (1, 2): the target moves from 2 to 0
+        tg.mor = FiniteGroup(table, name=tg.mor.name)
+        assert interchange_holds(tg) is False
+
+    def test_compose_arrays(self, z2z4):
+        tg = two_group_from_crossed_module(z2z4)
+        first, then = tg.strings(2)[1].T
+        assert tg.compose(first, then).tolist() == [tg.compose(int(a), int(b)) for a, b in zip(first, then)]
+        with pytest.raises(NotComposable):
+            tg.compose(first, np.roll(then, 1))
+
+
+def _reference_interchange_holds(tg) -> bool:
+    """The quadruple loop ``interchange_holds`` replaced, kept as the reference."""
+    by_src: dict[int, list[int]] = {}
+    for m in tg.mor.elements():
+        by_src.setdefault(tg.src(m), []).append(m)
+    pairs = [(m1, m2) for m1 in tg.mor.elements() for m2 in by_src.get(tg.tgt(m1), [])]
+    for b1, b2 in pairs:
+        for b1p, b2p in pairs:
+            lhs = tg.mor.mul(tg.compose(b1p, b2p), tg.compose(b1, b2))
+            rhs = tg.compose(tg.mor.mul(b1p, b1), tg.mor.mul(b2p, b2))
+            if lhs != rhs:
+                return False
+    return True
+
 
 class TestNamedConstructions:
     def test_discrete(self, z2, s3, z1):
@@ -185,6 +234,14 @@ class TestHatConstruction:
         assert hat.G.order == 2
         assert hat.t.is_injective() and hat.t.is_surjective()
         assert validate_ses(ses)["ok"]
+
+    def test_inexact_sequence_raises(self, z2z4, monkeypatch):
+        # the check must stay when assertions are stripped (python -O)
+        import cech2.crossed_modules as cm
+
+        monkeypatch.setattr(cm, "validate_ses", lambda ses: {"ok": False, "failures": ["H-row: image != kernel"]})
+        with pytest.raises(NotExact, match="image != kernel"):
+            hat_construction(z2z4)
 
 
 class TestSegalBar:

@@ -15,6 +15,7 @@ from cech2.errors import (
     NotHomomorphism,
 )
 from cech2.groups import (
+    conjugacy_class_index,
     conjugacy_classes,
     cyclic_group,
     direct_product,
@@ -192,6 +193,21 @@ class TestConjugacyClasses:
 
     def test_trivial(self, z1):
         assert conjugacy_classes(z1) == [[0]]
+
+    def test_same_as_orbit_reference(self, z2, s3):
+        # the orbit loop the cached class labels replaced, kept as the reference
+        def reference(group):
+            orbits = {tuple(sorted({group.conj(g, x) for g in group.elements()})) for x in group.elements()}
+            return sorted(map(list, orbits))
+
+        d8 = semidirect_product(z2, cyclic_group(4), inversion_action(z2, cyclic_group(4)))
+        for group in (s3, symmetric_group(4), d8, cyclic_group(257)):
+            classes = reference(group)
+            assert conjugacy_classes(group) == classes, group.name
+            index = {x: i for i, c in enumerate(classes) for x in c}
+            assert [conjugacy_class_index(group, x) for x in group.elements()] == [index[x] for x in group.elements()]
+        with pytest.raises(ValueError):
+            conjugacy_class_index(s3, 6)
 
 
 class TestHomKernelImage:

@@ -1,10 +1,18 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cech2 import nerve
-from cech2.crossed_modules import aut_two_group, discrete_two_group, hat_construction
+from cech2.crossed_modules import (
+    aut_two_group,
+    discrete_two_group,
+    hat_construction,
+    segal_bar_two_group,
+    semidirect_two_group,
+    two_group_from_crossed_module,
+)
 from cech2.errors import BudgetExceeded
 from cech2.groups import FiniteGroup, cyclic_group, inversion_action, trivial_action, trivial_group
 from cech2.nerve import (
@@ -204,6 +212,101 @@ class TestLevelIso:
         assert report["failures"] == ["level 3: d2 disagrees with string model"]
 
 
+# The string listing and the bar pair loop the vectorised ones replaced,
+# kept as references.
+
+def _reference_strings(tg, p: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Composable p-strings (start object, morphisms), the definitional model."""
+    if p == 0:
+        return [(x, ()) for x in tg.ob.elements()]
+    by_src: dict[int, list[int]] = {}
+    for m in tg.mor.elements():
+        by_src.setdefault(tg.src(m), []).append(m)
+    out = [(x, (m,)) for x in tg.ob.elements() for m in by_src.get(x, [])]
+    for _ in range(p - 1):
+        out = [
+            (x, ms + (m,))
+            for (x, ms) in out
+            for m in by_src.get(tg.tgt(ms[-1]), [])
+        ]
+    return out
+
+
+def _reference_bar_multiplication(tg, G, H, alpha, p: int) -> dict:
+    """The pair loop on tg = G |x bar(H); a product that is not a string
+    counts as a mismatch."""
+    ng, nh = G.order, H.order
+    failures = []
+    pairs_checked = []
+
+    def decode_string(x, ms):
+        h0, g = divmod(x, ng)
+        chain = [h0]
+        for m in ms:
+            ab, gm = divmod(m, ng)
+            a, b = divmod(ab, nh)
+            if gm != g or a != chain[-1]:
+                return None
+            chain.append(b)
+        return g, chain
+
+    for q in range(p + 1):
+        strings = _reference_strings(tg, q)
+        count = 0
+        for s1 in strings:
+            g1, c1 = decode_string(*s1)
+            for s2 in strings:
+                g2, c2 = decode_string(*s2)
+                prod = (
+                    tg.ob.mul(s1[0], s2[0]),
+                    tuple(tg.mor.mul(a, b) for a, b in zip(s1[1], s2[1])),
+                )
+                want = (G.mul(g1, g2), [H.mul(a, alpha.apply(g1, b)) for a, b in zip(c1, c2)])
+                if decode_string(*prod) != want:
+                    failures.append(f"level {q}: bar multiplication mismatch")
+                    break
+                count += 1
+            else:
+                continue
+            break
+        pairs_checked.append(count)
+    return {"ok": not failures, "failures": failures, "pairs": pairs_checked}
+
+
+def _bar_cases():
+    z1, z2, z3, z4 = (cyclic_group(n) for n in (1, 2, 3, 4))
+    return {
+        "Z1|xbar(Z3)": (z1, z3, trivial_action(z1, z3)),
+        "Z2|xbar(Z3)": (z2, z3, inversion_action(z2, z3)),
+        "Z2|xbar(Z4)": (z2, z4, inversion_action(z2, z4)),
+    }
+
+
+class TestStrings:
+    def test_same_strings_as_reference(self, library_xmods):
+        tgs = [two_group_from_crossed_module(xm) for xm in library_xmods]
+        tgs += [semidirect_two_group(G, segal_bar_two_group(H), a) for G, H, a in _bar_cases().values()]
+        for tg in tgs:
+            for p in range(4):
+                x, arrows = tg.strings(p)
+                assert arrows.shape == (len(x), p)
+                assert list(zip(x.tolist(), map(tuple, arrows.tolist()))) == _reference_strings(tg, p), (tg.name, p)
+
+    def test_products_refuse_before_any_pair_array(self, z2):
+        tg = two_group_from_crossed_module(discrete_two_group(z2))
+        x = np.zeros(MAX_LEVEL_ORDER + 1, dtype=np.int64)
+        arrows = np.zeros((len(x), 1), dtype=np.int64)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded) as exc:
+                tg.string_products(x, arrows, np.zeros(tg.mor.order, dtype=np.int64), 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (exc.value.required, exc.value.budget) == (MAX_LEVEL_ORDER + 1, MAX_LEVEL_ORDER)
+        assert peak < len(x) ** 2  # not even one n x n array of bools
+
+
 class TestBarMultiplication:
     def test_trivial_actor_componentwise(self, z3):
         report = check_bar_multiplication(trivial_group(), z3, trivial_action(trivial_group(), z3), 2)
@@ -213,6 +316,35 @@ class TestBarMultiplication:
         report = check_bar_multiplication(z2, z3, inversion_action(z2, z3), 2)
         assert report["ok"]
         assert report["pairs"] == [36, 324, 2916]
+        report = check_bar_multiplication(z2, z3, inversion_action(z2, z3), 4)
+        assert report == {"ok": True, "failures": [], "pairs": [36, 324, 2916, 26244, 236196]}
+
+    @pytest.mark.parametrize("case", list(_bar_cases()))
+    def test_same_as_reference(self, case):
+        G, H, alpha = _bar_cases()[case]
+        ref = _reference_bar_multiplication(semidirect_two_group(G, segal_bar_two_group(H), alpha), G, H, alpha, 3)
+        assert ref["ok"]
+        for p in range(4):
+            assert check_bar_multiplication(G, H, alpha, p) == {"ok": True, "failures": [], "pairs": ref["pairs"][: p + 1]}
+
+    def test_corrupted_morphism_product(self, z2, z3, monkeypatch):
+        # one product (g, (a, b)) turned into (g, (a, b + 1)): level 1 finds
+        # a wrong chain, deeper levels also products that are not strings
+        alpha = inversion_action(z2, z3)
+        tg = semidirect_two_group(z2, segal_bar_two_group(z3), alpha)
+        table = tg.mor.table.copy()
+        ab, g = divmod(int(table[5, 7]), 2)
+        a, b = divmod(ab, 3)
+        table[5, 7] = (a * 3 + (b + 1) % 3) * 2 + g
+        tg.mor = FiniteGroup(table, name=tg.mor.name)
+        monkeypatch.setattr(nerve, "semidirect_two_group", lambda *args: tg)
+        ref = _reference_bar_multiplication(tg, z2, z3, alpha, 3)
+        report = check_bar_multiplication(z2, z3, alpha, 3)
+        assert report == ref
+        assert report["failures"] == [f"level {q}: bar multiplication mismatch" for q in (1, 2, 3)]
+        # level 1 lists the arrows by source: 5 and 7 are strings 5 and 9 of
+        # 18, so pair 5 * 18 + 9 is the first to fail
+        assert report["pairs"] == [36, 99, 606, 4728]
 
     def test_level_zero_is_plain_group(self, z2, z3):
         report = check_bar_multiplication(z2, z3, inversion_action(z2, z3), 0)
@@ -222,3 +354,22 @@ class TestBarMultiplication:
         with pytest.raises(BudgetExceeded) as exc:
             check_bar_multiplication(z2, z3, inversion_action(z2, z3), 5)
         assert (exc.value.required, exc.value.budget) == (5, 4)
+
+    @pytest.mark.parametrize("depth", [-1, -2])
+    def test_negative_depth(self, z2, z3, depth):
+        with pytest.raises(ValueError, match=f"got {depth}"):
+            check_bar_multiplication(z2, z3, inversion_action(z2, z3), depth)
+
+    def test_level_order_guard(self, z2):
+        # Z2 |x bar(Z5) at depth 4 lists 2 * 5^5 = 6250 strings on top
+        z5 = cyclic_group(5)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded) as exc:
+                check_bar_multiplication(z2, z5, inversion_action(z2, z5), 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (exc.value.required, exc.value.budget) == (6250, MAX_LEVEL_ORDER)
+        assert peak < 2**20
+        assert check_bar_multiplication(z2, z5, inversion_action(z2, z5), 3)["ok"]
