@@ -558,49 +558,61 @@ def _enumerate_digit_arrays(sys: _System, budget: int, on_slice: bool = False) -
     for parts in sys.tet_parts:
         closing_tets[max(parts[:4])].append(parts)
 
-    # digits are kept column by column in ``sys.digit``, so that every law
-    # reads contiguous columns and extending the rows is one small gather per
-    # column
+    # digits are kept column by column in ``sys.digit``, as are the tables
+    # the laws read, so that every law reads contiguous columns, extending
+    # the rows is one small repeat per column and no temporary is wider than
+    # a digit
+    digit = sys.digit
+    gmul, ginv = G.table.astype(digit), G.inverse.astype(digit)
+    hmul, act = H.table.astype(digit), alpha.perms.astype(digit)
     g_cols: list[np.ndarray] = []
     h_cols: list[np.ndarray] = []
 
-    def extend(ok: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Keep the (row, choice) pairs that ``ok`` allows, in lex order."""
-        nonlocal g_cols, h_cols
-        parent, choice = np.divmod(np.flatnonzero(ok), ok.shape[1])
-        g_cols = [col[parent] for col in g_cols]
-        h_cols = [col[parent] for col in h_cols]
-        return parent, choice
+    def extend(ok: np.ndarray) -> None:
+        """Repeat each row once per choice that ``ok`` allows it, in place,
+        so that the rows stay in lex order with ``choices[ok]`` beside them."""
+        counts = np.count_nonzero(ok, axis=1)
+        for cols in (g_cols, h_cols):
+            for i, col in enumerate(cols):
+                cols[i] = col.repeat(counts)  # the old column is let go at once
 
     n = 1
-    values = np.arange(G.order)[None, :]
+    values = np.arange(G.order, dtype=digit)[None, :]
     for e in range(len(sys.edges)):
         ok = np.ones((n, G.order), dtype=bool) if allowed is None else np.tile(allowed[e], (n, 1))
         for ti in closing_tris[e]:
             g_ij, g_jk, g_ik = (values if x == e else g_cols[x][:, None] for x in sys.tri_edges[ti])
-            ok &= sys.in_image_t[G.table[g_ik, G.inverse[G.table[g_ij, g_jk]]]]
-        _, value = extend(ok)
-        g_cols.append(value.astype(sys.digit))
-        n = len(value)
+            ok &= sys.in_image_t[gmul[g_ik, ginv[gmul[g_ij, g_jk]]]]
+        extend(ok)
+        g_cols.append(np.broadcast_to(values, ok.shape)[ok])
+        n = len(g_cols[-1])
 
     # preimages[d]: the t-preimage of d, sorted; rows only reach image elements
     kernel = np.asarray(sys.kernel_t, dtype=np.int64)
-    preimages = np.sort(H.table[kernel[None, :], sys.t_section[:, None]], axis=1).astype(sys.digit)
+    preimages = np.sort(H.table[kernel[None, :], sys.t_section[:, None]], axis=1).astype(digit)
     for ti, (e_ij, e_jk, e_ik) in enumerate(sys.tri_edges):
-        choices = preimages[G.table[g_cols[e_ik], G.inverse[G.table[g_cols[e_ij], g_cols[e_jk]]]]]
+        choices = preimages[gmul[g_cols[e_ik], ginv[gmul[g_cols[e_ij], g_cols[e_jk]]]]]
         ok = np.ones(choices.shape, dtype=bool) if tri_allowed is None else tri_allowed[ti][choices]
         for parts in closing_tets[ti]:
             h_jkl, h_ikl, h_ijl, h_ijk = (choices if x == ti else h_cols[x][:, None] for x in parts[:4])
             g_ij = g_cols[parts[4]][:, None]
-            ok &= H.table[h_ikl, h_ijk] == H.table[h_ijl, alpha.perms[g_ij, h_jkl]]
+            ok &= hmul[h_ikl, h_ijk] == hmul[h_ijl, act[g_ij, h_jkl]]
         if len(kernel) == 1 and ok.all():
             h_cols.append(choices[:, 0])  # forced value on every row: no row copy
         else:
-            parent, choice = extend(ok)
-            h_cols.append(choices[parent, choice])
-            n = len(parent)
-    # n x len(cols) int64 matrices, in row-major order
-    return tuple(np.array(cols).reshape(len(cols), n).T.astype(np.int64, order="C") for cols in (g_cols, h_cols))
+            extend(ok)
+            h_cols.append(choices[ok])
+            n = len(h_cols[-1])
+
+    def matrix(cols: list[np.ndarray]) -> np.ndarray:
+        """The columns as one C-contiguous n x len(cols) matrix, each column
+        let go as soon as it is written."""
+        out = np.empty((n, len(cols)), dtype=digit)
+        for j in reversed(range(len(cols))):
+            out[:, j] = cols.pop()
+        return out
+
+    return matrix(g_cols), matrix(h_cols)
 
 
 # public operations

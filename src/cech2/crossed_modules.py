@@ -127,15 +127,25 @@ class TwoGroup:
         arrow at a time, code * radix + digits[m_i n_i], and the mask of
         composable products.  BudgetExceeded above MAX_LEVEL_ORDER strings,
         before any n x n array.
+
+        The codes come in the narrowest unsigned type that holds
+        |ob| radix^p - 1, which bounds every partial code too, and the
+        tables and maps are read in the narrowest type of their values, so
+        no n x n array is wider than its values need.
         """
         if len(x) > MAX_LEVEL_ORDER:
             raise BudgetExceeded(len(x), MAX_LEVEL_ORDER)
-        code = end = self.ob.table[x[:, None], x[None, :]]
+        ob_type, mor_type = np.min_scalar_type(self.ob.order - 1), np.min_scalar_type(self.mor.order - 1)
+        code_type = np.min_scalar_type(max(self.ob.order * radix ** arrows.shape[1] - 1, radix))
+        mor, digits = self.mor.table.astype(mor_type), np.asarray(digits).astype(code_type)
+        src, tgt = self.src.map.astype(ob_type), self.tgt.map.astype(ob_type)
+        end = self.ob.table.astype(ob_type)[x[:, None], x[None, :]]
+        code = end.astype(code_type)
         composable = np.ones(code.shape, dtype=bool)
         for m in arrows.T:
-            pm = self.mor.table[m[:, None], m[None, :]]
-            composable &= self.src.map[pm] == end
-            end = self.tgt.map[pm]
+            pm = mor[m[:, None], m[None, :]]
+            composable &= src[pm] == end
+            end = tgt[pm]
             code = code * radix + digits[pm]
         return code, composable
 

@@ -304,17 +304,9 @@ def semidirect_product(actor: FiniteGroup, target: FiniteGroup, action: GroupAct
     Multiplication is (h, g) (h', g') = (h * action(g)(h'), g g') and the
     pair encoding is (h, g) -> h * |actor| + g.
     """
-    nh, ng = target.order, actor.order
-    n = nh * ng
-    table = np.empty((n, n), dtype=np.int64)
-    for h1 in target.elements():
-        for g1 in actor.elements():
-            a = h1 * ng + g1
-            for h2 in target.elements():
-                hpart = target.mul(h1, action.apply(g1, h2))
-                row = hpart * ng
-                for g2 in actor.elements():
-                    table[a, h2 * ng + g2] = row + actor.mul(g1, g2)
+    ng = actor.order
+    h, g = np.divmod(np.arange(target.order * ng), ng)
+    table = target.table[h[:, None], action.perms[g[:, None], h[None, :]]] * ng + actor.table[g[:, None], g[None, :]]
     name = f"{target.name}x|{actor.name}"
     return FiniteGroup(table, name=name)
 

@@ -198,7 +198,7 @@ def check_level_iso(nsg: TruncatedSimplicialGroup, xm: CrossedModule) -> dict:
             continue
         # componentwise string product realizes the level multiplication
         prod, composable = tg.string_products(x, arrows, np.arange(tg.mor.order) // ng, nh)
-        if not (composable & (prod == level.table[codes[:, None], codes[None, :]])).all():
+        if not (composable & (prod == level.table.astype(prod.dtype)[codes[:, None], codes[None, :]])).all():
             failures.append(f"level {p}: product mismatch")
         # faces against the string model, first failing string first
         if p >= 1:
@@ -243,9 +243,11 @@ def check_bar_multiplication(G: FiniteGroup, H: FiniteGroup, alpha: GroupAction,
     for q in range(p + 1):
         x, arrows = tg.strings(q)
         code, ok = tg.string_products(x, arrows, target, nh)
+        # the expected codes in the codes' own type, which holds them all
+        h_mul, act, g_mul = (a.astype(code.dtype) for a in (H.table, alpha.perms, G.table))
         h0, g = np.divmod(x, ng)
-        twisted = lambda h: H.table[h[:, None], alpha.perms[g[:, None], h[None, :]]]  # h alpha(g)(h')
-        want = twisted(h0) * ng + G.table[g[:, None], g[None, :]]
+        twisted = lambda h: h_mul[h[:, None], act[g[:, None], h[None, :]]]  # h alpha(g)(h')
+        want = twisted(h0) * ng + g_mul[g[:, None], g[None, :]]
         for h in target[arrows.T]:
             want = want * nh + twisted(h)
         ok &= code == want

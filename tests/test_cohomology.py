@@ -1505,11 +1505,98 @@ class TestEnumeratorAgainstReference:
         expected = _reference_digit_arrays(sys, DEFAULT_BUDGET)
         got = _enumerate_digit_arrays(sys, DEFAULT_BUDGET)
         for want, have in zip(expected, got):
-            assert have.dtype == want.dtype == np.int64
+            # the digits stay in their own narrow type, one row per C-order line
+            assert want.dtype == np.int64 and have.dtype == sys.digit and have.flags.c_contiguous
             assert have.shape == want.shape
             assert np.array_equal(have, want)
         cocycles = enumerate_cocycles(sys.cx, sys.xm)
         assert cocycles == [sys.digits_to_cocycle(g, h) for g, h in zip(*expected)]
+
+    def test_two_byte_digits(self, circle3):
+        # |G| = 257 needs 2-byte digits.  On a bare cycle with discrete
+        # coefficients every edge assignment is a cocycle, so the reference
+        # returns the mixed-radix listing of all 257^3 assignments; it is
+        # compared a block of rows at a time, not built as one int64 matrix
+        sys = _System(circle3, discrete_two_group(cyclic_group(257)))
+        n = 257**3
+        g_mat, h_mat = _enumerate_digit_arrays(sys, n)
+        assert g_mat.dtype == h_mat.dtype == np.uint16 and g_mat.flags.c_contiguous
+        assert g_mat.shape == (n, 3) and h_mat.shape == (n, 0)
+        weights = 257 ** np.arange(2, -1, -1, dtype=np.int64)
+        for start in range(0, n, 2**20):
+            rows = np.arange(start, min(start + 2**20, n), dtype=np.int64)
+            assert np.array_equal(g_mat[start : start + len(rows)], rows[:, None] // weights % 257)
+
+    @pytest.mark.parametrize("space,spec", [("rp2_6", "hat:shift:Z2"), ("sphere2", "aut:S3"), ("torus7", "shift:Z2")])
+    def test_peak_per_output_digit(self, space, spec):
+        # the columns and the matrices built from them take one byte per
+        # digit each, and each column is let go once it is copied: no int64
+        # copy of the rows is made (numpy allocations are traced)
+        sys = _System(standard_space(space), coefficient_from_spec(spec))
+        tracemalloc.start()
+        try:
+            g_mat, h_mat = _enumerate_digit_arrays(sys, DEFAULT_BUDGET)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        digits = g_mat.size + h_mat.size
+        assert sys.digit.itemsize == 1 and digits > 10**5
+        assert peak <= 5 * digits
+
+
+def _cast_enumerator(dtype, enumerate_digit_arrays=_enumerate_digit_arrays):
+    """The enumerator with both of its matrices cast to ``dtype``."""
+
+    def cast(sys, budget, on_slice=False):
+        return tuple(m.astype(dtype) for m in enumerate_digit_arrays(sys, budget, on_slice=on_slice))
+
+    return cast
+
+
+class TestNarrowDigits:
+    """Every reader of the enumerator's matrices gives on 1-byte and 2-byte
+    digits what it gives on int64 copies of them: none of them computes in
+    the digits' own type.  Z255 and Z257 fill ``uint8`` and ``uint16``, so a
+    flat index ``g * |G| + x`` taken in that type would wrap there."""
+
+    @pytest.mark.parametrize("order,dtype", [(255, np.uint8), (257, np.uint16)])
+    @pytest.mark.parametrize("space,make", [("circle3", discrete_two_group), ("sphere2", shift_two_group)])
+    def test_act_and_labels_of(self, order, dtype, space, make):
+        # every edge assignment on a bare cycle is a discrete cocycle, and
+        # every triangle assignment on sphere2, which has no tetrahedra, a
+        # shift one
+        cx, xm = standard_space(space), make(cyclic_group(order))
+        sys, budget = _System(cx, xm), order**4
+        cls = classify_h1(cx, xm, budget=budget)
+        rng = np.random.default_rng(order)
+
+        def digits(group, width, n=200):
+            mat = rng.integers(group.order, size=(n, width))
+            mat[:3] = group.order - 1  # the largest digit, where wrapping starts
+            return mat
+
+        assert sys.digit == dtype
+        slice_rows = _enumerate_digit_arrays(sys, budget, on_slice=True)
+        assert all(m.dtype == dtype for m in slice_rows)
+        for narrow in (slice_rows, (digits(xm.G, len(sys.edges)).astype(dtype), digits(xm.H, len(sys.tris)).astype(dtype))):
+            wide = [m.astype(np.int64) for m in narrow]
+            assert np.array_equal(cls.labels_of(*narrow), cls.labels_of(*wide))
+            f, k = digits(xm.G, cx.vertex_count, len(wide[0])), digits(xm.H, len(sys.edges), len(wide[0]))
+            for got, want in zip(sys.act(*narrow, f.astype(dtype), k.astype(dtype)), sys.act(*wide, f, k)):
+                assert got.dtype == np.int64 and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("space,spec", [("circle3", "discrete:S3"), ("sphere2", "shift:Z2")])
+    def test_relation_matrix(self, space, spec, monkeypatch):
+        import cech2.cohomology as cohomology
+
+        cx, xm = standard_space(space), coefficient_from_spec(spec)
+        drawn = {}
+        for dtype in (np.uint8, np.uint16, np.int64):
+            monkeypatch.setattr(cohomology, "_enumerate_digit_arrays", _cast_enumerator(dtype))
+            drawn[dtype] = relation_matrix(cx, xm)
+        want_rel, want_cocycles = drawn.pop(np.int64)
+        for rel, cocycles in drawn.values():
+            assert np.array_equal(rel, want_rel) and cocycles == want_cocycles
 
 
 class TestClassOf:

@@ -35,7 +35,7 @@ from cech2.exactness import (
 )
 from cech2.fixtures import z2z4z2_discrete_ses
 from cech2.groups import cyclic_group, validate_hom
-from test_cohomology import _reference_compile_move
+from test_cohomology import _cast_enumerator, _reference_compile_move
 
 
 @pytest.fixture(scope="module")
@@ -276,6 +276,28 @@ class TestVerifyLemma2:
         monkeypatch.setitem(globals(), "_enumerate_digit_arrays", corrupted)
         with pytest.raises(error):
             _reference_verify_lemma2(z2z4z2, sphere2)
+
+    @pytest.mark.parametrize("space", ["circle3", "sphere2"])
+    @pytest.mark.parametrize("split", [False, True])
+    def test_same_report_in_every_digit_width(self, space, split, z3s3z2, monkeypatch):
+        # the sweeps read the enumerator's matrices; with the class lookup
+        # split by one edge digit, as above, the report lists moved rows
+        import cech2.cohomology as cohomology
+        import cech2.exactness as exactness
+
+        if split:
+            labels_of = cohomology.Classification.labels_of
+            monkeypatch.setattr(
+                cohomology.Classification,
+                "labels_of",
+                lambda self, g_mat, h_mat: labels_of(self, g_mat, h_mat) + 2 * (g_mat[:, 0] % 2),
+            )
+        reports = {}
+        for dtype in (np.uint8, np.uint16, np.int64):
+            monkeypatch.setattr(exactness, "_enumerate_digit_arrays", _cast_enumerator(dtype))
+            reports[dtype] = verify_lemma2(z3s3z2, standard_space(space))
+        assert reports[np.uint8] == reports[np.uint16] == reports[np.int64]
+        assert reports[np.int64]["ok"] != split
 
     def test_k_trivial_collapses(self, circle3, z3):
         # 1 -> Z3 -> Z3 -> 1 -> 1: both sides a single class

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cech2 import groups
-from cech2.crossed_modules import aut_two_group
+from cech2.crossed_modules import aut_two_group, segal_bar_two_group, semidirect_two_group
 from cech2.errors import (
     MissingInverse,
     NoIdentityAtZero,
@@ -31,7 +31,9 @@ from cech2.groups import (
     validate_group,
     validate_hom,
 )
+from cech2.fixtures import builtin_group, coefficient_from_spec
 from cech2.nerve import nerve_two_group
+from test_cohomology import _SLICE_SPECS
 
 
 class TestValidateGroup:
@@ -161,7 +163,43 @@ class TestValidateAction:
             validate_action(z4, z3, perms)
 
 
+def _reference_semidirect_product(actor, target, action) -> np.ndarray:
+    """The table of target x| actor by the scalar loop that the broadcast in
+    ``semidirect_product`` replaced."""
+    nh, ng = target.order, actor.order
+    table = np.empty((nh * ng, nh * ng), dtype=np.int64)
+    for h1 in target.elements():
+        for g1 in actor.elements():
+            for h2 in target.elements():
+                row = target.mul(h1, action.apply(g1, h2)) * ng
+                for g2 in actor.elements():
+                    table[h1 * ng + g1, h2 * ng + g2] = row + actor.mul(g1, g2)
+    return table
+
+
 class TestSemidirectProduct:
+    @pytest.mark.parametrize("spec", _SLICE_SPECS)
+    def test_same_table_as_reference(self, spec):
+        # the morphisms of every library coefficient and of its hat, and the
+        # objects of the hat of every library coefficient
+        xm = coefficient_from_spec(spec)
+        got = semidirect_product(xm.G, xm.H, xm.alpha)
+        assert got.table.dtype == np.int64
+        assert np.array_equal(got.table, _reference_semidirect_product(xm.G, xm.H, xm.alpha))
+
+    @pytest.mark.parametrize("name", ["Z1", "Z2", "Z3", "Z4", "S3", "K4"])
+    def test_bar_direct_product_as_reference(self, name):
+        # bar(H) multiplies its morphisms in direct_product(H, H), and
+        # Z2 |x bar(H) in a semidirect product over it, Z2 inverting an
+        # abelian H on both components
+        H, G = builtin_group(name), cyclic_group(2)
+        hh = direct_product(H, H)
+        assert np.array_equal(hh.table, _reference_semidirect_product(H, H, trivial_action(H, H)))
+        alpha = inversion_action(G, H) if H.is_abelian() else trivial_action(G, H)
+        diag = [[alpha.apply(g, x // H.order) * H.order + alpha.apply(g, x % H.order) for x in hh.elements()] for g in G.elements()]
+        tg = semidirect_two_group(G, segal_bar_two_group(H), alpha)
+        assert np.array_equal(tg.mor.table, _reference_semidirect_product(G, hh, validate_action(G, hh, diag)))
+
     def test_trivial_action_is_direct_product(self, z3, z4):
         sd = semidirect_product(z4, z3, trivial_action(z4, z3))
         dp = direct_product(z3, z4)

@@ -11,6 +11,7 @@ from cech2.crossed_modules import (
     hat_construction,
     segal_bar_two_group,
     semidirect_two_group,
+    shift_two_group,
     two_group_from_crossed_module,
 )
 from cech2.errors import BudgetExceeded
@@ -282,6 +283,18 @@ def _bar_cases():
     }
 
 
+def _reference_string_products(tg, x, arrows, digits, radix):
+    """``TwoGroup.string_products`` with every table, map and code in int64."""
+    code = end = tg.ob.table[x[:, None], x[None, :]]
+    composable = np.ones(code.shape, dtype=bool)
+    for m in arrows.T:
+        pm = tg.mor.table[m[:, None], m[None, :]]
+        composable &= tg.src.map[pm] == end
+        end = tg.tgt.map[pm]
+        code = code * radix + digits[pm]
+    return code, composable
+
+
 class TestStrings:
     def test_same_strings_as_reference(self, library_xmods):
         tgs = [two_group_from_crossed_module(xm) for xm in library_xmods]
@@ -291,6 +304,26 @@ class TestStrings:
                 x, arrows = tg.strings(p)
                 assert arrows.shape == (len(x), p)
                 assert list(zip(x.tolist(), map(tuple, arrows.tolist()))) == _reference_strings(tg, p), (tg.name, p)
+
+    def test_products_in_the_narrowest_type(self, library_xmods):
+        # against the products taken in int64, with the level check's digits
+        # (kernel parts, radix |H|) and the interchange law's (whole arrows,
+        # radix |mor|); Z256 as a shift 2-group has one object and a radix
+        # of 256, which must fit the codes' type as well as they do
+        tgs = [two_group_from_crossed_module(xm) for xm in library_xmods]
+        tgs += [semidirect_two_group(G, segal_bar_two_group(H), a) for G, H, a in _bar_cases().values()]
+        tgs.append(two_group_from_crossed_module(shift_two_group(cyclic_group(256))))
+        for tg in tgs:
+            ng, nm = tg.ob.order, tg.mor.order
+            for p in range(4):
+                x, arrows = tg.strings(p)
+                if len(x) > MAX_LEVEL_ORDER:
+                    continue
+                for digits, radix in ((np.arange(nm) // ng, nm // ng), (np.arange(nm), nm)):
+                    code, composable = tg.string_products(x, arrows, digits, radix)
+                    want_code, want_composable = _reference_string_products(tg, x, arrows, digits, radix)
+                    assert code.dtype == np.min_scalar_type(max(ng * radix**p - 1, radix)), (tg.name, p)
+                    assert np.array_equal(code, want_code) and np.array_equal(composable, want_composable)
 
     def test_products_refuse_before_any_pair_array(self, z2):
         tg = two_group_from_crossed_module(discrete_two_group(z2))
