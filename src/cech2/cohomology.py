@@ -175,10 +175,11 @@ class Classification:
 class CocycleSequence(Sequence):
     """Read-only cocycles over (edge digits, triangle digits) matrices.
 
-    Rows stay numpy digits; every access builds a fresh ``Cocycle``, so
-    mutating one does not change the sequence.  Slices are sequences over
-    the sliced rows, and ``==`` compares element by element with any
-    sequence of cocycles.
+    Rows stay numpy digits, in whatever integer type the matrices have (the
+    enumerator's ``_System.digit``); every access builds a fresh ``Cocycle``
+    of Python ints, so mutating one does not change the sequence.  Slices
+    are sequences over the sliced rows, and ``==`` compares element by
+    element with any sequence of cocycles.
     """
 
     def __init__(self, edges, tris, g_mat: np.ndarray, h_mat: np.ndarray):
@@ -530,7 +531,10 @@ def _enumerate_digit_arrays(sys: _System, budget: int, on_slice: bool = False) -
     """All valid cocycles as (g digits, h digits) arrays in lexicographic order,
     or only the slice cocycles: those whose edge e takes values v with
     ``sys.slice_allowed[e, v]`` and whose triangle p takes values x with
-    ``sys.quotient.allowed[p, x]``.  Raises BudgetExceeded, before any row
+    ``sys.quotient.allowed[p, x]``.  Both are C-contiguous n x E and n x T
+    matrices in ``sys.digit``, one byte per digit for groups of up to 256
+    elements: whoever computes with them widens them first, as ``act``,
+    ``reslice`` and ``keys`` do.  Raises BudgetExceeded, before any row
     or the quotient is built, when the bound on the rows, |G|^E |ker t|^T or
     on the slice |G/t(H)|^(E-F) |ker t|^T, exceeds ``budget``: each edge
     takes at most |G| values, or one of its t(H) coset minima on the slice,
@@ -544,6 +548,9 @@ def _enumerate_digit_arrays(sys: _System, budget: int, on_slice: bool = False) -
     and a row is dropped as soon as the tetrahedron law fails on a tetrahedron
     whose last face it sets.  The work therefore scales with the surviving
     partial rows, not with |G|^E, and their number never exceeds the bound.
+    Extending repeats every kept row in place, one column at a time, and
+    each column is let go once it is copied into the output, so the traced
+    peak stays within a few bytes per output digit.
     """
     G, H, alpha = sys.G, sys.H, sys.xm.alpha
     bound = G.order ** len(sys.edges) // (sys.fibre if on_slice else 1) * len(sys.kernel_t) ** len(sys.tris)
@@ -708,7 +715,9 @@ def enumerate_cocycles(
     cx: SimplicialComplex, xm: CrossedModule, budget: int = DEFAULT_BUDGET
 ) -> CocycleSequence:
     """All valid cocycles in lexicographic (edge digits, triangle digits) order,
-    as a read-only sequence that builds a fresh ``Cocycle`` per access."""
+    as a read-only sequence that builds a fresh ``Cocycle`` per access.  The
+    sequence holds the enumerator's two digit matrices, one byte per digit
+    for groups of up to 256 elements."""
     sys = _system(cx, xm)
     return CocycleSequence(sys.edges, sys.tris, *_enumerate_digit_arrays(sys, budget))
 
@@ -909,7 +918,8 @@ def relation_matrix(
     Built by sweeping the full witness group from every cocycle, block by
     block, and looking the images up among the cocycles; feasible on
     instances with a few hundred cocycles, where the equivalence-relation
-    axioms can be checked directly.
+    axioms can be checked directly.  The cocycles stay the enumerator's
+    digit matrices, in ``_System.digit``; ``act`` widens each row it moves.
     """
     sys = _system(cx, xm)
     g_mat, h_mat = _enumerate_digit_arrays(sys, budget)

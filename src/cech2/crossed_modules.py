@@ -129,9 +129,10 @@ class TwoGroup:
         before any n x n array.
 
         The codes come in the narrowest unsigned type that holds
-        |ob| radix^p - 1, which bounds every partial code too, and the
-        tables and maps are read in the narrowest type of their values, so
-        no n x n array is wider than its values need.
+        |ob| radix^p - 1, which bounds every partial code too, and radix,
+        which multiplies in that type; the tables and maps are read in the
+        narrowest type of their values, so no n x n array is wider than its
+        values need.
         """
         if len(x) > MAX_LEVEL_ORDER:
             raise BudgetExceeded(len(x), MAX_LEVEL_ORDER)
