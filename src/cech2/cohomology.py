@@ -548,9 +548,10 @@ def _enumerate_digit_arrays(sys: _System, budget: int, on_slice: bool = False) -
     and a row is dropped as soon as the tetrahedron law fails on a tetrahedron
     whose last face it sets.  The work therefore scales with the surviving
     partial rows, not with |G|^E, and their number never exceeds the bound.
-    Extending repeats every kept row in place, one column at a time, and
-    each column is let go once it is copied into the output, so the traced
-    peak stays within a few bytes per output digit.
+    Extending copies each kept row, whole, once per value it takes, so the
+    matrices are built in place and returned as they are: beside them the
+    traced peak holds the rows before the last extension and two int64
+    indices per new row, a few bytes per output digit.
     """
     G, H, alpha = sys.G, sys.H, sys.xm.alpha
     bound = G.order ** len(sys.edges) // (sys.fibre if on_slice else 1) * len(sys.kernel_t) ** len(sys.tris)
@@ -565,61 +566,41 @@ def _enumerate_digit_arrays(sys: _System, budget: int, on_slice: bool = False) -
     for parts in sys.tet_parts:
         closing_tets[max(parts[:4])].append(parts)
 
-    # digits are kept column by column in ``sys.digit``, as are the tables
-    # the laws read, so that every law reads contiguous columns, extending
-    # the rows is one small repeat per column and no temporary is wider than
-    # a digit
+    # the rows are kept as n x E and n x T matrices in ``sys.digit``, as are
+    # the tables the laws read, so that no temporary is wider than a digit
     digit = sys.digit
     gmul, ginv = G.table.astype(digit), G.inverse.astype(digit)
     hmul, act = H.table.astype(digit), alpha.perms.astype(digit)
-    g_cols: list[np.ndarray] = []
-    h_cols: list[np.ndarray] = []
 
-    def extend(ok: np.ndarray) -> None:
-        """Repeat each row once per choice that ``ok`` allows it, in place,
-        so that the rows stay in lex order with ``choices[ok]`` beside them."""
-        counts = np.count_nonzero(ok, axis=1)
-        for cols in (g_cols, h_cols):
-            for i, col in enumerate(cols):
-                cols[i] = col.repeat(counts)  # the old column is let go at once
-
-    n = 1
-    values = np.arange(G.order, dtype=digit)[None, :]
+    values = np.arange(G.order, dtype=digit)
+    g_mat = np.zeros((1, len(sys.edges)), dtype=digit)
     for e in range(len(sys.edges)):
-        ok = np.ones((n, G.order), dtype=bool) if allowed is None else np.tile(allowed[e], (n, 1))
+        ok = np.ones((len(g_mat), G.order), dtype=bool) if allowed is None else np.tile(allowed[e], (len(g_mat), 1))
         for ti in closing_tris[e]:
-            g_ij, g_jk, g_ik = (values if x == e else g_cols[x][:, None] for x in sys.tri_edges[ti])
+            g_ij, g_jk, g_ik = (values if x == e else g_mat[:, x, None] for x in sys.tri_edges[ti])
             ok &= sys.in_image_t[gmul[g_ik, ginv[gmul[g_ij, g_jk]]]]
-        extend(ok)
-        g_cols.append(np.broadcast_to(values, ok.shape)[ok])
-        n = len(g_cols[-1])
+        # each row once per value ``ok`` allows it, the new digit fastest
+        parent, choice = ok.nonzero()
+        g_mat = g_mat[parent]
+        g_mat[:, e] = choice
 
     # preimages[d]: the t-preimage of d, sorted; rows only reach image elements
     kernel = np.asarray(sys.kernel_t, dtype=np.int64)
     preimages = np.sort(H.table[kernel[None, :], sys.t_section[:, None]], axis=1).astype(digit)
+    h_mat = np.zeros((len(g_mat), len(sys.tris)), dtype=digit)
     for ti, (e_ij, e_jk, e_ik) in enumerate(sys.tri_edges):
-        choices = preimages[gmul[g_cols[e_ik], ginv[gmul[g_cols[e_ij], g_cols[e_jk]]]]]
+        choices = preimages[gmul[g_mat[:, e_ik], ginv[gmul[g_mat[:, e_ij], g_mat[:, e_jk]]]]]
         ok = np.ones(choices.shape, dtype=bool) if tri_allowed is None else tri_allowed[ti][choices]
         for parts in closing_tets[ti]:
-            h_jkl, h_ikl, h_ijl, h_ijk = (choices if x == ti else h_cols[x][:, None] for x in parts[:4])
-            g_ij = g_cols[parts[4]][:, None]
-            ok &= hmul[h_ikl, h_ijk] == hmul[h_ijl, act[g_ij, h_jkl]]
+            h_jkl, h_ikl, h_ijl, h_ijk = (choices if x == ti else h_mat[:, x, None] for x in parts[:4])
+            ok &= hmul[h_ikl, h_ijk] == hmul[h_ijl, act[g_mat[:, parts[4], None], h_jkl]]
         if len(kernel) == 1 and ok.all():
-            h_cols.append(choices[:, 0])  # forced value on every row: no row copy
+            h_mat[:, ti] = choices[:, 0]  # forced value on every row: no row copy
         else:
-            extend(ok)
-            h_cols.append(choices[ok])
-            n = len(h_cols[-1])
-
-    def matrix(cols: list[np.ndarray]) -> np.ndarray:
-        """The columns as one C-contiguous n x len(cols) matrix, each column
-        let go as soon as it is written."""
-        out = np.empty((n, len(cols)), dtype=digit)
-        for j in reversed(range(len(cols))):
-            out[:, j] = cols.pop()
-        return out
-
-    return matrix(g_cols), matrix(h_cols)
+            parent, choice = ok.nonzero()
+            g_mat, h_mat = g_mat[parent], h_mat[parent]
+            h_mat[:, ti] = choices[parent, choice]
+    return g_mat, h_mat
 
 
 # public operations
