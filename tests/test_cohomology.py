@@ -38,7 +38,13 @@ from cech2.cohomology import (
     validate_cocycle,
 )
 from cech2.complexes import barycentric_subdivide, standard_space, standard_space_names
-from cech2.crossed_modules import aut_two_group, discrete_two_group, hat_construction, shift_two_group
+from cech2.crossed_modules import (
+    aut_two_group,
+    discrete_two_group,
+    hat_construction,
+    shift_two_group,
+    validate_crossed_module,
+)
 from cech2.errors import (
     BudgetExceeded,
     MoveLeavesCocycles,
@@ -55,6 +61,9 @@ from cech2.groups import (
     inversion_action,
     klein_four_group,
     semidirect_product,
+    trivial_action,
+    validate_action,
+    validate_hom,
 )
 
 
@@ -1553,24 +1562,46 @@ def _cast_enumerator(dtype, enumerate_digit_arrays=_enumerate_digit_arrays):
     return cast
 
 
+def _inclusion_two_group(order: int):
+    """Z3 inside Z_order (3 divides order) as a crossed module, the action
+    trivial: t(H) is a proper subgroup, so re-slicing lifts edge values."""
+    G, H = cyclic_group(order), cyclic_group(3)
+    return validate_crossed_module(G, H, validate_hom(H, G, [0, order // 3, 2 * order // 3]), trivial_action(G, H))
+
+
+def _parity_two_group(order: int):
+    """Z_order (even) acting on Z3, its odd elements by inversion, t trivial:
+    the action depends on every edge value."""
+    G, H = cyclic_group(order), cyclic_group(3)
+    perms = [[(-h if g % 2 else h) % 3 for h in range(3)] for g in range(order)]
+    return validate_crossed_module(G, H, validate_hom(H, G, [0, 0, 0]), validate_action(G, H, perms))
+
+
 class TestNarrowDigits:
     """Every reader of the enumerator's matrices gives on 1-byte and 2-byte
     digits what it gives on int64 copies of them: none of them computes in
-    the digits' own type.  Z255 and Z257 fill ``uint8`` and ``uint16``, so a
-    flat index ``g * |G| + x`` taken in that type would wrap there."""
+    the digits' own type.  Groups of 252 and 258 elements take ``uint8`` and
+    ``uint16`` digits, so a flat index ``g * |G| + x`` or ``g * |H| + k``
+    taken in that type would wrap there."""
 
-    @pytest.mark.parametrize("order,dtype", [(255, np.uint8), (257, np.uint16)])
-    @pytest.mark.parametrize("space,make", [("circle3", discrete_two_group), ("sphere2", shift_two_group)])
+    @pytest.mark.parametrize("order,dtype", [(252, np.uint8), (258, np.uint16)])
+    @pytest.mark.parametrize(
+        "space,make",
+        [
+            ("circle3", lambda n: discrete_two_group(cyclic_group(n))),
+            ("sphere2", lambda n: shift_two_group(cyclic_group(n))),
+            ("sphere2", _inclusion_two_group),
+            ("sphere2", _parity_two_group),
+        ],
+        ids=["circle3-discrete", "sphere2-shift", "sphere2-inclusion", "sphere2-parity"],
+    )
     def test_act_and_labels_of(self, order, dtype, space, make):
-        # every edge assignment on a bare cycle is a discrete cocycle, and
-        # every triangle assignment on sphere2, which has no tetrahedra, a
-        # shift one
-        cx, xm = standard_space(space), make(cyclic_group(order))
+        cx, xm = standard_space(space), make(order)
         sys, budget = _System(cx, xm), order**4
         cls = classify_h1(cx, xm, budget=budget)
         rng = np.random.default_rng(order)
 
-        def digits(group, width, n=200):
+        def digits(group, width, n):
             mat = rng.integers(group.order, size=(n, width))
             mat[:3] = group.order - 1  # the largest digit, where wrapping starts
             return mat
@@ -1578,10 +1609,13 @@ class TestNarrowDigits:
         assert sys.digit == dtype
         slice_rows = _enumerate_digit_arrays(sys, budget, on_slice=True)
         assert all(m.dtype == dtype for m in slice_rows)
-        for narrow in (slice_rows, (digits(xm.G, len(sys.edges)).astype(dtype), digits(xm.H, len(sys.tris)).astype(dtype))):
+        # the slice rows, and 200 cohomologous copies of them under random witnesses
+        base = [m[np.arange(200) % len(m)] for m in slice_rows]
+        f, k = digits(xm.G, cx.vertex_count, 200), digits(xm.H, len(sys.edges), 200)
+        moved = sys.act(*base, f, k)
+        for narrow in (base, tuple(m.astype(dtype) for m in moved)):
             wide = [m.astype(np.int64) for m in narrow]
             assert np.array_equal(cls.labels_of(*narrow), cls.labels_of(*wide))
-            f, k = digits(xm.G, cx.vertex_count, len(wide[0])), digits(xm.H, len(sys.edges), len(wide[0]))
             for got, want in zip(sys.act(*narrow, f.astype(dtype), k.astype(dtype)), sys.act(*wide, f, k)):
                 assert got.dtype == np.int64 and np.array_equal(got, want)
 
