@@ -138,7 +138,7 @@ class TwoGroup:
             raise BudgetExceeded(len(x), MAX_LEVEL_ORDER)
         ob_type, mor_type = np.min_scalar_type(self.ob.order - 1), np.min_scalar_type(self.mor.order - 1)
         code_type = np.min_scalar_type(max(self.ob.order * radix ** arrows.shape[1] - 1, radix))
-        mor, digits = self.mor.table.astype(mor_type), np.asarray(digits).astype(code_type)
+        mor, digits = self.mor.table.astype(mor_type), digits.astype(code_type)
         src, tgt = self.src.map.astype(ob_type), self.tgt.map.astype(ob_type)
         end = self.ob.table.astype(ob_type)[x[:, None], x[None, :]]
         code = end.astype(code_type)

@@ -306,7 +306,8 @@ def semidirect_product(actor: FiniteGroup, target: FiniteGroup, action: GroupAct
     """
     ng = actor.order
     h, g = np.divmod(np.arange(target.order * ng), ng)
-    table = target.table[h[:, None], action.perms[g[:, None], h[None, :]]] * ng + actor.table[g[:, None], g[None, :]]
+    hpart = target.table[h[:, None], action.perms[g[:, None], h[None, :]]]  # h * action(g)(h')
+    table = hpart * ng + actor.table[g[:, None], g[None, :]]
     name = f"{target.name}x|{actor.name}"
     return FiniteGroup(table, name=name)
 
