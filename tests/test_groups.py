@@ -14,6 +14,7 @@ from cech2.errors import (
     NotAutomorphism,
     NotHomomorphism,
 )
+from cech2.fixtures import builtin_group, coefficient_from_spec
 from cech2.groups import (
     conjugacy_class_index,
     conjugacy_classes,
@@ -31,7 +32,6 @@ from cech2.groups import (
     validate_group,
     validate_hom,
 )
-from cech2.fixtures import builtin_group, coefficient_from_spec
 from cech2.nerve import nerve_two_group
 from test_cohomology import _SLICE_SPECS
 
@@ -196,7 +196,8 @@ class TestSemidirectProduct:
         hh = direct_product(H, H)
         assert np.array_equal(hh.table, _reference_semidirect_product(H, H, trivial_action(H, H)))
         alpha = inversion_action(G, H) if H.is_abelian() else trivial_action(G, H)
-        diag = [[alpha.apply(g, x // H.order) * H.order + alpha.apply(g, x % H.order) for x in hh.elements()] for g in G.elements()]
+        nh = H.order
+        diag = [[alpha.apply(g, x // nh) * nh + alpha.apply(g, x % nh) for x in hh.elements()] for g in G.elements()]
         tg = semidirect_two_group(G, segal_bar_two_group(H), alpha)
         assert np.array_equal(tg.mor.table, _reference_semidirect_product(G, hh, validate_action(G, hh, diag)))
 
