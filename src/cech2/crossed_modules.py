@@ -45,7 +45,8 @@ from .groups import (
 )
 
 AUT_ENUMERATION_BOUND = 12
-# most strings multiplied pairwise, a few n x n int64 arrays of 32 MB each
+# most strings multiplied pairwise: a few n x n arrays of 4M cells, 2 bytes
+# each for the codes of a level of 2048 strings
 MAX_LEVEL_ORDER = 2048
 
 
