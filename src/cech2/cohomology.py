@@ -117,7 +117,8 @@ class Classification:
     their re-sliced input.  ``stats`` records what the classification did,
     outside ``to_report``: the ``slice_rows`` listed, the ``fibre`` of
     cocycles each of them stands for, so that ``num_cocycles`` is their
-    product, the number of ``moves`` and the ``closure_rounds`` of label
+    product, the ``roots`` of the forest (one per component of the space),
+    the number of ``moves`` and the ``closure_rounds`` of label
     propagation.
     """
 
@@ -280,6 +281,9 @@ class _System:
         self.fibre = G.order ** len(self.forest) * len(image) ** (E - len(self.forest))
         # lift[g]: the k with t(k) g = coset_min[g], which re-slices an edge
         self.lift = self.t_section[G.table[self.coset_min, G.inverse]]
+        # t(H) trivial: every value is its coset minimum, lift and the
+        # re-slicing edge witness are the identity
+        self.lift_trivial = not self.lift.any()
         # the re-slicing walk: each non-root j in vertex order, with the
         # edge (p(j), j) and p(j)
         self.slice_walk = [(j, parent_edge[j], self.edges[parent_edge[j]][0]) for j in sorted(parent_edge)]
@@ -416,9 +420,8 @@ class _System:
     # because witnesses compose
 
     def moves(self):
-        g_gens, h_gens = generating_set(self.G.table), generating_set(self.H.table)
-        return [("v", v, a) for v in range(self.cx.vertex_count) for a in g_gens] + [
-            ("e", e, x) for e in range(len(self.edges)) for x in h_gens
+        return [("v", v, a) for v in range(self.cx.vertex_count) for a in self.G.generators] + [
+            ("e", e, x) for e in range(len(self.edges)) for x in self.H.generators
         ]
 
     def move_witness(self, *moves) -> tuple[np.ndarray, np.ndarray]:
@@ -459,8 +462,8 @@ class _System:
         generators of H, and edge moves on every edge over generators of ker t,
         leaving out every edge move valued in K^G: on rows carried to the
         least of their coset of S it is the identity."""
-        g_gens = generating_set(self.G.table)
-        h_gens = [x for x in generating_set(self.H.table) if not self.central[x]]
+        g_gens = self.G.generators
+        h_gens = [x for x in self.H.generators if not self.central[x]]
         kernel_gens = [x for x in generating_set(self.H.table, self.kernel_t) if not self.central[x]]
         return (
             [("v", v, a) for v in self.roots for a in g_gens]
@@ -479,16 +482,20 @@ class _System:
         to the least element of its coset of t(H) composes with it, as
         ``compose_witnesses`` composes, to
         k_ij = alpha(f_i)(lift(f_i^-1 g_ij f_j)), and (f, k) is applied at
-        once.  The triangle data are then carried to the least of their coset
-        of S.
+        once.  When t(H) is trivial, lift is the identity and so is k, which
+        is then passed as one row of zeros.  The triangle data are then
+        carried to the least of their coset of S.
         """
         G, gmul, ng = self.G, self._gflat, self.G.order
         f = np.zeros((self.cx.vertex_count, len(g_mat)), dtype=np.int64)
         for j, fe, p in self.slice_walk:
             f[j] = G.table[G.inverse[g_mat[:, fe]], f[p]]
-        f_i, f_j = f[self._edge_cols]  # edge by row, as act reads them
-        lifted = self.lift[gmul[gmul[G.inverse[f_i] * ng + g_mat.T] * ng + f_j]]
-        k = self._alphaflat[f_i * self.H.order + lifted]
+        if self.lift_trivial:
+            k = np.zeros((len(self.edges), 1), dtype=np.int64)
+        else:
+            f_i, f_j = f[self._edge_cols]  # edge by row, as act reads them
+            lifted = self.lift[gmul[gmul[G.inverse[f_i] * ng + g_mat.T] * ng + f_j]]
+            k = self._alphaflat[f_i * self.H.order + lifted]
         g_mat, h_mat = self.act(g_mat, h_mat, f.T, k.T)
         return g_mat, self.quotient.carry(h_mat)
 
@@ -499,7 +506,10 @@ class _System:
         f = [0] * self.cx.vertex_count
         for j, fe, p in self.slice_walk:
             f[j] = gmul[ginv[gds[fe]]][f[p]]
-        k = [alpha[f[i]][lift[gmul[gmul[ginv[f[i]]][gds[e]]][f[j]]]] for e, i, j in self._edge_ends]
+        if self.lift_trivial:
+            k = [0] * len(self.edges)
+        else:
+            k = [alpha[f[i]][lift[gmul[gmul[ginv[f[i]]][gds[e]]][f[j]]]] for e, i, j in self._edge_ends]
         g2, h2 = self.apply_digits(gds, hds, f, k)
         return g2, self.quotient.carry_row(h2)
 
@@ -860,7 +870,13 @@ def _classify_slice(sys: _System, g_mat: np.ndarray, h_mat: np.ndarray) -> Class
         _system=sys,
         _keys=keys,
         _labels=labels,
-        stats={"slice_rows": n, "fibre": fibre, "moves": len(sys.slice_moves), "closure_rounds": rounds},
+        stats={
+            "slice_rows": n,
+            "fibre": fibre,
+            "roots": len(sys.roots),
+            "moves": len(sys.slice_moves),
+            "closure_rounds": rounds,
+        },
     )
 
 

@@ -32,7 +32,6 @@ from .groups import (
     GroupAction,
     GroupHom,
     direct_product,
-    generating_set,
     identity_hom,
     require_abelian,
     semidirect_product,
@@ -274,7 +273,7 @@ def group_automorphisms(H: FiniteGroup) -> list[tuple[int, ...]]:
     """
     if H.order > AUT_ENUMERATION_BOUND:
         raise BudgetExceeded(H.order, AUT_ENUMERATION_BOUND)
-    gens = generating_set(H.table)
+    gens = H.generators
     # express every element as parent * generator, by closure order
     parent: dict[int, tuple[int, int]] = {}
     known = [0]

@@ -92,6 +92,12 @@ class FiniteGroup:
         conj = self.table[self.table, self.inverse[:, None]]  # [g, x] = g x g^-1
         return np.unique(conj.min(axis=0), return_inverse=True)[1]
 
+    @functools.cached_property
+    def generators(self) -> tuple[int, ...]:
+        """The greedy generating set of ``generating_set``; computed once
+        per group."""
+        return tuple(generating_set(self.table))
+
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.table, self.table.T))
 
@@ -205,8 +211,10 @@ def validate_group(table: Sequence[Sequence[int]], name: str = "G") -> FiniteGro
     (xa)y = x(ay) for all x, y are closed under multiplication and contain
     the identity, so it suffices to compare the n x n arrays of (xa)y and
     x(ay) for a in a set of generators, which is O(n^2) work per generator.
-    Only when that fails is the n^3 cube scanned, in row blocks of bounded
-    size, for the lexicographically first bad triple.
+    Both arrays are read from a copy of the table in the narrowest type
+    that holds its elements, by ``take`` along one axis each.  Only when
+    that fails is the n^3 cube scanned, in row blocks of bounded size, for
+    the lexicographically first bad triple.
 
     Raises NoIdentityAtZero, NotAssociative (with that witness triple) or
     MissingInverse (with the least element lacking a two-sided inverse).
@@ -220,9 +228,11 @@ def validate_group(table: Sequence[Sequence[int]], name: str = "G") -> FiniteGro
     idx = np.arange(n)
     if not (np.array_equal(t[0], idx) and np.array_equal(t[:, 0], idx)):
         raise NoIdentityAtZero("row/column 0 must act as the identity")
-    if not all(np.array_equal(t[t[:, a]], t[:, t[a]]) for a in generating_set(t)):
-        raise NotAssociative(_first_nonassociative_triple(t))
     grp = FiniteGroup(t, name=name)
+    narrow = t.astype(np.min_scalar_type(n - 1))
+    for a in grp.generators:
+        if not np.array_equal(narrow.take(t[:, a], axis=0), narrow.take(narrow[a], axis=1)):
+            raise NotAssociative(_first_nonassociative_triple(t))
     # the right inverse (first zero of a row) must also be a left inverse
     lacking = (grp.inverse < 0) | (t[grp.inverse, idx] != 0)
     if lacking.any():
@@ -231,15 +241,28 @@ def validate_group(table: Sequence[Sequence[int]], name: str = "G") -> FiniteGro
 
 
 def validate_hom(dom: FiniteGroup, cod: FiniteGroup, map: Sequence[int]) -> GroupHom:
-    """Check map(xy) = map(x) map(y) for all pairs; raises NotHomomorphism."""
+    """Check map(xy) = map(x) map(y) for all pairs; raises NotHomomorphism,
+    with the first failing pair (x, y) in row-major order.
+
+    It suffices to check every x against y in 0 and the generators of dom
+    (``FiniteGroup.generators``), O(n k) work for k generators:
+
+        if y and z pass for every x, so does yz, as map(x(yz)) = map(xy) map(z)
+        = map(x) map(y) map(z) = map(x) map(yz); every element is a product
+        of generators; and y = 0 passes iff map(0) = 0.
+
+    The trivial group has no generators, so 0 is always checked.  Only when
+    this fails are all n^2 pairs compared, for the first bad one.
+    """
     m = np.asarray(map, dtype=np.int64)
     if len(m) != dom.order:
         raise NotHomomorphism(("length", len(m)))
     if m.min() < 0 or m.max() >= cod.order:
         raise NotHomomorphism(("range", int(m.max())))
-    lhs = m[dom.table]                 # map(xy)
-    rhs = cod.table[np.ix_(m, m)]      # map(x) map(y)
-    if not np.array_equal(lhs, rhs):
+    ys = [0, *dom.generators]
+    if not np.array_equal(m[dom.table[:, ys]], cod.table[m[:, None], m[ys]]):
+        lhs = m[dom.table]                 # map(xy)
+        rhs = cod.table[np.ix_(m, m)]      # map(x) map(y)
         bad = np.argwhere(lhs != rhs)[0]
         raise NotHomomorphism(tuple(int(x) for x in bad))
     return GroupHom(dom, cod, m)
@@ -248,10 +271,35 @@ def validate_hom(dom: FiniteGroup, cod: FiniteGroup, map: Sequence[int]) -> Grou
 def validate_action(
     actor: FiniteGroup, target: FiniteGroup, perms: Sequence[Sequence[int]]
 ) -> GroupAction:
-    """Check each perms[g] is an automorphism and g -> perms[g] is a hom."""
+    """Check each perms[g] is an automorphism and g -> perms[g] is a hom;
+    raises NotAutomorphism or NotActionHom.
+
+    Once every perms[g] is a permutation, g -> perms[g] is a hom into the
+    permutations of the target iff perms[g1 g] = perms[g1] o perms[g] for
+    every g1 and g in 0 and the generators of actor, as in
+    ``validate_hom``.  Every perms[g] is then a composite of those of the
+    generators, so they are all automorphisms if those are.  These checks
+    run as arrays; only when one fails are all g, and then all pairs, run
+    in order, for the first failure.
+    """
     p = np.asarray(perms, dtype=np.int64)
     if p.shape != (actor.order, target.order):
         raise NotActionHom(("shape", p.shape))
+    gens = [0, *actor.generators]
+    q, table = p[gens], target.table
+    holds = (
+        np.array_equal(np.sort(p, axis=1), np.broadcast_to(np.arange(target.order), p.shape))
+        and np.array_equal(q[:, table], table[q[:, :, None], q[:, None, :]])
+        and np.array_equal(p[actor.table[:, gens]], p[np.arange(actor.order)[:, None, None], q])
+    )
+    if not holds:
+        _raise_first_action_failure(actor, target, p)
+    return GroupAction(actor, target, p)
+
+
+def _raise_first_action_failure(actor: FiniteGroup, target: FiniteGroup, p: np.ndarray) -> None:
+    """The first g whose perms[g] is not an automorphism, or else the first
+    pair (g1, g2) with perms[g1 g2] != perms[g1] o perms[g2]."""
     for g in actor.elements():
         perm = p[g]
         if len(set(perm.tolist())) != target.order:
@@ -267,7 +315,6 @@ def validate_action(
         for g2 in actor.elements():
             if not np.array_equal(p[actor.mul(g1, g2)], p[g1][p[g2]]):
                 raise NotActionHom((g1, g2))
-    return GroupAction(actor, target, p)
 
 
 def require_abelian(group: FiniteGroup) -> None:

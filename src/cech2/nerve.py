@@ -15,10 +15,15 @@ of ``TwoGroup.strings`` and their pairwise products from
 ``TwoGroup.string_products``; ``check_bar_multiplication`` reads the same
 two for G |x bar(H).
 
-Tables and maps are built by numpy broadcasting over the codes split into a
-g column and p kernel columns, so a level of order n costs O(n^2) array
-work, and ``validate_group`` checks it without an n^3 array.  The top
-level's order, and the strings the checks multiply pairwise, are capped at
+The table of a level of order n is the sum of p + 1 arrays of shape
+(n, |G|) or (n, |H|), broadcast along the mixed-radix axes of the right
+factor and added in the narrowest type that holds n - 1: O(n^2) work in
+that type, with no n x n gather.  ``validate_group`` checks it by Light's
+test over a generating set, in the same type, without an n^3 array.  The
+faces and degeneracies are built from the codes split into a g column and
+p kernel columns, O(n) each, and ``validate_hom`` checks each on the
+generators of its domain, O(n k) for k generators.  The top level's order,
+and the strings the checks multiply pairwise, are capped at
 MAX_LEVEL_ORDER.
 """
 
@@ -73,19 +78,30 @@ def _encode(g: np.ndarray, hs, nh: int) -> np.ndarray:
 def _level_table(xm: CrossedModule, p: int) -> FiniteGroup:
     """Multiplication table of level p, all n x n products at once.
 
-    Row x carries the sources sigma_i of its arrows; the product with
-    column y is built one arrow at a time as a base-|H| digit appended
-    to the product of the start objects.
+    In x y the start object g_x g_y depends only on (x, g_y), and digit i,
+    h_i(x) alpha(sigma_i(x))(h_i(y)), only on (x, h_i(y)).  So the table is
+    the sum of p + 1 arrays of shape (n, |G|) or (n, |H|), each weighted by
+    its place value and broadcast along one of y's mixed-radix axes, added
+    in the narrowest type that holds n - 1.
     """
     G, H, t, alpha = xm.G, xm.H, xm.t, xm.alpha
-    nh = H.order
-    g, hs = _columns(G.order * nh**p, p, nh)
-    code = G.table[g[:, None], g[None, :]]
+    ng, nh = G.order, H.order
+    n = ng * nh**p
+    g, hs = _columns(n, p, nh)
+    table = np.empty((n, ng) + (nh,) * p, dtype=np.min_scalar_type(n - 1))  # y split: g, h_1 .. h_p
+
+    def along(part: np.ndarray, axis: int) -> np.ndarray:
+        """An (n, m) array as the term of y's mixed-radix axis ``axis``."""
+        shape = [n] + [1] * (p + 1)
+        shape[axis + 1] = part.shape[1]
+        return part.astype(table.dtype).reshape(shape)
+
+    table[...] = along(G.table[g] * nh**p, 0)
     sigma = g
-    for h in hs:
-        code = code * nh + H.table[h[:, None], alpha.perms[sigma[:, None], h[None, :]]]
+    for i, h in enumerate(hs):
+        table += along(H.table[h[:, None], alpha.perms[sigma]] * nh ** (p - 1 - i), i + 1)
         sigma = G.table[t.map[h], sigma]
-    return validate_group(code, name=f"N({xm.name})_{p}")
+    return validate_group(table.reshape(n, n), name=f"N({xm.name})_{p}")
 
 
 def nerve_two_group(xm: CrossedModule, depth: int = DEFAULT_LEVEL_CAP) -> TruncatedSimplicialGroup:

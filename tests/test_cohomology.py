@@ -37,7 +37,7 @@ from cech2.cohomology import (
     trivial_cocycle,
     validate_cocycle,
 )
-from cech2.complexes import barycentric_subdivide, standard_space, standard_space_names
+from cech2.complexes import barycentric_subdivide, build_complex, standard_space, standard_space_names
 from cech2.crossed_modules import (
     aut_two_group,
     discrete_two_group,
@@ -497,6 +497,32 @@ class TestResliceDigits:
             for r in range(len(g_mat)):
                 gds, hds = sys.reslice_digits(g_mat[r].tolist(), h_mat[r].tolist())
                 assert (list(gds), list(hds)) == (g2[r].tolist(), h2[r].tolist())
+
+    @pytest.mark.parametrize("space", ["circle3", "sphere2", "rp2_6"])
+    def test_same_without_the_skip_for_trivial_image(self, space, library_xmods):
+        # where t(H) is trivial both re-slices skip the edge witness; the
+        # full computation gives the same rows
+        cx = standard_space(space)
+        rng = np.random.default_rng(len(space))
+        skipped = []
+        for xm in library_xmods:
+            sys = _System(cx, xm)
+            assert sys.lift_trivial == (np.count_nonzero(sys.in_image_t) == 1)
+            if not sys.lift_trivial:
+                continue
+            skipped.append(xm.name)
+            g_mat = rng.integers(xm.G.order, size=(40, len(sys.edges)))
+            h_mat = rng.integers(xm.H.order, size=(40, len(sys.tris)))
+
+            def both():
+                rows = [sys.reslice_digits(g.tolist(), h.tolist()) for g, h in zip(g_mat, h_mat)]
+                return sys.reslice(g_mat, h_mat), [(list(g), list(h)) for g, h in rows]
+
+            (g2, h2), rows = both()
+            sys.lift_trivial = False
+            (g3, h3), rows_full = both()
+            assert np.array_equal(g2, g3) and np.array_equal(h2, h3) and rows == rows_full
+        assert len(skipped) == 7, skipped  # all but z2z4 and aut:S3
 
 
 class TestKeys:
@@ -1198,6 +1224,7 @@ class TestClassificationStats:
         assert cls.stats == {
             "slice_rows": 6,
             "fibre": 6**5,
+            "roots": 1,
             "moves": len(sys.slice_moves),
             "closure_rounds": cls.stats["closure_rounds"],
         }
@@ -1208,7 +1235,13 @@ class TestClassificationStats:
         # trivial G, all of H = ker t central: one slice row per class, each
         # standing for a coset of S, and no moves left to close
         cls = classify_h1(sphere2, shift_two_group(z2))
-        assert cls.stats == {"slice_rows": 2, "fibre": 8, "moves": 0, "closure_rounds": 1}
+        assert cls.stats == {"slice_rows": 2, "fibre": 8, "roots": 1, "moves": 0, "closure_rounds": 1}
+
+    def test_roots(self, s3):
+        # one root per component: a circle and two isolated points
+        cx, xm = build_complex(5, [(0, 1), (1, 2), (0, 2), (3,), (4,)]), discrete_two_group(s3)
+        assert classify_h1(cx, xm).stats["roots"] == len(_system(cx, xm).roots) == 3
+        assert classify_h1(standard_space("sphere2"), xm).stats["roots"] == 1
 
     def test_not_in_the_report(self, circle3, s3):
         cls = classify_h1(circle3, discrete_two_group(s3))

@@ -349,3 +349,178 @@ class TestMinimalSection:
         assert groups.minimal_section(square).tolist() == [0, -1, 1, -1]
         parity = validate_hom(z4, z2, [0, 1, 0, 1])
         assert groups.minimal_section(parity).tolist() == [0, 1]
+
+
+# The full scans that the checks on generators replaced, kept as references:
+# Light's test on the int64 table, the n^2 hom check and the sequential
+# action loops.
+
+def _reference_validate_group(table):
+    t = np.asarray(table, dtype=np.int64)
+    n = t.shape[0]
+    if t.min() < 0 or t.max() >= n:
+        raise NoIdentityAtZero(f"table entries must lie in 0..{n - 1}")
+    idx = np.arange(n)
+    if not (np.array_equal(t[0], idx) and np.array_equal(t[:, 0], idx)):
+        raise NoIdentityAtZero("row/column 0 must act as the identity")
+    if not all(np.array_equal(t[t[:, a]], t[:, t[a]]) for a in groups.generating_set(t)):
+        raise NotAssociative(_reference_first_bad_triple(t))
+    grp = groups.FiniteGroup(t)
+    lacking = (grp.inverse < 0) | (t[grp.inverse, idx] != 0)
+    if lacking.any():
+        raise MissingInverse(int(np.argmax(lacking)))
+    return grp.table
+
+
+def _reference_validate_hom(dom, cod, map):
+    m = np.asarray(map, dtype=np.int64)
+    if m.min() < 0 or m.max() >= cod.order:
+        raise NotHomomorphism(("range", int(m.max())))
+    lhs = m[dom.table]
+    rhs = cod.table[np.ix_(m, m)]
+    if not np.array_equal(lhs, rhs):
+        raise NotHomomorphism(tuple(int(x) for x in np.argwhere(lhs != rhs)[0]))
+    return m
+
+
+def _reference_validate_action(actor, target, perms):
+    p = np.asarray(perms, dtype=np.int64)
+    for g in actor.elements():
+        perm = p[g]
+        if len(set(perm.tolist())) != target.order:
+            raise NotAutomorphism(g, ("not a permutation",))
+        lhs = perm[target.table]
+        rhs = target.table[np.ix_(perm, perm)]
+        if not np.array_equal(lhs, rhs):
+            raise NotAutomorphism(g, tuple(int(x) for x in np.argwhere(lhs != rhs)[0]))
+    if not np.array_equal(p[0], np.arange(target.order)):
+        raise NotActionHom((0, 0))
+    for g1 in actor.elements():
+        for g2 in actor.elements():
+            if not np.array_equal(p[actor.mul(g1, g2)], p[g1][p[g2]]):
+                raise NotActionHom((g1, g2))
+    return p
+
+
+def _outcome(check, *args):
+    """The array a check returns, or the type, message and witness of what
+    it raises."""
+    try:
+        out = check(*args)
+    except (NoIdentityAtZero, NotAssociative, MissingInverse, NotHomomorphism, NotAutomorphism, NotActionHom) as exc:
+        return type(exc).__name__, str(exc), vars(exc)
+    return "ok", np.asarray(getattr(out, "table", getattr(out, "map", getattr(out, "perms", out)))).tolist()
+
+
+def _d8():
+    return semidirect_product(cyclic_group(2), cyclic_group(4), inversion_action(cyclic_group(2), cyclic_group(4)))
+
+
+# the builtin groups, D8, S4 and the depth-1 nerve level over aut:S3
+LIBRARY_GROUPS = [builtin_group(name) for name in ("Z1", "Z2", "Z3", "Z4", "Z6", "S3", "K4")]
+LIBRARY_GROUPS += [_d8(), symmetric_group(4), nerve_two_group(aut_two_group(symmetric_group(3)), 1).levels[1]]
+# the automorphism 2-group of each library group of order at most 8
+AUT_XMODS = [aut_two_group(g) for g in LIBRARY_GROUPS if g.order <= 8]
+
+
+def _extend(dom, cod, images):
+    """The map that sends 0 to 0 and x g to m(x) images[g] for each generator
+    g, along the search from 0 by right multiplication that
+    ``generating_set`` makes; it is a hom iff some hom sends each generator
+    to its image."""
+    m, frontier = {0: 0}, [0]
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for g, v in zip(dom.generators, images):
+                y = dom.mul(x, g)
+                if y not in m:
+                    m[y] = cod.mul(m[x], v)
+                    fresh.append(y)
+        frontier = fresh
+    return [m[x] for x in dom.elements()]
+
+
+@st.composite
+def _maps(draw, cods=LIBRARY_GROUPS):
+    """(dom, cod, map): a hom or not, by extending images of generators."""
+    dom = draw(st.sampled_from(LIBRARY_GROUPS))
+    cod = draw(st.sampled_from(cods))
+    images = [draw(st.integers(0, cod.order - 1)) for _ in dom.generators]
+    return dom, cod, _extend(dom, cod, images)
+
+
+class TestGeneratorChecksAgainstFullScans:
+    """Every check on generators gives the verdict and the witness of the
+    full scan it replaced."""
+
+    def test_generators_cached(self):
+        for group in LIBRARY_GROUPS:
+            assert group.generators == tuple(groups.generating_set(group.table))
+            assert group.generators is group.generators
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(gi=st.integers(0, len(LIBRARY_GROUPS) - 1), data=st.data())
+    def test_corrupted_tables(self, gi, data):
+        table = LIBRARY_GROUPS[gi].table.copy()
+        n = len(table)
+        for _ in range(data.draw(st.integers(0, 2))):
+            x, y, v = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+            table[x, y] = v
+        assert _outcome(validate_group, table) == _outcome(_reference_validate_group, table)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_random_maps(self, data):
+        dom = data.draw(st.sampled_from(LIBRARY_GROUPS))
+        cod = data.draw(st.sampled_from(LIBRARY_GROUPS))
+        m = data.draw(st.lists(st.integers(0, cod.order - 1), min_size=dom.order, max_size=dom.order))
+        assert _outcome(validate_hom, dom, cod, m) == _outcome(_reference_validate_hom, dom, cod, m)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(case=_maps(), data=st.data())
+    def test_homs_changed_off_the_generators(self, case, data):
+        dom, cod, m = case
+        assert _outcome(validate_hom, dom, cod, m) == _outcome(_reference_validate_hom, dom, cod, m)
+        others = [x for x in dom.elements() if x not in dom.generators]
+        x = data.draw(st.sampled_from(others))
+        m[x] = (m[x] + data.draw(st.integers(1, max(1, cod.order - 1)))) % cod.order
+        want = _outcome(_reference_validate_hom, dom, cod, m)
+        assert _outcome(validate_hom, dom, cod, m) == want
+        assert cod.order == 1 or want[0] == "NotHomomorphism"
+
+    def test_identity_pinned_on_the_trivial_group(self, z1, z2):
+        with pytest.raises(NotHomomorphism) as exc:
+            validate_hom(z1, z2, [1])
+        assert exc.value.pair == (0, 0)
+
+    def test_zero_endomorphisms(self, z2, z3):
+        # perms[g] = 0 for every g respects every law checked on generators;
+        # only the permutation check refuses it
+        zero = np.zeros((2, 3), dtype=np.int64)
+        with pytest.raises(NotAutomorphism) as exc:
+            validate_action(z2, z3, zero)
+        assert (exc.value.actor_element, exc.value.pair) == (0, ("not a permutation",))
+        assert _outcome(validate_action, z2, z3, zero) == _outcome(_reference_validate_action, z2, z3, zero)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(xi=st.integers(0, len(AUT_XMODS) - 1), data=st.data())
+    def test_broken_actions(self, xi, data):
+        # an action through a map into Aut(target), then perhaps one row
+        # replaced by another automorphism, one swap in a row, or one entry
+        # repeated in a row
+        aut = AUT_XMODS[xi]
+        actor = data.draw(st.sampled_from(LIBRARY_GROUPS))
+        images = [data.draw(st.integers(0, aut.G.order - 1)) for _ in actor.generators]
+        perms = aut.alpha.perms[_extend(actor, aut.G, images)]
+        m, g = aut.H.order, data.draw(st.integers(0, actor.order - 1))
+        a, b = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))
+        kind = data.draw(st.sampled_from(["none", "row", "swap", "repeat"]))
+        if kind == "row":
+            perms[g] = aut.alpha.perms[data.draw(st.integers(0, aut.G.order - 1))]
+        elif kind == "swap":
+            perms[g, [a, b]] = perms[g, [b, a]]
+        elif kind == "repeat":
+            perms[g, a] = perms[g, b]
+        want = _outcome(_reference_validate_action, actor, aut.H, perms)
+        assert _outcome(validate_action, actor, aut.H, perms) == want

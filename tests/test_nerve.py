@@ -15,7 +15,14 @@ from cech2.crossed_modules import (
     two_group_from_crossed_module,
 )
 from cech2.errors import BudgetExceeded
-from cech2.groups import FiniteGroup, cyclic_group, inversion_action, trivial_action, trivial_group
+from cech2.groups import (
+    FiniteGroup,
+    cyclic_group,
+    inversion_action,
+    klein_four_group,
+    trivial_action,
+    trivial_group,
+)
 from cech2.nerve import (
     MAX_LEVEL_ORDER,
     check_bar_multiplication,
@@ -76,6 +83,22 @@ class TestNerveConstruction:
         with pytest.raises(BudgetExceeded) as exc:
             nerve_two_group(xm, 4)
         assert (exc.value.required, exc.value.budget) == (7776, MAX_LEVEL_ORDER)
+
+    def test_reach_aut_k4_depth_4(self):
+        # a top level of 1536 elements, under the cap: the tables built by
+        # broadcasting and checked on generators, then both checks, within
+        # 48 MiB traced (n^2 int64 gathers took 73 MiB)
+        xm = aut_two_group(klein_four_group())
+        tracemalloc.start()
+        try:
+            nsg = nerve_two_group(xm, 4)
+            ids, iso = check_simplicial_identities(nsg), check_level_iso(nsg, xm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ids["levels"] == [6, 24, 96, 384, 1536]
+        assert ids["ok"] and iso["ok"], ids["failures"] + iso["failures"]
+        assert peak <= 48 * 2**20
 
 
 # The scalar builder the vectorised one replaced, kept as the reference.
