@@ -44,8 +44,9 @@ from .groups import (
 )
 
 AUT_ENUMERATION_BOUND = 12
-# most strings multiplied pairwise: a few n x n arrays of 4M cells, 2 bytes
-# each for the codes of a level of 2048 strings
+# most strings multiplied pairwise: n x n arrays of 4M cells, namely the
+# codes (2 bytes a cell at a level of 2048 strings), the mask and one
+# column read of an arrow product at a time
 MAX_LEVEL_ORDER = 2048
 
 
@@ -132,7 +133,12 @@ class TwoGroup:
         |ob| radix^p - 1, which bounds every partial code too, and radix,
         which multiplies in that type; the tables and maps are read in the
         narrowest type of their values, so no n x n array is wider than its
-        values need.
+        values need.  Each arrow slot gathers its (n, |mor|) block of rows
+        of the product table once, no larger than n x n as n >= |mor| from
+        level 1 on, and maps it through src, tgt and digits; each n x n
+        array is then one ``take`` of the block's columns, a one-index
+        gather in place of a two-index gather per cell.  The start objects
+        are read likewise from the (n, |ob|) rows of x.
         """
         if len(x) > MAX_LEVEL_ORDER:
             raise BudgetExceeded(len(x), MAX_LEVEL_ORDER)
@@ -140,14 +146,15 @@ class TwoGroup:
         code_type = np.min_scalar_type(max(self.ob.order * radix ** arrows.shape[1] - 1, radix))
         mor, digits = self.mor.table.astype(mor_type), digits.astype(code_type)
         src, tgt = self.src.map.astype(ob_type), self.tgt.map.astype(ob_type)
-        end = self.ob.table.astype(ob_type)[x[:, None], x[None, :]]
+        end = self.ob.table.astype(ob_type)[x].take(x, axis=1)
         code = end.astype(code_type)
         composable = np.ones(code.shape, dtype=bool)
         for m in arrows.T:
-            pm = mor[m[:, None], m[None, :]]
-            composable &= src[pm] == end
-            end = tgt[pm]
-            code = code * radix + digits[pm]
+            block = mor[m]  # m_i times every arrow, (n, |mor|)
+            composable &= src[block].take(m, axis=1) == end
+            end = tgt[block].take(m, axis=1)
+            code *= radix
+            code += digits[block].take(m, axis=1)
         return code, composable
 
     def __repr__(self):
@@ -536,5 +543,5 @@ def interchange_holds(tg: TwoGroup) -> bool:
     if not composable.all():
         return False
     after = tg.compose(arrows[:, 0], arrows[:, 1])
-    lhs = tg.mor.table[after[:, None], after[None, :]]
+    lhs = tg.mor.table[after].take(after, axis=1)
     return bool((lhs == tg.compose(code // nm % nm, code % nm)).all())

@@ -302,7 +302,7 @@ def _raise_first_action_failure(actor: FiniteGroup, target: FiniteGroup, p: np.n
     pair (g1, g2) with perms[g1 g2] != perms[g1] o perms[g2]."""
     for g in actor.elements():
         perm = p[g]
-        if len(set(perm.tolist())) != target.order:
+        if not np.array_equal(np.sort(perm), np.arange(target.order)):
             raise NotAutomorphism(g, ("not a permutation",))
         lhs = perm[target.table]
         rhs = target.table[np.ix_(perm, perm)]

@@ -13,7 +13,10 @@ identity morphisms.  ``check_level_iso`` compares this compact
 representation with the definitional string model, the composable strings
 of ``TwoGroup.strings`` and their pairwise products from
 ``TwoGroup.string_products``; ``check_bar_multiplication`` reads the same
-two for G |x bar(H).
+two for G |x bar(H).  Both compare all n^2 pairs of strings, and each
+n x n array they read is one ``take`` along the columns of an (n, m) block
+of rows (a stored table with its rows permuted, or a group table at each
+string's own element), not a two-index gather.
 
 The table of a level of order n is the sum of p + 1 arrays of shape
 (n, |G|) or (n, |H|), broadcast along the mixed-radix axes of the right
@@ -214,7 +217,7 @@ def check_level_iso(nsg: TruncatedSimplicialGroup, xm: CrossedModule) -> dict:
             continue
         # componentwise string product realizes the level multiplication
         prod, composable = tg.string_products(x, arrows, np.arange(tg.mor.order) // ng, nh)
-        if not (composable & (prod == level.table.astype(prod.dtype)[codes[:, None], codes[None, :]])).all():
+        if not (composable & (prod == level.table.astype(prod.dtype).take(codes, axis=0).take(codes, axis=1))).all():
             failures.append(f"level {p}: product mismatch")
         # faces against the string model, first failing string first
         if p >= 1:
@@ -262,10 +265,13 @@ def check_bar_multiplication(G: FiniteGroup, H: FiniteGroup, alpha: GroupAction,
         # the expected codes in the codes' own type, which holds them all
         h_mul, act, g_mul = (a.astype(code.dtype) for a in (H.table, alpha.perms, G.table))
         h0, g = np.divmod(x, ng)
-        twisted = lambda h: h_mul[h[:, None], act[g[:, None], h[None, :]]]  # h alpha(g)(h')
-        want = twisted(h0) * ng + g_mul[g[:, None], g[None, :]]
+        twisted = lambda h: h_mul[h[:, None], act[g]].take(h, axis=1)  # h alpha(g)(h')
+        want = twisted(h0)
+        want *= ng
+        want += g_mul[g].take(g, axis=1)
         for h in target[arrows.T]:
-            want = want * nh + twisted(h)
+            want *= nh
+            want += twisted(h)
         ok &= code == want
         pairs_checked.append(ok.size if ok.all() else int(np.argmin(ok)))
         if not ok.all():

@@ -141,7 +141,18 @@ def _shaped(*optional, **fields):
 
 
 _SPACE = _shaped(vertices=st.integers(-1, 4), maximal=st.lists(_LIST, max_size=4))
-_COEFF = _shaped(G=_GROUP, H=_GROUP, t=_LIST, alpha=_MATRIX)
+
+
+def _action_row(n: int):
+    """A permutation of 0..n-1, or n distinct values of which some may lie
+    outside 0..n-1."""
+    return st.permutations(range(n)) | st.lists(st.integers(-1, n + 1), min_size=n, max_size=n, unique=True)
+
+
+# the trivial hom t, and action tables of such rows
+_ZERO = st.integers(1, 3).map(lambda n: [0] * n)
+_ALPHA = _MATRIX | st.integers(1, 3).flatmap(lambda n: st.lists(_action_row(n), min_size=1, max_size=3))
+_COEFF = _shaped(G=_GROUP, H=_GROUP, t=_LIST | _ZERO, alpha=_ALPHA)
 _SES = _shaped(
     "section", "type", "coeff",
     H=_GROUP, G=_GROUP, K=_GROUP, t=_LIST, p=_LIST, section=_LIST,
@@ -171,14 +182,33 @@ def test_fuzzed_json_inputs(tmp_path_factory, case):
     """Whatever JSON the files hold, ``main`` returns an exit code 0-3 and
     prints exactly one JSON object with an ``ok`` key."""
     command, obj = case
+    code, lines = _main_on_file(tmp_path_factory, command, obj)
+    assert code in (0, 1, 2, 3)
+    assert len(lines) == 1 and "ok" in json.loads(lines[0])
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(ng=st.integers(1, 3), nh=st.integers(1, 3), data=st.data())
+def test_fuzzed_action_tables(tmp_path_factory, ng, nh, data):
+    """A crossed-module file of cyclic groups and the trivial t, whose action
+    rows may hold values outside H: ``validate`` exits 0 or 1 and prints one
+    JSON object."""
+    alpha = data.draw(st.lists(_action_row(nh), min_size=ng, max_size=ng))
+    obj = {"G": group_to_json(cyclic_group(ng)), "H": group_to_json(cyclic_group(nh)), "t": [0] * nh, "alpha": alpha}
+    code, lines = _main_on_file(tmp_path_factory, ["validate", "--coeff", "{file}"], obj)
+    assert code in (0, 1)
+    assert len(lines) == 1 and json.loads(lines[0])["ok"] is (code == 0)
+
+
+def _main_on_file(tmp_path_factory, command, obj):
+    """``main`` on a command whose {file} is obj as JSON: its exit code and
+    its stdout lines."""
     path = tmp_path_factory.getbasetemp() / "fuzzed.json"  # examples run one at a time
     path.write_text(json.dumps(obj))
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main([arg.format(file=path) for arg in command])
-    assert code in (0, 1, 2, 3)
-    lines = out.getvalue().splitlines()
-    assert len(lines) == 1 and "ok" in json.loads(lines[0])
+    return code, out.getvalue().splitlines()
 
 
 class TestOversizedSpace:
@@ -225,6 +255,17 @@ class TestValidate:
         assert res.returncode == 1
         report = json.loads(res.stdout)
         assert report["error"] in ("NotAbelian", "PeifferViolation")
+
+    @pytest.mark.parametrize("row", [[0, 1, 5], [0, 1, -1]], ids=["above", "negative"])
+    def test_action_row_out_of_range(self, tmp_path, row):
+        z3 = group_to_json(cyclic_group(3))
+        path = tmp_path / "coeff.json"
+        path.write_text(json.dumps({"G": Z2, "H": z3, "t": [0, 0, 0], "alpha": [[0, 1, 2], row]}))
+        res = run("validate", "--coeff", str(path))
+        assert res.returncode == 1, res.stdout + res.stderr
+        report = json.loads(res.stdout)
+        assert report["error"] == "NotAutomorphism" and "not a permutation" in report["detail"]
+        assert "Traceback" not in res.stderr
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -162,6 +162,14 @@ class TestValidateAction:
         with pytest.raises(NotActionHom):
             validate_action(z4, z3, perms)
 
+    @pytest.mark.parametrize("row", [[0, 1, 5], [0, 1, -1]], ids=["above", "negative"])
+    def test_out_of_range_row_is_not_a_permutation(self, z2, z3, row):
+        # distinct values, one outside 0..2: neither an IndexError nor a
+        # wrapped -1 read as element 2
+        with pytest.raises(NotAutomorphism) as exc:
+            validate_action(z2, z3, [[0, 1, 2], row])
+        assert (exc.value.actor_element, exc.value.pair) == (1, ("not a permutation",))
+
 
 def _reference_semidirect_product(actor, target, action) -> np.ndarray:
     """The table of target x| actor by the scalar loop that the broadcast in

@@ -6,6 +6,7 @@ import pytest
 
 from cech2 import nerve
 from cech2.crossed_modules import (
+    TwoGroup,
     aut_two_group,
     discrete_two_group,
     hat_construction,
@@ -214,6 +215,22 @@ class TestLevelIso:
         # level 0 is just the object group
         assert nerve_z2z4.levels[0].same_table(z2z4.G)
 
+    def test_strings_in_any_order(self, nerve_aut3, monkeypatch):
+        # the strings listed in a shuffled order: their codes are then a
+        # non-identity permutation of the level, by which the stored table
+        # is read along both axes
+        listed = TwoGroup.strings
+        rng = np.random.default_rng(3)
+
+        def shuffled(tg, p):
+            x, arrows = listed(tg, p)
+            order = rng.permutation(len(x))
+            return x[order], arrows[order]
+
+        monkeypatch.setattr(TwoGroup, "strings", shuffled)
+        report = check_level_iso(nerve_aut3, aut_two_group(cyclic_group(3)))
+        assert report["ok"], report["failures"]
+
     def test_tampered_product(self, nerve_aut3):
         nsg = copy.copy(nerve_aut3)
         nsg.levels = list(nerve_aut3.levels)
@@ -348,6 +365,41 @@ class TestStrings:
                     assert code.dtype == np.min_scalar_type(max(ng * radix**p - 1, radix)), (tg.name, p)
                     assert np.array_equal(code, want_code) and np.array_equal(composable, want_composable)
 
+    def test_products_of_shuffled_strings(self, library_xmods):
+        # rows and columns in the same non-identity order, so every take
+        # along a row block follows a shuffled column order
+        rng = np.random.default_rng(17)
+        tgs = [two_group_from_crossed_module(xm) for xm in library_xmods]
+        tgs += [semidirect_two_group(G, segal_bar_two_group(H), a) for G, H, a in _bar_cases().values()]
+        for tg in tgs:
+            ng, nm = tg.ob.order, tg.mor.order
+            for p in range(1, 4):
+                x, arrows = tg.strings(p)
+                if len(x) > MAX_LEVEL_ORDER:
+                    continue
+                order = rng.permutation(len(x))
+                x, arrows = x[order], arrows[order]
+                code, composable = tg.string_products(x, arrows, np.arange(nm) // ng, nm // ng)
+                want_code, want_composable = _reference_string_products(tg, x, arrows, np.arange(nm) // ng, nm // ng)
+                assert np.array_equal(code, want_code) and np.array_equal(composable, want_composable), (tg.name, p)
+
+    def test_products_peak_at_level_4_of_aut_k4(self):
+        # 1536 strings: the n x n codes, mask and one read of an n x n
+        # result at a time, within 16 MiB traced (the n x n two-index
+        # gathers of every arrow product peaked at 20.3 MiB)
+        xm = aut_two_group(klein_four_group())
+        tg = two_group_from_crossed_module(xm)
+        x, arrows = tg.strings(4)
+        digits = np.arange(tg.mor.order) // xm.G.order
+        tracemalloc.start()
+        try:
+            code, composable = tg.string_products(x, arrows, digits, xm.H.order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code.shape == (1536, 1536) and composable.all()
+        assert peak <= 16 * 2**20
+
     def test_products_refuse_before_any_pair_array(self, z2):
         tg = two_group_from_crossed_module(discrete_two_group(z2))
         x = np.zeros(MAX_LEVEL_ORDER + 1, dtype=np.int64)
@@ -401,6 +453,18 @@ class TestBarMultiplication:
         # level 1 lists the arrows by source: 5 and 7 are strings 5 and 9 of
         # 18, so pair 5 * 18 + 9 is the first to fail
         assert report["pairs"] == [36, 99, 606, 4728]
+
+    def test_z2_on_z4_depth_4_peak(self, z2, z4):
+        # 2 * 4^5 = 2048 strings on top, at the cap, within 40 MiB traced
+        # (n x n two-index gathers for the expected codes peaked at 44.3 MiB)
+        tracemalloc.start()
+        try:
+            report = check_bar_multiplication(z2, z4, inversion_action(z2, z4), 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report["ok"] and report["pairs"] == [(2 * 4 ** (q + 1)) ** 2 for q in range(5)]
+        assert peak <= 40 * 2**20
 
     def test_level_zero_is_plain_group(self, z2, z3):
         report = check_bar_multiplication(z2, z3, inversion_action(z2, z3), 0)
