@@ -4,7 +4,10 @@ The nerve of a 2-group is a simplicial group whose level p consists of
 composable p-strings of morphisms; each string is pinned down by its start
 object and the kernel parts of its arrows, so level p has |G| * |H|^p
 elements.  The semidirect product with the pair 2-group multiplies levelwise
-by a twisted componentwise rule, checked on every pair.
+by a twisted componentwise rule.  Each check multiplies every string by the
+strings of 0 and of the level's generators, which covers every pair, as a
+bijection that is a hom on generators is an isomorphism; the report counts
+the pairs so covered.
 """
 
 from cech2.crossed_modules import aut_two_group

@@ -180,7 +180,7 @@ def generating_set(t: np.ndarray, elements: Sequence[int] | None = None) -> list
         frontier = np.flatnonzero(reached)
         while len(frontier):
             fresh = np.zeros(n, dtype=bool)
-            fresh[t[np.ix_(frontier, gens)]] = True
+            fresh[t[frontier[:, None], gens]] = True
             fresh &= ~reached
             reached |= fresh
             frontier = np.flatnonzero(fresh)
@@ -211,10 +211,9 @@ def validate_group(table: Sequence[Sequence[int]], name: str = "G") -> FiniteGro
     (xa)y = x(ay) for all x, y are closed under multiplication and contain
     the identity, so it suffices to compare the n x n arrays of (xa)y and
     x(ay) for a in a set of generators, which is O(n^2) work per generator.
-    Both arrays are read from a copy of the table in the narrowest type
-    that holds its elements, by ``take`` along one axis each.  Only when
-    that fails is the n^3 cube scanned, in row blocks of bounded size, for
-    the lexicographically first bad triple.
+    Both arrays are read by ``take`` along one axis each.  Only when that
+    fails is the n^3 cube scanned, in row blocks of bounded size, for the
+    lexicographically first bad triple.
 
     Raises NoIdentityAtZero, NotAssociative (with that witness triple) or
     MissingInverse (with the least element lacking a two-sided inverse).
@@ -229,9 +228,8 @@ def validate_group(table: Sequence[Sequence[int]], name: str = "G") -> FiniteGro
     if not (np.array_equal(t[0], idx) and np.array_equal(t[:, 0], idx)):
         raise NoIdentityAtZero("row/column 0 must act as the identity")
     grp = FiniteGroup(t, name=name)
-    narrow = t.astype(np.min_scalar_type(n - 1))
     for a in grp.generators:
-        if not np.array_equal(narrow.take(t[:, a], axis=0), narrow.take(narrow[a], axis=1)):
+        if not np.array_equal(t.take(t[:, a], axis=0), t.take(t[a], axis=1)):
             raise NotAssociative(_first_nonassociative_triple(t))
     # the right inverse (first zero of a row) must also be a left inverse
     lacking = (grp.inverse < 0) | (t[grp.inverse, idx] != 0)
@@ -405,15 +403,12 @@ def subgroup_as_group(group: FiniteGroup, elements: Sequence[int], name: str = "
     elems = sorted(set(int(x) for x in elements))
     if 0 not in elems:
         raise NoIdentityAtZero("subgroup must contain the identity")
-    pos = {x: i for i, x in enumerate(elems)}
-    n = len(elems)
-    table = np.empty((n, n), dtype=np.int64)
-    for i, x in enumerate(elems):
-        for j, y in enumerate(elems):
-            z = group.mul(x, y)
-            if z not in pos:
-                raise NotHomomorphism((x, y))
-            table[i, j] = pos[z]
+    pos = np.full(group.order, -1)
+    pos[elems] = np.arange(len(elems))
+    table = pos[group.table[np.ix_(elems, elems)]]
+    if (table < 0).any():
+        i, j = np.argwhere(table < 0)[0]
+        raise NotHomomorphism((elems[i], elems[j]))
     sub = FiniteGroup(table, name=name)
     incl = GroupHom(sub, group, np.asarray(elems, dtype=np.int64))
     return sub, incl
@@ -434,12 +429,7 @@ def symmetric_group(n: int) -> FiniteGroup:
     """S_n on permutation tuples in lexicographic order; identity is first."""
     perms = sorted(itertools.permutations(range(n)))
     pos = {p: i for i, p in enumerate(perms)}
-    size = len(perms)
-    table = np.empty((size, size), dtype=np.int64)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            table[i, j] = pos[tuple(p[q[x]] for x in range(n))]
-    return FiniteGroup(table, name=f"S{n}")
+    return FiniteGroup([[pos[tuple(p[x] for x in q)] for q in perms] for p in perms], name=f"S{n}")
 
 
 def klein_four_group() -> FiniteGroup:

@@ -465,12 +465,19 @@ class TestNerveCommand:
         assert json.loads(res.stdout) == {"ok": False, "error": "input", "detail": "--depth must be at least 0, got -1"}
         assert "Traceback" not in res.stderr
 
-    def test_level_order_guard(self):
-        # the default depth 4 asks for a level of order 6 * 6^4 = 7776
+    def test_level_order_guard(self, tmp_path):
+        # the cap is on the top level's generator columns, n (1 + k):
+        # aut:S3 at its default depth 4 has 7776 * 11 of them and passes;
+        # shift:Z32 at depth 4 has 32^4 * (1 + 4) and is refused
         res = run("nerve", "--coeff", "aut:S3")
+        assert res.returncode == 0
+        assert json.loads(res.stdout)["levels"] == [6, 36, 216, 1296, 7776]
+        path = tmp_path / "z32.json"
+        path.write_text(json.dumps({"name": "Z32", "table": [[(a + b) % 32 for b in range(32)] for a in range(32)]}))
+        res = run("nerve", "--coeff", f"shift:{path}")
         assert res.returncode == 3
         assert json.loads(res.stdout) == {
             "ok": False,
             "error": "budget",
-            "detail": "workload 7776 exceeds budget 2048",
+            "detail": "workload 5242880 exceeds budget 4194304",
         }

@@ -1,9 +1,11 @@
 import copy
+import itertools
 
 import numpy as np
 import pytest
 
 from cech2.crossed_modules import (
+    HomSquareViolation,
     aut_two_group,
     crossed_module_from_two_group,
     discrete_two_group,
@@ -27,16 +29,25 @@ from cech2.errors import (
     NotAbelian,
     NotComposable,
     NotExact,
+    NotHomomorphism,
     PeifferViolation,
 )
+from cech2.fixtures import builtin_group, coefficient_from_spec
 from cech2.groups import (
     FiniteGroup,
+    GroupAction,
+    GroupHom,
+    direct_product,
     identity_hom,
     inversion_action,
     trivial_action,
+    semidirect_product,
+    subgroup_as_group,
+    symmetric_group,
     trivial_group,
     validate_hom,
 )
+from test_cohomology import _SLICE_SPECS
 
 
 class TestValidateCrossedModule:
@@ -147,6 +158,20 @@ class TestCompositions:
         tg.mor = FiniteGroup(table, name=tg.mor.name)
         assert interchange_holds(tg) is _reference_interchange_holds(tg) is False
 
+    def test_interchange_fails_off_the_generator_columns(self, s3):
+        # aut:S3 with one product changed that no right factor of the path
+        # on generators reads: mor then fails Light's test, so every pair is
+        # compared, and a product pair is no longer composable
+        tg = copy.copy(two_group_from_crossed_module(aut_two_group(s3)))
+        pairs = tg.strings(2)[1]
+        right = pairs[np.isin(pairs[:, 0], [0, *tg.mor.generators])]
+        read = set(right.ravel().tolist()) | set(tg.compose(right[:, 0], right[:, 1]).tolist())
+        b = next(m for m in tg.mor.elements() if m not in read)
+        table = tg.mor.table.copy()
+        table[b, b] = table[b, 0]
+        tg.mor = FiniteGroup(table, name=tg.mor.name)
+        assert interchange_holds(tg) is False
+
     def test_interchange_fails_on_a_product_that_is_not_composable(self, z2z4):
         tg = copy.copy(two_group_from_crossed_module(z2z4))
         table = tg.mor.table.copy()
@@ -154,6 +179,24 @@ class TestCompositions:
         table[1, 1] = 6  # (1, 2): the target moves from 2 to 0
         tg.mor = FiniteGroup(table, name=tg.mor.name)
         assert interchange_holds(tg) is False
+
+    @pytest.mark.parametrize("spec", ["z2z4", "aut:S3"])
+    def test_interchange_fails_on_a_tampered_compose(self, spec):
+        # compose changed at one composable pair, to another arrow from the
+        # same object; mor and its structure maps are intact, so the check
+        # takes its path on generators, and it must still fail
+        tg = two_group_from_crossed_module(coefficient_from_spec(spec))
+        ng, nm = tg.ob.order, tg.mor.order
+        pairs = tg.strings(2)[1]
+        for i in np.linspace(0, len(pairs) - 1, 6).astype(int):
+            m1, m2 = (int(m) for m in pairs[i])
+            bad = copy.copy(tg)
+            out = tg.compose(m1, m2)
+            changed = (out + ng) % nm
+            bad._compose = lambda a, b, m1=m1, m2=m2, changed=changed: np.where(
+                (a == m1) & (b == m2), changed, tg._compose(a, b)
+            )
+            assert interchange_holds(bad) is _reference_interchange_holds(bad) is False, (spec, m1, m2)
 
     def test_compose_arrays(self, z2z4):
         tg = two_group_from_crossed_module(z2z4)
@@ -335,3 +378,158 @@ class TestValidateSes:
             validate_two_group_hom(
                 z2z4, z2z4, fG=validate_hom(z4, z4, [0] * 4), fH=identity_hom(z2)
             )
+
+
+# The scalar comprehensions and loops that the array forms replaced, kept
+# as references: each must give the same maps, tables and first witness.
+
+def _outcome(f, *args):
+    try:
+        f(*args)
+    except Exception as e:  # the exception type and its witness
+        return type(e).__name__, str(e)
+    return "ok", None
+
+
+def _reference_validate_crossed_module(G, H, t, alpha):
+    for g in G.elements():
+        for h in H.elements():
+            if t(alpha.apply(g, h)) != G.conj(g, t(h)):
+                raise EquivarianceViolation(g, h)
+    for h in H.elements():
+        for h2 in H.elements():
+            if alpha.apply(t(h), h2) != H.conj(h, h2):
+                raise PeifferViolation(h, h2)
+
+
+def _reference_validate_two_group_hom(dom, cod, fG, fH):
+    for h in dom.H.elements():
+        if cod.t(fH(h)) != fG(dom.t(h)):
+            raise HomSquareViolation("t", h)
+    for g in dom.G.elements():
+        for h in dom.H.elements():
+            if fH(dom.alpha.apply(g, h)) != cod.alpha.apply(fG(g), fH(h)):
+                raise HomSquareViolation("action", (g, h))
+
+
+def _reference_structure_maps(tg, xm):
+    """src, tgt and unit of the 2-group of xm, by comprehension."""
+    G, ng = xm.G, xm.G.order
+    return (
+        [m % ng for m in tg.mor.elements()],
+        [G.mul(xm.t(m // ng), m % ng) for m in tg.mor.elements()],
+        list(G.elements()),
+    )
+
+
+def _reference_bar_maps(tg, G, H):
+    """src, tgt and unit of G |x bar(H) and of bar(H), by comprehension."""
+    ng, nh = G.order, H.order
+    decoded = [(m % ng, m // ng // nh, m // ng % nh) for m in tg.mor.elements()]
+    semidirect = (
+        [a * ng + g for g, a, b in decoded],
+        [b * ng + g for g, a, b in decoded],
+        [(x // ng * nh + x // ng) * ng + x % ng for x in tg.ob.elements()],
+    )
+    bar = ([m // nh for m in range(nh * nh)], [m % nh for m in range(nh * nh)], [h * nh + h for h in H.elements()])
+    return semidirect, bar
+
+
+def _bar_cases():
+    z1, z2, z3, z4 = (builtin_group(n) for n in ("Z1", "Z2", "Z3", "Z4"))
+    cases = [(z1, z3, trivial_action(z1, z3)), (z2, z3, inversion_action(z2, z3)), (z2, z4, inversion_action(z2, z4))]
+    return cases + [(z2, builtin_group(n), trivial_action(z2, builtin_group(n))) for n in ("S3", "K4")]
+
+
+class TestArrayFormsAgainstLoops:
+    @pytest.mark.parametrize("spec", _SLICE_SPECS)
+    def test_structure_maps(self, spec):
+        xm = coefficient_from_spec(spec)
+        tg = two_group_from_crossed_module(xm)
+        got = [f.map.tolist() for f in (tg.src, tg.tgt, tg.unit)]
+        assert got == list(_reference_structure_maps(tg, xm))
+        back = crossed_module_from_two_group(tg)
+        assert back.G.same_table(xm.G) and np.array_equal(back.t.map, xm.t.map)
+        assert np.array_equal(back.alpha.perms, xm.alpha.perms)
+
+    @pytest.mark.parametrize("case", range(5))
+    def test_bar_maps(self, case):
+        G, H, alpha = _bar_cases()[case]
+        bar = segal_bar_two_group(H)
+        tg = semidirect_two_group(G, bar, alpha)
+        nh = H.order
+        diag = [[alpha.apply(g, x // nh) * nh + alpha.apply(g, x % nh) for x in range(nh * nh)] for g in G.elements()]
+        want_semidirect, want_bar = _reference_bar_maps(tg, G, H)
+        assert [f.map.tolist() for f in (tg.src, tg.tgt, tg.unit)] == list(want_semidirect)
+        assert [f.map.tolist() for f in (bar.src, bar.tgt, bar.unit)] == list(want_bar)
+        assert np.array_equal(tg.mor.table, semidirect_product(G, direct_product(H, H), GroupAction(G, bar.mor, diag)).table)
+
+    @pytest.mark.parametrize("spec", [s for s in _SLICE_SPECS if not s.startswith("hat:")])
+    def test_hat_and_aut(self, spec):
+        xm = coefficient_from_spec(spec)
+        G, H, t, alpha = xm.G, xm.H, xm.t, xm.alpha
+        ng = G.order
+        hat, ses = hat_construction(xm)
+        perms = [[alpha.apply(G.mul(t(x // ng), x % ng), h2) for h2 in H.elements()] for x in hat.G.elements()]
+        assert hat.alpha.perms.tolist() == perms
+        assert hat.t.map.tolist() == [h * ng for h in H.elements()]
+        assert ses.left.fG.map.tolist() == [H.inv(h) * ng + t(h) for h in H.elements()]
+        assert ses.right.fG.map.tolist() == [G.mul(t(x // ng), x % ng) for x in hat.G.elements()]
+        if spec.startswith("aut:"):
+            autos = group_automorphisms(H)
+            pos = {a: i for i, a in enumerate(autos)}
+            table = [[pos[tuple(a[b[x]] for x in H.elements())] for b in autos] for a in autos]
+            assert xm.G.table.tolist() == table
+            assert xm.t.map.tolist() == [pos[tuple(H.conj(h, x) for x in H.elements())] for h in H.elements()]
+
+    def test_symmetric_group_and_subgroups(self):
+        s4 = symmetric_group(4)
+        perms = sorted(itertools.permutations(range(4)))
+        pos = {p: i for i, p in enumerate(perms)}
+        assert s4.table.tolist() == [[pos[tuple(p[q[x]] for x in range(4))] for q in perms] for p in perms]
+        for elements in ([0, 1], [0, 3, 4], [0, 7, 16], list(range(24))):
+            closed = all(s4.mul(x, y) in elements for x in elements for y in elements)
+            want = next(((x, y) for x in sorted(elements) for y in sorted(elements) if s4.mul(x, y) not in elements), None)
+            if closed:
+                sub, incl = subgroup_as_group(s4, elements)
+                assert incl.map.tolist() == sorted(elements)
+                assert all(incl(sub.mul(i, j)) == s4.mul(incl(i), incl(j)) for i in sub.elements() for j in sub.elements())
+            else:
+                with pytest.raises(NotHomomorphism) as exc:
+                    subgroup_as_group(s4, elements)
+                assert exc.value.pair == want
+
+    def test_broken_crossed_modules(self, library_xmods):
+        # every library coefficient with its action or t replaced by that of
+        # another coefficient on the same groups, or by the trivial one
+        failures = []
+        for xm in library_xmods:
+            G, H = xm.G, xm.H
+            actions = [xm.alpha, trivial_action(G, H)]
+            ts = [xm.t, validate_hom(H, G, [0] * H.order)]
+            for other in library_xmods:
+                if other.G.same_table(G) and other.H.same_table(H):
+                    actions.append(other.alpha)
+                    ts.append(other.t)
+            for t in ts:
+                for alpha in actions:
+                    got = _outcome(validate_crossed_module, G, H, t, alpha)
+                    assert got == _outcome(_reference_validate_crossed_module, G, H, t, alpha)
+                    failures.append(got[0])
+        s3 = symmetric_group(3)
+        got = _outcome(validate_crossed_module, s3, s3, identity_hom(s3), trivial_action(s3, s3))
+        assert got == _outcome(_reference_validate_crossed_module, s3, s3, identity_hom(s3), trivial_action(s3, s3))
+        assert {"ok", "EquivarianceViolation", "PeifferViolation"} <= set(failures)
+
+    def test_broken_two_group_homs(self, library_xmods):
+        # endomorphisms of each coefficient by maps of G and of H that are
+        # homs or constant, so that some squares fail
+        rng, outcomes = np.random.default_rng(5), set()
+        for xm in library_xmods:
+            for _ in range(20):
+                fG = GroupHom(xm.G, xm.G, np.arange(xm.G.order) * (rng.random() < 0.7))
+                fH = GroupHom(xm.H, xm.H, rng.integers(0, xm.H.order, xm.H.order))
+                got = _outcome(validate_two_group_hom, xm, xm, fG, fH)
+                assert got == _outcome(_reference_validate_two_group_hom, xm, xm, fG, fH)
+                outcomes.add(got[0])
+        assert outcomes == {"ok", "HomSquareViolation"}
