@@ -42,10 +42,6 @@ class SimplicialComplex:
     def triangles(self) -> list[tuple[int, int, int]]:
         return self.simplices_of_dim(2)
 
-    @property
-    def tetrahedra(self) -> list[tuple[int, int, int, int]]:
-        return self.simplices_of_dim(3)
-
     def euler_characteristic(self) -> int:
         chi = 0
         for s in self.simplices:

@@ -26,13 +26,16 @@ from .errors import (
     IsoCheckFailed,
     NotComposable,
     NotExact,
+    NotHomomorphism,
     PeifferViolation,
 )
 from .groups import (
+    MAX_LEVEL_ORDER,
     FiniteGroup,
     GroupAction,
     GroupHom,
     direct_product,
+    first_failure,
     identity_hom,
     require_abelian,
     semidirect_product,
@@ -45,21 +48,6 @@ from .groups import (
 )
 
 AUT_ENUMERATION_BOUND = 12
-# most products of nerve levels or strings taken at once: a level's
-# generator columns, a row block of a failure scan, or one call of
-# ``TwoGroup.string_products``; 4M, the n x n products of 2048 strings
-MAX_LEVEL_ORDER = 1 << 22
-
-
-def first_failure(n: int, holds) -> int | None:
-    """The least row-major index i n + j of a False in the n x n mask that
-    ``holds(rows)`` gives in row blocks of MAX_LEVEL_ORDER cells, or None."""
-    step = max(1, MAX_LEVEL_ORDER // n)
-    for r0 in range(0, n, step):
-        ok = holds(np.arange(r0, min(n, r0 + step)))
-        if not ok.all():
-            return r0 * n + int(np.argmin(ok))
-    return None
 
 
 class CrossedModule:
@@ -132,10 +120,10 @@ class TwoGroup:
             end = self.tgt.map[m]
         return x, arrows
 
-    def string_products(self, x: np.ndarray, arrows: np.ndarray, digits: np.ndarray, radix: int, right=None):
+    def string_products(self, x: np.ndarray, arrows: np.ndarray, digits: np.ndarray, radix: int, right):
         """Products of the strings (x, arrows) by the strings right = (y,
-        brows), by default the same strings, row times column: the product
-        of (x, m_1 .. m_p) and (y, n_1 .. n_p) is (x y, m_i n_i).
+        brows), row times column: the product of (x, m_1 .. m_p) and
+        (y, n_1 .. n_p) is (x y, m_i n_i).
 
         Returns the (len x, len y) products encoded from the start object
         x y one arrow at a time, code * radix + digits[m_i n_i], and the mask
@@ -146,7 +134,7 @@ class TwoGroup:
         the (len x, |mor|) rows of the product table at m_i, or directly
         where len y < |mor|.
         """
-        y, brows = (x, arrows) if right is None else right
+        y, brows = right
         if len(x) * len(y) > MAX_LEVEL_ORDER:
             raise BudgetExceeded(len(x) * len(y), MAX_LEVEL_ORDER)
         ob_type, mor_type = np.min_scalar_type(self.ob.order - 1), np.min_scalar_type(self.mor.order - 1)
@@ -448,9 +436,10 @@ def iso_hat_check(xm: CrossedModule) -> TwoGroupFunctor:
 
     if len(set(mor_values.tolist())) != cod.mor.order or dom.mor.order != cod.mor.order:
         raise IsoCheckFailed("morphism map is not a bijection", None)
-    bad = np.argwhere(mor_values[dom.mor.table] != cod.mor.table[np.ix_(mor_values, mor_values)])
-    if len(bad):
-        raise IsoCheckFailed("morphism multiplication", tuple(map(int, bad[0])))
+    try:
+        mor_hom = validate_hom(dom.mor, cod.mor, mor_values)
+    except NotHomomorphism as e:
+        raise IsoCheckFailed("morphism multiplication", e.pair) from None
     src_bad = ob_map[dom.src.map] != cod.src.map[mor_values]
     for m in np.flatnonzero(src_bad | (ob_map[dom.tgt.map] != cod.tgt.map[mor_values]))[:1]:
         raise IsoCheckFailed("source" if src_bad[m] else "target", int(m))
@@ -463,8 +452,7 @@ def iso_hat_check(xm: CrossedModule) -> TwoGroupFunctor:
     bad = np.flatnonzero(mor_values[dom.compose(m1, m2)] != cod.compose(mor_values[m1], mor_values[m2]))
     if bad.size:
         raise IsoCheckFailed("composition", (int(m1[bad[0]]), int(m2[bad[0]])))
-    ob_hom, mor_hom = validate_hom(dom.ob, cod.ob, ob_map), validate_hom(dom.mor, cod.mor, mor_values)
-    return TwoGroupFunctor(dom=dom, cod=cod, ob_map=ob_hom, mor_map=mor_hom)
+    return TwoGroupFunctor(dom=dom, cod=cod, ob_map=GroupHom(dom.ob, cod.ob, ob_map), mor_map=mor_hom)
 
 
 def _exactness_failures(left: GroupHom, right: GroupHom, label: str) -> list[str]:
@@ -509,8 +497,11 @@ def interchange_holds(tg: TwoGroup) -> bool:
     are homs with src unit = 1, the 2-strings are a subgroup of mor^2.  It
     is generated by the strings whose first arrow is 1 or a generator of
     mor, as (m, n) = (m, u) (1, u^-1 n) for u = unit(tgt m), so only those
-    are right factors, as in ``validate_hom``; otherwise all strings are, a
-    block of rows at a time.  A product that is not composable fails.
+    are right factors: if r and r' pass against every left factor s, so
+    does r r', as s r is then a string and compose(s r r') = compose(s r)
+    compose(r') = compose(s) compose(r) compose(r') = compose(s)
+    compose(r r').  Otherwise all strings are, by ``first_failure``.  A
+    product that is not composable fails.
     """
     nm = tg.mor.order
     x, arrows = tg.strings(2)
@@ -532,4 +523,4 @@ def interchange_holds(tg: TwoGroup) -> bool:
 
     if by_generators:
         return bool(holds(slice(None), right).all())
-    return first_failure(len(x), lambda rows: holds(rows, slice(None))) is None
+    return first_failure(len(x), len(x), lambda rows: holds(rows, slice(None))) is None

@@ -159,9 +159,11 @@ class GroupAction:
         return f"GroupAction({self.actor.name} on {self.target.name})"
 
 
-# cells of the n x n x n associativity cube compared per chunk when Light's
-# test fails and the first bad triple is wanted
-_CUBE_CHUNK_CELLS = 1 << 22
+# most cells of a mask that ``first_failure`` asks for at once, and most
+# products of nerve levels or strings taken at once: a level's generator
+# columns or one call of ``TwoGroup.string_products``; 4M, the n x n
+# products of 2048 strings
+MAX_LEVEL_ORDER = 1 << 22
 
 
 def generating_set(t: np.ndarray, elements: Sequence[int] | None = None) -> list[int]:
@@ -187,19 +189,22 @@ def generating_set(t: np.ndarray, elements: Sequence[int] | None = None) -> list
     return gens
 
 
-def _first_nonassociative_triple(t: np.ndarray):
-    """Lexicographically first (a, b, c) with (ab)c != a(bc), or None; the
-    cube is compared a block of rows a at a time."""
-    n = len(t)
-    rows = max(1, _CUBE_CHUNK_CELLS // (n * n))
-    for a0 in range(0, n, rows):
-        block = t[a0:a0 + rows]
-        left = t[block]             # left[a, b, c]  = (ab)c
-        right = block[:, t]         # right[a, b, c] = a(bc)
-        hits = np.argwhere(left != right)
-        if len(hits):
-            a, b, c = (int(x) for x in hits[0])
-            return a0 + a, b, c
+def first_failure(rows: int, cols: int, holds) -> int | None:
+    """The least row-major index i cols + j of a False in the rows x cols
+    mask, or None.  ``holds(block)`` gives the rows of the mask at the row
+    indices ``block``, consecutive and at most max(MAX_LEVEL_ORDER, cols)
+    cells in all, each row as cols cells in row-major order.
+
+    A check whose pass over every cell reads no more than its input is this
+    scan alone: ``validate_hom``, whose n^2 cells are those of dom's table.
+    Where every cell costs more than the input (Light's n^3 cube, nerve
+    levels and strings, which have no table), the check runs on generators
+    and calls this scan only on failure, for the same first witness."""
+    step = max(1, MAX_LEVEL_ORDER // cols)
+    for r0 in range(0, rows, step):
+        ok = holds(np.arange(r0, min(rows, r0 + step)))
+        if not ok.all():
+            return r0 * cols + int(np.argmin(ok))
     return None
 
 
@@ -212,8 +217,8 @@ def validate_group(table: Sequence[Sequence[int]], name: str = "G") -> FiniteGro
     the identity, so it suffices to compare the n x n arrays of (xa)y and
     x(ay) for a in a set of generators, which is O(n^2) work per generator.
     Both arrays are read by ``take`` along one axis each.  Only when that
-    fails is the n^3 cube scanned, in row blocks of bounded size, for the
-    lexicographically first bad triple.
+    fails is the n^3 cube scanned by ``first_failure``, n^2 cells per a,
+    for the lexicographically first bad triple.
 
     Raises NoIdentityAtZero, NotAssociative (with that witness triple) or
     MissingInverse (with the least element lacking a two-sided inverse).
@@ -230,7 +235,8 @@ def validate_group(table: Sequence[Sequence[int]], name: str = "G") -> FiniteGro
     grp = FiniteGroup(t, name=name)
     for a in grp.generators:
         if not np.array_equal(t.take(t[:, a], axis=0), t.take(t[a], axis=1)):
-            raise NotAssociative(_first_nonassociative_triple(t))
+            a, bc = divmod(first_failure(n, n * n, lambda rows: t[t[rows]] == t[rows][:, t]), n * n)
+            raise NotAssociative((a, *divmod(bc, n)))
     # the right inverse (first zero of a row) must also be a left inverse
     lacking = (grp.inverse < 0) | (t[grp.inverse, idx] != 0)
     if lacking.any():
@@ -242,27 +248,21 @@ def validate_hom(dom: FiniteGroup, cod: FiniteGroup, map: Sequence[int]) -> Grou
     """Check map(xy) = map(x) map(y) for all pairs; raises NotHomomorphism,
     with the first failing pair (x, y) in row-major order.
 
-    It suffices to check every x against y in 0 and the generators of dom
-    (``FiniteGroup.generators``), O(n k) work for k generators:
-
-        if y and z pass for every x, so does yz, as map(x(yz)) = map(xy) map(z)
-        = map(x) map(y) map(z) = map(x) map(yz); every element is a product
-        of generators; and y = 0 passes iff map(0) = 0.
-
-    The trivial group has no generators, so 0 is always checked.  Only when
-    this fails are all n^2 pairs compared, for the first bad one.
+    One pass of ``first_failure`` over the n^2 pairs reads as many cells as
+    dom's table, which every caller already holds.  A check on generators
+    would save no more than that and needs them found first; so only
+    ``validate_action``, whose every pair costs a permutation of the
+    target, checks on generators.
     """
     m = np.asarray(map, dtype=np.int64)
     if len(m) != dom.order:
         raise NotHomomorphism(("length", len(m)))
     if m.min() < 0 or m.max() >= cod.order:
         raise NotHomomorphism(("range", int(m.max())))
-    ys = [0, *dom.generators]
-    if not np.array_equal(m[dom.table[:, ys]], cod.table[m[:, None], m[ys]]):
-        lhs = m[dom.table]                 # map(xy)
-        rhs = cod.table[np.ix_(m, m)]      # map(x) map(y)
-        bad = np.argwhere(lhs != rhs)[0]
-        raise NotHomomorphism(tuple(int(x) for x in bad))
+    n = dom.order
+    bad = first_failure(n, n, lambda x: m.take(dom.table[x]) == cod.table[m[x]].take(m, axis=1))
+    if bad is not None:
+        raise NotHomomorphism(divmod(bad, n))
     return GroupHom(dom, cod, m)
 
 
@@ -274,11 +274,16 @@ def validate_action(
 
     Once every perms[g] is a permutation, g -> perms[g] is a hom into the
     permutations of the target iff perms[g1 g] = perms[g1] o perms[g] for
-    every g1 and g in 0 and the generators of actor, as in
-    ``validate_hom``.  Every perms[g] is then a composite of those of the
+    every g1 and g in 0 and the generators of actor.  If g and g' pass for
+    every g1, so does g g', as perms[g1 g g'] = perms[g1 g] o perms[g'] =
+    perms[g1] o perms[g] o perms[g'] = perms[g1] o perms[g g']; every
+    element is a product of generators; and g = 0 passes iff perms[0] is
+    the identity.  Every perms[g] is then a composite of those of the
     generators, so they are all automorphisms if those are.  These checks
-    run as arrays; only when one fails are all g, and then all pairs, run
-    in order, for the first failure.
+    cost (1 + k)(|T|^2 + |A| |T|) for k generators, where every g and pair
+    would cost |A| |T|^2 + |A|^2 |T|.  They run as arrays; only when one
+    fails are all g, and then all pairs, run in order, for the first
+    failure.
     """
     p = np.asarray(perms, dtype=np.int64)
     if p.shape != (actor.order, target.order):

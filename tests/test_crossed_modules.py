@@ -26,6 +26,7 @@ from cech2.crossed_modules import (
 from cech2.errors import (
     BudgetExceeded,
     EquivarianceViolation,
+    IsoCheckFailed,
     NotAbelian,
     NotComposable,
     NotExact,
@@ -331,6 +332,34 @@ class TestIsoHatCheck:
         iso = iso_hat_check(xm)
         assert iso.ob_map.is_injective() and iso.ob_map.is_surjective()
         assert iso.mor_map.is_injective() and iso.mor_map.is_surjective()
+
+    @pytest.mark.parametrize(
+        "group, cell", [("mor", (1, 2)), ("mor", (7, 11)), ("mor", (17, 17)), ("ob", (1, 2)), ("ob", (5, 5))]
+    )
+    def test_changed_product_names_its_first_bad_pair(self, z3, monkeypatch, group, cell):
+        # G |x bar(H) with one product of its objects or morphisms changed:
+        # the check names the law once, at its row-major first bad pair
+        import cech2.crossed_modules as cm
+
+        xm = aut_two_group(z3)
+        iso = iso_hat_check(xm)
+        built = cm.semidirect_two_group
+
+        def changed(*args):
+            tg = built(*args)
+            table = getattr(tg, group).table.copy()
+            table[cell] = (table[cell] + 1) % len(table)
+            setattr(tg, group, FiniteGroup(table, name=getattr(tg, group).name))
+            return tg
+
+        f = (iso.mor_map if group == "mor" else iso.ob_map).map
+        dom, cod = getattr(iso.dom, group), getattr(changed(xm.G, segal_bar_two_group(xm.H), xm.alpha), group)
+        want = tuple(int(v) for v in np.argwhere(f[dom.table] != cod.table[np.ix_(f, f)])[0])
+        monkeypatch.setattr(cm, "semidirect_two_group", changed)
+        with pytest.raises(IsoCheckFailed) as exc:
+            iso_hat_check(xm)
+        equation = "morphism multiplication" if group == "mor" else "object multiplication"
+        assert (exc.value.equation, exc.value.witness) == (equation, want)
 
 
 class TestValidateSes:

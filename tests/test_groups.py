@@ -106,7 +106,7 @@ class TestLightsTest:
         "chunk_cells", [1, 500, 1 << 22], ids=["row-blocks", "small-blocks", "one-block"]
     )
     def test_same_witness_as_the_full_cube(self, s3, monkeypatch, chunk_cells):
-        monkeypatch.setattr(groups, "_CUBE_CHUNK_CELLS", chunk_cells)
+        monkeypatch.setattr(groups, "MAX_LEVEL_ORDER", chunk_cells)
         # every table here has one changed cell, which breaks associativity
         for t in _corrupted_tables(s3):
             want = _reference_first_bad_triple(t)
@@ -139,6 +139,33 @@ class TestLightsTest:
             table = level.products(codes, codes)
             assert _reference_first_bad_triple(table) is None
             assert np.array_equal(validate_group(table).table, table)
+
+
+class TestFirstFailure:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_first_false_in_row_major_order(self, data):
+        # random masks, all-True ones among them, under caps below and
+        # above the row length: the first False of the whole mask, from
+        # consecutive blocks of rows of at most max(cap, cols) cells
+        rows, cols, cap = data.draw(st.integers(0, 12)), data.draw(st.integers(1, 12)), data.draw(st.integers(1, 30))
+        cells = data.draw(st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols))
+        mask = np.array(cells, dtype=bool).reshape(rows, cols) | data.draw(st.booleans())
+        blocks = []
+
+        def holds(block):
+            blocks.append(block)
+            return mask[block]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(groups, "MAX_LEVEL_ORDER", cap)
+            got = groups.first_failure(rows, cols, holds)
+        bad = np.flatnonzero(~mask)
+        assert got == (int(bad[0]) if bad.size else None)
+        assert all(block.size * cols <= max(cap, cols) for block in blocks)
+        seen = np.concatenate([np.arange(0), *blocks])
+        assert np.array_equal(seen, np.arange(len(seen)))
+        assert (len(seen) == rows) if got is None else (got // cols in blocks[-1])
 
 
 class TestValidateHom:

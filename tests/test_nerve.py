@@ -371,7 +371,7 @@ class TestStrings:
                 if len(x) ** 2 > MAX_LEVEL_ORDER:
                     continue
                 for digits, radix in ((np.arange(nm) // ng, nm // ng), (np.arange(nm), nm)):
-                    code, composable = tg.string_products(x, arrows, digits, radix)
+                    code, composable = tg.string_products(x, arrows, digits, radix, (x, arrows))
                     want_code, want_composable = _reference_string_products(tg, x, arrows, digits, radix)
                     assert code.dtype == np.min_scalar_type(max(ng * radix**p - 1, radix)), (tg.name, p)
                     assert np.array_equal(code, want_code) and np.array_equal(composable, want_composable)
@@ -390,7 +390,7 @@ class TestStrings:
                     continue
                 order = rng.permutation(len(x))
                 x, arrows = x[order], arrows[order]
-                code, composable = tg.string_products(x, arrows, np.arange(nm) // ng, nm // ng)
+                code, composable = tg.string_products(x, arrows, np.arange(nm) // ng, nm // ng, (x, arrows))
                 want_code, want_composable = _reference_string_products(tg, x, arrows, np.arange(nm) // ng, nm // ng)
                 assert np.array_equal(code, want_code) and np.array_equal(composable, want_composable), (tg.name, p)
 
@@ -404,7 +404,7 @@ class TestStrings:
         digits = np.arange(tg.mor.order) // xm.G.order
         tracemalloc.start()
         try:
-            code, composable = tg.string_products(x, arrows, digits, xm.H.order)
+            code, composable = tg.string_products(x, arrows, digits, xm.H.order, (x, arrows))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -419,7 +419,7 @@ class TestStrings:
         tracemalloc.start()
         try:
             with pytest.raises(BudgetExceeded) as exc:
-                tg.string_products(x, arrows, np.zeros(tg.mor.order, dtype=np.int64), 2)
+                tg.string_products(x, arrows, np.zeros(tg.mor.order, dtype=np.int64), 2, (x, arrows))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -530,7 +530,7 @@ def _reference_check_level_iso(nsg, xm) -> dict:
         if np.bincount(codes).max() > 1:
             failures.append(f"level {p}: string coordinates collide")
             continue
-        prod, composable = tg.string_products(x, arrows, np.arange(tg.mor.order) // ng, nh)
+        prod, composable = tg.string_products(x, arrows, np.arange(tg.mor.order) // ng, nh, (x, arrows))
         if not (composable & (prod == level.products(codes, codes))).all():
             failures.append(f"level {p}: product mismatch")
         if p >= 1:
@@ -554,7 +554,7 @@ def _reference_check_bar(G, H, alpha, p: int, tg=None) -> dict:
     failures, pairs_checked = [], []
     for q in range(p + 1):
         x, arrows = tg.strings(q)
-        code, ok = tg.string_products(x, arrows, target, nh)
+        code, ok = tg.string_products(x, arrows, target, nh, (x, arrows))
         h0, g = np.divmod(x, ng)
         twisted = lambda h: H.table[h[:, None], alpha.perms[g][:, h]]
         want = twisted(h0) * ng + G.table[g[:, None], g]
@@ -671,10 +671,13 @@ class TestAgainstFullScans:
         tg.mor = FiniteGroup(table, name=tg.mor.name)
         monkeypatch.setattr(nerve, "semidirect_two_group", lambda *args: tg)
         want = _reference_check_bar(z2, z3, alpha, 4, tg)
-        monkeypatch.setattr(nerve, "MAX_LEVEL_ORDER", 4096)
+        # the cap on the scan's blocks where first_failure reads it, and on
+        # every string product, which refuses a block above it
         import cech2.crossed_modules as cm
+        from cech2 import groups
 
-        monkeypatch.setattr(cm, "MAX_LEVEL_ORDER", 4096)
+        for module in (nerve, cm, groups):
+            monkeypatch.setattr(module, "MAX_LEVEL_ORDER", 4096)
         assert check_bar_multiplication(z2, z3, alpha, 4) == want
 
 
@@ -688,8 +691,8 @@ class TestAgainstFullScans:
 
         products = cm.TwoGroup.string_products
 
-        def narrow(tg, x, arrows, digits, radix, right=None):
-            assert right is not None and len(right[0]) <= 32, "an n x n string product"
+        def narrow(tg, x, arrows, digits, radix, right):
+            assert len(right[0]) <= 32, "an n x n string product"
             return products(tg, x, arrows, digits, radix, right)
 
         monkeypatch.setattr(nerve, "first_failure", no_scan)
