@@ -42,11 +42,13 @@ each followed by re-slicing, and each stands for the same number of
 cocycles.
 
 Enumeration extends partial cocycles edge by edge, then triangle by
-triangle, in lexicographic order, and drops a row as soon as a law fails on a
-simplex whose last face was just set; its work scales with the surviving
-partial rows, not with |G|^E.  The budget caps, before any row is built,
-the product of the number of values each column may take, which bounds the
-partial rows at every step: |G|^E |ker t|^T over all cocycles,
+triangle, in lexicographic order.  An edge that closes a triangle is solved
+for: the triangle law puts it in one coset of t(H), so a row branches
+|t(H)| ways, or one on the slice, and a row is dropped as soon as a law
+fails on a simplex whose last face was just set; the work scales with the
+surviving partial rows, not with |G|^E.  The budget caps, before any row is
+built, the product of the number of values each column may take, which
+bounds the partial rows at every step: |G|^E |ker t|^T over all cocycles,
 |G/t(H)|^(E-F) |ker t|^T on the slice, F its forest edges.  Rows are looked
 up by their keys (``_System.keys``): their digits as one byte string, whose
 byte order is the lexicographic order of the rows.
@@ -209,6 +211,32 @@ class CocycleSequence(Sequence):
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
+@dataclass(frozen=True)
+class _Tables:
+    """The enumerator's lists and tables for one ``_System``.
+
+    ``closing[e]`` lists (e_ij, e_ik) for each triangle whose last edge in
+    lex order, its (j, k) edge, is e; ``closing_tets[p]`` the ``tet_parts``
+    of each tetrahedron whose last face is p.  The tables are in the
+    system's ``digit`` type, as are the rows: ``values`` is G, ``minima``
+    the least elements of the cosets of t(H), ``cosets[x]`` the coset t(H) x
+    sorted, ``div[a, b]`` = a^-1 b, and ``preimages[d]`` the t-preimage of
+    d sorted (for d in t(H)).
+    """
+
+    closing: list[list[tuple[int, int]]]
+    closing_tets: list[list[tuple[int, ...]]]
+    values: np.ndarray
+    minima: np.ndarray
+    cosets: np.ndarray
+    div: np.ndarray
+    gmul: np.ndarray
+    ginv: np.ndarray
+    hmul: np.ndarray
+    act: np.ndarray
+    preimages: np.ndarray
+
+
 class _System:
     """Index bookkeeping for one (complex, coefficients) pair."""
 
@@ -292,6 +320,33 @@ class _System:
         kernel = np.asarray(self.kernel_t, dtype=np.int64)
         self.central = np.zeros(H.order, dtype=bool)
         self.central[kernel[(self.xm.alpha.perms[:, kernel] == kernel).all(axis=0)]] = True
+
+    @functools.cached_property
+    def tables(self) -> _Tables:
+        """What ``_enumerate_digit_arrays`` reads, built on first use."""
+        G, H, digit = self.G, self.H, self.digit
+        image = np.flatnonzero(self.in_image_t)
+        kernel = np.asarray(self.kernel_t, dtype=np.int64)
+        closing = [[] for _ in self.edges]
+        for e_ij, e_jk, e_ik in self.tri_edges:
+            closing[e_jk].append((e_ij, e_ik))  # (j, k) is the last of the three in lex order
+        closing_tets = [[] for _ in self.tris]
+        for parts in self.tet_parts:
+            closing_tets[max(parts[:4])].append(parts)
+        return _Tables(
+            closing=closing,
+            closing_tets=closing_tets,
+            values=np.arange(G.order, dtype=digit),
+            minima=np.flatnonzero(self.coset_min == np.arange(G.order)).astype(digit),
+            cosets=np.sort(G.table[image[None, :], np.arange(G.order)[:, None]], axis=1).astype(digit),
+            div=G.table[G.inverse[:, None], np.arange(G.order)[None, :]].astype(digit),
+            gmul=G.table.astype(digit),
+            ginv=G.inverse.astype(digit),
+            hmul=H.table.astype(digit),
+            act=self.xm.alpha.perms.astype(digit),
+            # preimages[d]: the t-preimage of d, sorted; rows only reach image elements
+            preimages=np.sort(H.table[kernel[None, :], self.t_section[:, None]], axis=1).astype(digit),
+        )
 
     @functools.cached_property
     def quotient(self) -> _Quotient:
@@ -537,6 +592,16 @@ def _search(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.n
     return index, sorted_keys[index] == keys
 
 
+def _extend(mat: np.ndarray, col: int, values: np.ndarray) -> np.ndarray:
+    """Each row of ``mat`` once per value of its row of ``values`` (n x m, or
+    m values for every row), that value in column ``col``, the value varying
+    fastest: one ``np.repeat`` and one strided write, no index arrays."""
+    n, m = len(mat), values.shape[-1]
+    out = np.repeat(mat, m, axis=0)
+    out.reshape(n, m, mat.shape[1])[:, :, col] = values
+    return out
+
+
 def _enumerate_digit_arrays(sys: _System, budget: int, on_slice: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """All valid cocycles as (g digits, h digits) arrays in lexicographic order,
     or only the slice cocycles: those whose edge e takes values v with
@@ -551,61 +616,79 @@ def _enumerate_digit_arrays(sys: _System, budget: int, on_slice: bool = False) -
     and each triangle at most the |ker t| values of a t-preimage.
 
     Partial rows are extended one simplex at a time, edges then triangles in
-    lexicographic order, by every allowed value with the new digit varying
-    fastest, so the rows stay in lexicographic order throughout.  An edge
-    row is dropped as soon as the triangle law fails on a triangle whose last
-    edge it sets; a triangle takes the values in the t-preimage of its defect,
-    and a row is dropped as soon as the tetrahedron law fails on a tetrahedron
-    whose last face it sets.  The work therefore scales with the surviving
-    partial rows, not with |G|^E, and their number never exceeds the bound.
-    Extending copies each kept row, whole, once per value it takes, so the
-    matrices are built in place and returned as they are: beside them the
-    traced peak holds the rows before the last extension and two int64
-    indices per new row, a few bytes per output digit.
+    lexicographic order, with the new digit varying fastest, so the rows stay
+    in lexicographic order throughout.  The triangle i < j < k is closed by
+    its edge (j, k), and as t(H) is normal its law puts g_jk in the coset
+    t(H) g_ij^-1 g_ik, read from ``sys.tables``.  So an edge that closes a
+    triangle is solved from the first of them: each row branches into the
+    |t(H)| elements of its coset, or takes just one, the coset minimum, on
+    the slice or where t(H) is trivial.  Each further triangle it closes
+    drops the rows whose value lies outside its coset, and so does every
+    triangle a forest edge closes, that edge being 1 on the slice (no
+    triangle ends in a forest edge (p(j), j), but the enumerator does not
+    rely on that).  An edge that closes nothing takes every value allowed it.
+    A triangle takes the values in the t-preimage of its defect, and a row is
+    dropped as soon as the tetrahedron law fails on a tetrahedron whose last
+    face it sets.  Where ker t is trivial that value is forced and set by one
+    gather: S is then trivial, and the tetrahedron law holds, as it holds
+    after t (module docstring) and t is injective.  The work therefore scales
+    with the surviving partial rows, not with |G|^E, and their number never
+    exceeds the bound.
+
+    The matrices are built in place and returned as they are.  A branch
+    repeats each row, whole, once per value (``_extend``); a solved or
+    forced value is one gather into its column; a filter copies the rows it
+    keeps, and only if it drops any.  A triangle some of whose values a
+    tetrahedron or the slice's quotient drops extends its rows by two int64
+    indices per new row.  Otherwise the traced peak holds, beside the
+    output, only the rows before the last extension and one column's
+    temporaries.
     """
-    G, H, alpha = sys.G, sys.H, sys.xm.alpha
-    bound = G.order ** len(sys.edges) // (sys.fibre if on_slice else 1) * len(sys.kernel_t) ** len(sys.tris)
+    bound = sys.G.order ** len(sys.edges) // (sys.fibre if on_slice else 1) * len(sys.kernel_t) ** len(sys.tris)
     if bound > budget:
         raise BudgetExceeded(bound, budget)
-    allowed, tri_allowed = (sys.slice_allowed, sys.quotient.allowed) if on_slice else (None, None)
+    tab = sys.tables
+    tri_allowed = sys.quotient.allowed if on_slice else None
+    forest = frozenset(sys.forest if on_slice else ())
+    solved_once = on_slice or tab.cosets.shape[1] == 1
 
-    closing_tris = [[] for _ in sys.edges]
-    for ti, tri_edges in enumerate(sys.tri_edges):
-        closing_tris[max(tri_edges)].append(ti)
-    closing_tets = [[] for _ in sys.tris]
-    for parts in sys.tet_parts:
-        closing_tets[max(parts[:4])].append(parts)
+    g_mat = np.zeros((1, len(sys.edges)), dtype=sys.digit)
+    for e, closing in enumerate(tab.closing):
+        filters = closing
+        if e in forest:
+            pass  # 1 on the slice: its triangles only filter
+        elif closing:
+            (e_ij, e_ik), filters = closing[0], closing[1:]
+            coset = tab.div[g_mat[:, e_ij], g_mat[:, e_ik]]
+            if solved_once:
+                g_mat[:, e] = tab.cosets[coset, 0]
+            else:
+                g_mat = _extend(g_mat, e, tab.cosets[coset])
+        elif (values := tab.minima if on_slice else tab.values).size > 1:
+            g_mat = _extend(g_mat, e, values)
+        if filters:
+            keep = functools.reduce(
+                operator.and_,
+                (sys.in_image_t[tab.div[g_mat[:, e], tab.div[g_mat[:, e_ij], g_mat[:, e_ik]]]] for e_ij, e_ik in filters),
+            )
+            if not keep.all():
+                g_mat = g_mat[keep]
 
-    # the rows are kept as n x E and n x T matrices in ``sys.digit``, as are
-    # the tables the laws read, so that no temporary is wider than a digit
-    digit = sys.digit
-    gmul, ginv = G.table.astype(digit), G.inverse.astype(digit)
-    hmul, act = H.table.astype(digit), alpha.perms.astype(digit)
-
-    values = np.arange(G.order, dtype=digit)
-    g_mat = np.zeros((1, len(sys.edges)), dtype=digit)
-    for e in range(len(sys.edges)):
-        ok = np.ones((len(g_mat), G.order), dtype=bool) if allowed is None else np.tile(allowed[e], (len(g_mat), 1))
-        for ti in closing_tris[e]:
-            g_ij, g_jk, g_ik = (values if x == e else g_mat[:, x, None] for x in sys.tri_edges[ti])
-            ok &= sys.in_image_t[gmul[g_ik, ginv[gmul[g_ij, g_jk]]]]
-        # each row once per value ``ok`` allows it, the new digit fastest
-        parent, choice = ok.nonzero()
-        g_mat = g_mat[parent]
-        g_mat[:, e] = choice
-
-    # preimages[d]: the t-preimage of d, sorted; rows only reach image elements
-    kernel = np.asarray(sys.kernel_t, dtype=np.int64)
-    preimages = np.sort(H.table[kernel[None, :], sys.t_section[:, None]], axis=1).astype(digit)
-    h_mat = np.zeros((len(g_mat), len(sys.tris)), dtype=digit)
+    kernel_order = tab.preimages.shape[1]
+    h_mat = np.zeros((len(g_mat), len(sys.tris)), dtype=sys.digit)
     for ti, (e_ij, e_jk, e_ik) in enumerate(sys.tri_edges):
-        choices = preimages[gmul[g_mat[:, e_ik], ginv[gmul[g_mat[:, e_ij], g_mat[:, e_jk]]]]]
+        defect = tab.gmul[g_mat[:, e_ik], tab.ginv[tab.gmul[g_mat[:, e_ij], g_mat[:, e_jk]]]]
+        if kernel_order == 1:
+            # forced; S is trivial, and t of both sides of a tetrahedron agree
+            h_mat[:, ti] = tab.preimages[defect, 0]
+            continue
+        choices = tab.preimages[defect]
         ok = np.ones(choices.shape, dtype=bool) if tri_allowed is None else tri_allowed[ti][choices]
-        for parts in closing_tets[ti]:
+        for parts in tab.closing_tets[ti]:
             h_jkl, h_ikl, h_ijl, h_ijk = (choices if x == ti else h_mat[:, x, None] for x in parts[:4])
-            ok &= hmul[h_ikl, h_ijk] == hmul[h_ijl, act[g_mat[:, parts[4], None], h_jkl]]
-        if len(kernel) == 1 and ok.all():
-            h_mat[:, ti] = choices[:, 0]  # forced value on every row: no row copy
+            ok &= tab.hmul[h_ikl, h_ijk] == tab.hmul[h_ijl, tab.act[g_mat[:, parts[4], None], h_jkl]]
+        if ok.all():
+            g_mat, h_mat = np.repeat(g_mat, kernel_order, axis=0), _extend(h_mat, ti, choices)
         else:
             parent, choice = ok.nonzero()
             g_mat, h_mat = g_mat[parent], h_mat[parent]

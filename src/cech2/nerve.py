@@ -34,6 +34,7 @@ import numpy as np
 
 from .crossed_modules import (
     CrossedModule,
+    TwoGroup,
     segal_bar_two_group,
     semidirect_two_group,
     two_group_from_crossed_module,
@@ -204,6 +205,14 @@ def check_simplicial_identities(nsg: TruncatedSimplicialGroup) -> dict:
     return {"ok": not failures, "failures": failures, "levels": [g.order for g in nsg.levels]}
 
 
+@functools.lru_cache(maxsize=128)
+def _string_model(xm: CrossedModule) -> TwoGroup:
+    """The 2-group of ``xm`` whose strings ``check_level_iso`` reads, built
+    once per crossed module (which hashes by identity), as
+    ``cohomology._system`` is built once per pair."""
+    return two_group_from_crossed_module(xm)
+
+
 def check_level_iso(nsg: TruncatedSimplicialGroup, xm: CrossedModule) -> dict:
     """Match every level against composable strings of the associated 2-group.
 
@@ -213,7 +222,7 @@ def check_level_iso(nsg: TruncatedSimplicialGroup, xm: CrossedModule) -> dict:
     face maps drop an end or compose in the middle.  A product that is not
     a composable string counts as a mismatch.
     """
-    tg = two_group_from_crossed_module(xm)
+    tg = _string_model(xm)
     ng, nh = xm.G.order, xm.H.order
     digits = np.arange(tg.mor.order) // ng
     failures = []

@@ -1561,13 +1561,85 @@ class TestEnumeratorAgainstReference:
         # compared a block of rows at a time, not built as one int64 matrix
         sys = _System(circle3, discrete_two_group(cyclic_group(257)))
         n = 257**3
-        g_mat, h_mat = _enumerate_digit_arrays(sys, n)
+        sys.tables  # built once per system, outside the traced call
+        tracemalloc.start()
+        try:
+            g_mat, h_mat = _enumerate_digit_arrays(sys, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # three 2-byte digits a row: no index array of 8 bytes per row
+        assert peak <= 2 * (g_mat.nbytes + h_mat.nbytes)
         assert g_mat.dtype == h_mat.dtype == np.uint16 and g_mat.flags.c_contiguous
         assert g_mat.shape == (n, 3) and h_mat.shape == (n, 0)
         weights = 257 ** np.arange(2, -1, -1, dtype=np.int64)
         for start in range(0, n, 2**20):
             rows = np.arange(start, min(start + 2**20, n), dtype=np.int64)
             assert np.array_equal(g_mat[start : start + len(rows)], rows[:, None] // weights % 257)
+
+    @pytest.mark.parametrize("space", standard_space_names() + [f"sd({name})" for name in standard_space_names()])
+    def test_slice_is_the_filtered_full_listing(self, space):
+        # on the slice a solved edge takes its coset minimum, which no other
+        # test compares with the full listing directly
+        cx = _space(space)
+        for spec in _SLICE_SPECS:
+            sys = _System(cx, coefficient_from_spec(spec))
+            if _candidate_count(sys) <= DEFAULT_BUDGET:
+                # p(j), the least smaller neighbour of j, is never the middle
+                # vertex of a triangle on j: no forest edge closes a triangle
+                assert not any(sys.tables.closing[e] for e in sys.forest)
+                _assert_slice_is_filtered_listing(sys)
+
+    @pytest.mark.parametrize("space", ["sphere2", "rp2_6", "torus7", "tetra_solid"])
+    def test_slice_on_a_forest_that_closes_triangles(self, space):
+        # with p(j) the greatest smaller neighbour instead, forest edges close
+        # triangles, and their value 1 must pass each of them
+        cx = standard_space(space)
+        for spec in _SLICE_SPECS:
+            sys = _System(cx, coefficient_from_spec(spec))
+            if _candidate_count(sys) > DEFAULT_BUDGET:
+                continue
+            parent = {j: e for e, (_, j) in enumerate(sys.edges)}  # the last edge into j
+            sys.forest = [parent[j] for j in sorted(parent)]
+            sys.slice_allowed = np.tile(sys.coset_min == np.arange(sys.G.order), (len(sys.edges), 1))
+            sys.slice_allowed[sys.forest, 1:] = False
+            assert any(sys.tables.closing[e] for e in sys.forest)
+            _assert_slice_is_filtered_listing(sys)
+
+    def test_trivial_kernel_needs_no_tetrahedron_filter(self):
+        # where ker t is trivial each triangle is set to the one preimage of
+        # its defect and no tetrahedron is checked: t of both sides of the law
+        # agree by the triangle laws, so the sides agree.  Every edge row that
+        # passes the triangles, nonabelian H included, passes the tetrahedron
+        cx = standard_space("tetra_solid")
+        checked = []
+        for spec in _SLICE_SPECS:
+            sys = _System(cx, coefficient_from_spec(spec))
+            if len(sys.kernel_t) > 1 or _candidate_count(sys) > DEFAULT_BUDGET:
+                continue
+            G = sys.G
+            g_all = _mixed_radix(G.order ** len(sys.edges), len(sys.edges), G.order)
+            ij, jk, ik = (g_all[:, cols] for cols in np.array(sys.tri_edges).T)
+            defects = G.table[ik, G.inverse[G.table[ij, jk]]]
+            valid = sys.in_image_t[defects].all(axis=1)
+            g_valid, h_valid = g_all[valid], sys.t_section[defects[valid]]
+            assert len(_filter_tets(sys, g_valid, h_valid)[0]) == len(g_valid)
+            checked.append((spec, sys.H.order))
+        assert ("aut:S3", 6) in checked and len(checked) >= 10
+
+    def test_dense_listing_peak(self):
+        # all 2^21 candidates on torus7 are cocycles, 35 one-byte digits each:
+        # every edge branches |t(H)| = 2 ways by a repeat, with no index array
+        sys = _System(standard_space("torus7"), coefficient_from_spec("hat:shift:Z2"))
+        sys.tables  # built once per system, outside the traced call
+        tracemalloc.start()
+        try:
+            g_mat, h_mat = _enumerate_digit_arrays(sys, 2**21)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g_mat.shape == (2**21, 21) and h_mat.shape == (2**21, 14)
+        assert peak <= 1.25 * (g_mat.nbytes + h_mat.nbytes)
 
     @pytest.mark.parametrize("space,spec", [("rp2_6", "hat:shift:Z2"), ("sphere2", "aut:S3"), ("torus7", "shift:Z2")])
     def test_peak_per_output_digit(self, space, spec):
@@ -1584,6 +1656,18 @@ class TestEnumeratorAgainstReference:
         digits = g_mat.size + h_mat.size
         assert sys.digit.itemsize == 1 and digits > 10**5
         assert peak <= 5 * digits
+
+
+def _assert_slice_is_filtered_listing(sys: _System) -> None:
+    """The slice rows are the rows of the full listing whose every value
+    ``sys.slice_allowed`` and ``sys.quotient.allowed`` admit, in the same
+    order, type and layout."""
+    g_all, h_all = _enumerate_digit_arrays(sys, DEFAULT_BUDGET)
+    g_mat, h_mat = _enumerate_digit_arrays(sys, DEFAULT_BUDGET, on_slice=True)
+    keep = sys.slice_allowed[np.arange(len(sys.edges)), g_all].all(axis=1)
+    keep &= sys.quotient.allowed[np.arange(len(sys.tris)), h_all].all(axis=1)
+    for want, have in ((g_all[keep], g_mat), (h_all[keep], h_mat)):
+        assert have.dtype == want.dtype and have.flags.c_contiguous and np.array_equal(have, want)
 
 
 def _cast_enumerator(dtype, enumerate_digit_arrays=_enumerate_digit_arrays):

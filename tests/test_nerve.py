@@ -218,6 +218,21 @@ class TestLevelIso:
         report = check_level_iso(nerve_aut3, aut_two_group(cyclic_group(3)))
         assert report["ok"], report["failures"]
 
+    def test_string_model_built_once_per_crossed_module(self, nerve_aut3, monkeypatch):
+        built = []
+
+        def counted(xm):
+            built.append(xm)
+            return two_group_from_crossed_module(xm)
+
+        monkeypatch.setattr(nerve, "two_group_from_crossed_module", counted)
+        nerve._string_model.cache_clear()
+        xm, other = aut_two_group(cyclic_group(3)), aut_two_group(cyclic_group(3))
+        reports = [check_level_iso(nerve_aut3, m) for m in (xm, xm, other, xm)]
+        assert all(r == reports[0] for r in reports) and reports[0]["ok"]
+        # a crossed module is found again only as the same object
+        assert built == [xm, other]
+
     def test_point_level(self, z2z4, nerve_z2z4):
         # level 0 is just the object group
         level = nerve_z2z4.levels[0]
