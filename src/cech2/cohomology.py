@@ -211,32 +211,6 @@ class CocycleSequence(Sequence):
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
-@dataclass(frozen=True)
-class _Tables:
-    """The enumerator's lists and tables for one ``_System``.
-
-    ``closing[e]`` lists (e_ij, e_ik) for each triangle whose last edge in
-    lex order, its (j, k) edge, is e; ``closing_tets[p]`` the ``tet_parts``
-    of each tetrahedron whose last face is p.  The tables are in the
-    system's ``digit`` type, as are the rows: ``values`` is G, ``minima``
-    the least elements of the cosets of t(H), ``cosets[x]`` the coset t(H) x
-    sorted, ``div[a, b]`` = a^-1 b, and ``preimages[d]`` the t-preimage of
-    d sorted (for d in t(H)).
-    """
-
-    closing: list[list[tuple[int, int]]]
-    closing_tets: list[list[tuple[int, ...]]]
-    values: np.ndarray
-    minima: np.ndarray
-    cosets: np.ndarray
-    div: np.ndarray
-    gmul: np.ndarray
-    ginv: np.ndarray
-    hmul: np.ndarray
-    act: np.ndarray
-    preimages: np.ndarray
-
-
 class _System:
     """Index bookkeeping for one (complex, coefficients) pair."""
 
@@ -303,8 +277,6 @@ class _System:
         self.roots = [v for v in range(self.cx.vertex_count) if v not in parent_edge]
         image = np.flatnonzero(self.in_image_t)
         self.coset_min = G.table[image[:, None], np.arange(G.order)[None, :]].min(axis=0)
-        self.slice_allowed = np.tile(self.coset_min == np.arange(G.order), (len(self.edges), 1))
-        self.slice_allowed[self.forest, 1:] = False
         E = len(self.edges)
         self.fibre = G.order ** len(self.forest) * len(image) ** (E - len(self.forest))
         # lift[g]: the k with t(k) g = coset_min[g], which re-slices an edge
@@ -322,31 +294,29 @@ class _System:
         self.central[kernel[(self.xm.alpha.perms[:, kernel] == kernel).all(axis=0)]] = True
 
     @functools.cached_property
-    def tables(self) -> _Tables:
-        """What ``_enumerate_digit_arrays`` reads, built on first use."""
+    def tables(self) -> tuple[list, list, np.ndarray, np.ndarray, np.ndarray]:
+        """What ``_enumerate_digit_arrays`` reads, built on first use.
+
+        ``closing[e]`` lists (e_ij, e_ik) for each triangle whose last edge
+        in lex order, its (j, k) edge, is e; ``closing_tets[p]`` the
+        ``tet_parts`` of each tetrahedron whose last face is p.  In
+        ``digit``, as the rows are: ``cosets[x]`` the coset t(H) x sorted,
+        ``div[a, b]`` = a^-1 b, and ``preimages[d]`` the t-preimage of d
+        sorted, for d in t(H).
+        """
         G, H, digit = self.G, self.H, self.digit
         image = np.flatnonzero(self.in_image_t)
         kernel = np.asarray(self.kernel_t, dtype=np.int64)
         closing = [[] for _ in self.edges]
         for e_ij, e_jk, e_ik in self.tri_edges:
-            closing[e_jk].append((e_ij, e_ik))  # (j, k) is the last of the three in lex order
+            closing[e_jk].append((e_ij, e_ik))
         closing_tets = [[] for _ in self.tris]
         for parts in self.tet_parts:
             closing_tets[max(parts[:4])].append(parts)
-        return _Tables(
-            closing=closing,
-            closing_tets=closing_tets,
-            values=np.arange(G.order, dtype=digit),
-            minima=np.flatnonzero(self.coset_min == np.arange(G.order)).astype(digit),
-            cosets=np.sort(G.table[image[None, :], np.arange(G.order)[:, None]], axis=1).astype(digit),
-            div=G.table[G.inverse[:, None], np.arange(G.order)[None, :]].astype(digit),
-            gmul=G.table.astype(digit),
-            ginv=G.inverse.astype(digit),
-            hmul=H.table.astype(digit),
-            act=self.xm.alpha.perms.astype(digit),
-            # preimages[d]: the t-preimage of d, sorted; rows only reach image elements
-            preimages=np.sort(H.table[kernel[None, :], self.t_section[:, None]], axis=1).astype(digit),
-        )
+        cosets = np.sort(G.table[image[None, :], np.arange(G.order)[:, None]], axis=1).astype(digit)
+        div = G.table[G.inverse[:, None], np.arange(G.order)[None, :]].astype(digit)
+        preimages = np.sort(H.table[kernel[None, :], self.t_section[:, None]], axis=1).astype(digit)
+        return closing, closing_tets, cosets, div, preimages
 
     @functools.cached_property
     def quotient(self) -> _Quotient:
@@ -604,16 +574,17 @@ def _extend(mat: np.ndarray, col: int, values: np.ndarray) -> np.ndarray:
 
 def _enumerate_digit_arrays(sys: _System, budget: int, on_slice: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """All valid cocycles as (g digits, h digits) arrays in lexicographic order,
-    or only the slice cocycles: those whose edge e takes values v with
-    ``sys.slice_allowed[e, v]`` and whose triangle p takes values x with
-    ``sys.quotient.allowed[p, x]``.  Both are C-contiguous n x E and n x T
-    matrices in ``sys.digit``, one byte per digit for groups of up to 256
-    elements: whoever computes with them widens them first, as ``act``,
-    ``reslice`` and ``keys`` do.  Raises BudgetExceeded, before any row
-    or the quotient is built, when the bound on the rows, |G|^E |ker t|^T or
-    on the slice |G/t(H)|^(E-F) |ker t|^T, exceeds ``budget``: each edge
-    takes at most |G| values, or one of its t(H) coset minima on the slice,
-    and each triangle at most the |ker t| values of a t-preimage.
+    or only the slice cocycles: those that are 1 on ``sys.forest``, take
+    their coset minimum (``sys.coset_min``) on every other edge, and whose
+    triangle p takes values x with ``sys.quotient.allowed[p, x]``.  Both are
+    C-contiguous n x E and n x T matrices in ``sys.digit``, one byte per
+    digit for groups of up to 256 elements: whoever computes with them
+    widens them first, as ``act``, ``reslice`` and ``keys`` do.  Raises
+    BudgetExceeded, before any row or the quotient is built, when the bound
+    on the rows, |G|^E |ker t|^T or on the slice |G/t(H)|^(E-F) |ker t|^T,
+    exceeds ``budget``: each edge takes at most |G| values, or one of its
+    t(H) coset minima on the slice, and each triangle at most the |ker t|
+    values of a t-preimage.
 
     Partial rows are extended one simplex at a time, edges then triangles in
     lexicographic order, with the new digit varying fastest, so the rows stay
@@ -635,64 +606,68 @@ def _enumerate_digit_arrays(sys: _System, budget: int, on_slice: bool = False) -
     with the surviving partial rows, not with |G|^E, and their number never
     exceeds the bound.
 
-    The matrices are built in place and returned as they are.  A branch
-    repeats each row, whole, once per value (``_extend``); a solved or
-    forced value is one gather into its column; a filter copies the rows it
-    keeps, and only if it drops any.  A triangle some of whose values a
-    tetrahedron or the slice's quotient drops extends its rows by two int64
-    indices per new row.  Otherwise the traced peak holds, beside the
-    output, only the rows before the last extension and one column's
-    temporaries.
+    The matrices are built in place and returned as they are.  An edge's
+    branch repeats each row, whole, once per value (``_extend``); a solved
+    or forced value is one gather into its column; an edge's filter copies
+    the rows it keeps, and only if it drops any.  A triangle with more than
+    one preimage extends its rows by two int64 indices per new row.
+    Otherwise the traced peak holds, beside the output, only the rows before
+    the last extension and one column's temporaries.
     """
-    bound = sys.G.order ** len(sys.edges) // (sys.fibre if on_slice else 1) * len(sys.kernel_t) ** len(sys.tris)
+    G, H, alpha, digit = sys.G, sys.H, sys.xm.alpha, sys.digit
+    bound = G.order ** len(sys.edges) // (sys.fibre if on_slice else 1) * len(sys.kernel_t) ** len(sys.tris)
     if bound > budget:
         raise BudgetExceeded(bound, budget)
-    tab = sys.tables
-    tri_allowed = sys.quotient.allowed if on_slice else None
-    forest = frozenset(sys.forest if on_slice else ())
-    solved_once = on_slice or tab.cosets.shape[1] == 1
+    closing_tris, closing_tets, cosets, div, preimages = sys.tables
+    forest, tri_allowed = (frozenset(sys.forest), sys.quotient.allowed) if on_slice else (frozenset(), None)
 
-    g_mat = np.zeros((1, len(sys.edges)), dtype=sys.digit)
-    for e, closing in enumerate(tab.closing):
+    # the rows are kept as n x E and n x T matrices in ``digit``, as are
+    # the tables the laws read, so that no temporary is wider than a digit
+    gmul, ginv = G.table.astype(digit), G.inverse.astype(digit)
+    hmul, act = H.table.astype(digit), alpha.perms.astype(digit)
+    minima = sys.coset_min.astype(digit)
+    # the values of an edge that closes nothing: G, or the coset minima
+    values = (np.flatnonzero(sys.coset_min == np.arange(G.order)) if on_slice else np.arange(G.order)).astype(digit)
+    solved_once = on_slice or cosets.shape[1] == 1
+
+    g_mat = np.zeros((1, len(sys.edges)), dtype=digit)
+    for e, closing in enumerate(closing_tris):
         filters = closing
         if e in forest:
             pass  # 1 on the slice: its triangles only filter
         elif closing:
             (e_ij, e_ik), filters = closing[0], closing[1:]
-            coset = tab.div[g_mat[:, e_ij], g_mat[:, e_ik]]
+            coset = div[g_mat[:, e_ij], g_mat[:, e_ik]]
             if solved_once:
-                g_mat[:, e] = tab.cosets[coset, 0]
+                g_mat[:, e] = minima[coset]
             else:
-                g_mat = _extend(g_mat, e, tab.cosets[coset])
-        elif (values := tab.minima if on_slice else tab.values).size > 1:
+                g_mat = _extend(g_mat, e, cosets[coset])
+        elif values.size > 1:
             g_mat = _extend(g_mat, e, values)
         if filters:
             keep = functools.reduce(
                 operator.and_,
-                (sys.in_image_t[tab.div[g_mat[:, e], tab.div[g_mat[:, e_ij], g_mat[:, e_ik]]]] for e_ij, e_ik in filters),
+                (sys.in_image_t[div[g_mat[:, e], div[g_mat[:, e_ij], g_mat[:, e_ik]]]] for e_ij, e_ik in filters),
             )
             if not keep.all():
                 g_mat = g_mat[keep]
 
-    kernel_order = tab.preimages.shape[1]
-    h_mat = np.zeros((len(g_mat), len(sys.tris)), dtype=sys.digit)
+    h_mat = np.zeros((len(g_mat), len(sys.tris)), dtype=digit)
     for ti, (e_ij, e_jk, e_ik) in enumerate(sys.tri_edges):
-        defect = tab.gmul[g_mat[:, e_ik], tab.ginv[tab.gmul[g_mat[:, e_ij], g_mat[:, e_jk]]]]
-        if kernel_order == 1:
+        defect = gmul[g_mat[:, e_ik], ginv[gmul[g_mat[:, e_ij], g_mat[:, e_jk]]]]
+        if preimages.shape[1] == 1:
             # forced; S is trivial, and t of both sides of a tetrahedron agree
-            h_mat[:, ti] = tab.preimages[defect, 0]
+            h_mat[:, ti] = preimages[defect, 0]
             continue
-        choices = tab.preimages[defect]
+        choices = preimages[defect]
         ok = np.ones(choices.shape, dtype=bool) if tri_allowed is None else tri_allowed[ti][choices]
-        for parts in tab.closing_tets[ti]:
+        for parts in closing_tets[ti]:
             h_jkl, h_ikl, h_ijl, h_ijk = (choices if x == ti else h_mat[:, x, None] for x in parts[:4])
-            ok &= tab.hmul[h_ikl, h_ijk] == tab.hmul[h_ijl, tab.act[g_mat[:, parts[4], None], h_jkl]]
-        if ok.all():
-            g_mat, h_mat = np.repeat(g_mat, kernel_order, axis=0), _extend(h_mat, ti, choices)
-        else:
-            parent, choice = ok.nonzero()
-            g_mat, h_mat = g_mat[parent], h_mat[parent]
-            h_mat[:, ti] = choices[parent, choice]
+            ok &= hmul[h_ikl, h_ijk] == hmul[h_ijl, act[g_mat[:, parts[4], None], h_jkl]]
+        # each row once per value ``ok`` allows it, the new digit fastest
+        parent, choice = ok.nonzero()
+        g_mat, h_mat = g_mat[parent], h_mat[parent]
+        h_mat[:, ti] = choices[parent, choice]
     return g_mat, h_mat
 
 

@@ -492,7 +492,7 @@ class TestResliceDigits:
             k = rng.integers(xm.H.order, size=(len(g_mat), len(sys.edges)))
             g_mat, h_mat = (np.vstack(pair) for pair in zip((g_mat, h_mat), sys.act(g_mat, h_mat, f, k)))
             g2, h2 = sys.reslice(g_mat, h_mat)
-            assert sys.slice_allowed[np.arange(len(sys.edges)), g2].all()
+            assert (g2 == sys.coset_min[g2]).all() and not g2[:, sys.forest].any()
             assert sys.quotient.allowed[np.arange(len(sys.tris)), h2].all()
             for r in range(len(g_mat)):
                 gds, hds = sys.reslice_digits(g_mat[r].tolist(), h_mat[r].tolist())
@@ -1587,7 +1587,8 @@ class TestEnumeratorAgainstReference:
             if _candidate_count(sys) <= DEFAULT_BUDGET:
                 # p(j), the least smaller neighbour of j, is never the middle
                 # vertex of a triangle on j: no forest edge closes a triangle
-                assert not any(sys.tables.closing[e] for e in sys.forest)
+                closing = sys.tables[0]  # the triangles each edge closes
+                assert not any(closing[e] for e in sys.forest)
                 _assert_slice_is_filtered_listing(sys)
 
     @pytest.mark.parametrize("space", ["sphere2", "rp2_6", "torus7", "tetra_solid"])
@@ -1601,9 +1602,8 @@ class TestEnumeratorAgainstReference:
                 continue
             parent = {j: e for e, (_, j) in enumerate(sys.edges)}  # the last edge into j
             sys.forest = [parent[j] for j in sorted(parent)]
-            sys.slice_allowed = np.tile(sys.coset_min == np.arange(sys.G.order), (len(sys.edges), 1))
-            sys.slice_allowed[sys.forest, 1:] = False
-            assert any(sys.tables.closing[e] for e in sys.forest)
+            closing = sys.tables[0]  # the triangles each edge closes
+            assert any(closing[e] for e in sys.forest)
             _assert_slice_is_filtered_listing(sys)
 
     def test_trivial_kernel_needs_no_tetrahedron_filter(self):
@@ -1659,12 +1659,13 @@ class TestEnumeratorAgainstReference:
 
 
 def _assert_slice_is_filtered_listing(sys: _System) -> None:
-    """The slice rows are the rows of the full listing whose every value
-    ``sys.slice_allowed`` and ``sys.quotient.allowed`` admit, in the same
-    order, type and layout."""
+    """The slice rows are the rows of the full listing that are 1 on
+    ``sys.forest``, their coset minimum on every other edge, and whose
+    every triangle value ``sys.quotient.allowed`` admits, in the same order,
+    type and layout."""
     g_all, h_all = _enumerate_digit_arrays(sys, DEFAULT_BUDGET)
     g_mat, h_mat = _enumerate_digit_arrays(sys, DEFAULT_BUDGET, on_slice=True)
-    keep = sys.slice_allowed[np.arange(len(sys.edges)), g_all].all(axis=1)
+    keep = (g_all == sys.coset_min[g_all]).all(axis=1) & ~g_all[:, sys.forest].any(axis=1)
     keep &= sys.quotient.allowed[np.arange(len(sys.tris)), h_all].all(axis=1)
     for want, have in ((g_all[keep], g_mat), (h_all[keep], h_mat)):
         assert have.dtype == want.dtype and have.flags.c_contiguous and np.array_equal(have, want)
