@@ -46,16 +46,21 @@ triangle, in lexicographic order.  An edge that closes a triangle is solved
 for: the triangle law puts it in one coset of t(H), so a row branches
 |t(H)| ways, or one on the slice, and a row is dropped as soon as a law
 fails on a simplex whose last face was just set; the work scales with the
-surviving partial rows, not with |G|^E.  The budget caps, before any row is
-built, the product of the number of values each column may take, which
-bounds the partial rows at every step: |G|^E |ker t|^T over all cocycles,
-|G/t(H)|^(E-F) |ker t|^T on the slice, F its forest edges.  Rows are looked
-up by their keys (``_System.keys``): their digits as one byte string, whose
-byte order is the lexicographic order of the rows.
+surviving partial rows, not with |G|^E.  The steps are planned once per
+``_System`` and mode (``_Plan``): a column that can only hold 1, such as a
+forest edge on the slice or every edge when G is trivial, gets no step,
+and where ker t is trivial one gather sets every remaining triangle.  The
+budget caps, before any row or plan is built, the product of the number of
+values each column may take, which bounds the partial rows at every step:
+|G|^E |ker t|^T over all cocycles, |G/t(H)|^(E-F) |ker t|^T on the slice,
+F its forest edges.  Rows are looked up by their keys (``_System.keys``):
+their digits as one byte string, whose byte order is the lexicographic
+order of the rows.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import operator
@@ -258,6 +263,7 @@ class _System:
         self._tri_parts = [(ti, i, *parts) for ti, ((i, _, _), parts) in enumerate(zip(self.tris, self.tri_edges))]
         # the narrowest type that holds every digit, big-endian in keys
         self.digit = np.min_scalar_type(max(self.G.order, self.H.order) - 1)
+        self._plans: dict[bool, _Plan] = {}
         self._init_slice()
 
     def _init_slice(self) -> None:
@@ -295,14 +301,14 @@ class _System:
 
     @functools.cached_property
     def tables(self) -> tuple[list, list, np.ndarray, np.ndarray, np.ndarray]:
-        """What ``_enumerate_digit_arrays`` reads, built on first use.
+        """What both plans (``plan``) are built from, on first use.
 
         ``closing[e]`` lists (e_ij, e_ik) for each triangle whose last edge
         in lex order, its (j, k) edge, is e; ``closing_tets[p]`` the
         ``tet_parts`` of each tetrahedron whose last face is p.  In
         ``digit``, as the rows are: ``cosets[x]`` the coset t(H) x sorted,
-        ``div[a, b]`` = a^-1 b, and ``preimages[d]`` the t-preimage of d
-        sorted, for d in t(H).
+        ``solved[a, b]`` the least element of t(H) a^-1 b, and
+        ``preimages[d]`` the t-preimage of d sorted, for d in t(H).
         """
         G, H, digit = self.G, self.H, self.digit
         image = np.flatnonzero(self.in_image_t)
@@ -314,9 +320,16 @@ class _System:
         for parts in self.tet_parts:
             closing_tets[max(parts[:4])].append(parts)
         cosets = np.sort(G.table[image[None, :], np.arange(G.order)[:, None]], axis=1).astype(digit)
-        div = G.table[G.inverse[:, None], np.arange(G.order)[None, :]].astype(digit)
+        solved = self.coset_min[G.table[G.inverse[:, None], np.arange(G.order)[None, :]]].astype(digit)
         preimages = np.sort(H.table[kernel[None, :], self.t_section[:, None]], axis=1).astype(digit)
-        return closing, closing_tets, cosets, div, preimages
+        return closing, closing_tets, cosets, solved, preimages
+
+    def plan(self, on_slice: bool) -> _Plan:
+        """The steps that list all cocycles, or the slice cocycles, built on
+        first use in each mode (``_Plan``)."""
+        if on_slice not in self._plans:
+            self._plans[on_slice] = _Plan(self, on_slice)
+        return self._plans[on_slice]
 
     @functools.cached_property
     def quotient(self) -> _Quotient:
@@ -572,6 +585,143 @@ def _extend(mat: np.ndarray, col: int, values: np.ndarray) -> np.ndarray:
     return out
 
 
+# the rows whose forced triangles one gather sets at once, so that its
+# temporaries stay small beside the output
+_GATHER_ROWS = 2**14
+
+
+class _Plan:
+    """The steps ``_enumerate_digit_arrays`` runs for one ``_System`` and
+    mode, in lexicographic order, and the tables they read, cast to
+    ``digit`` once.  ``edge_steps`` each map the edge rows to new ones, then
+    ``tri_steps`` each map both matrices; every step is a
+    ``functools.partial`` of ``_extend`` or of a method below.
+
+    A column that can only hold 1 gets no step: a forest edge on the slice,
+    an edge that closes nothing and has one allowed value, and a solved
+    edge or a triangle whose inputs all got no step and whose one
+    admissible value is then 1.  The trivial cocycle is a row of every
+    listing, so such a column is 0 on every row, as the zero-filled
+    matrices already hold; a filter or tetrahedron check that reads only
+    such columns passes on every row and gets no step either.  A solved
+    edge or a triangle whose inputs all got no step but which keeps several
+    values, and which closes no tetrahedron, branches on that fixed list,
+    like a free edge.  Where ker t is trivial one gather sets every
+    remaining triangle, ``_GATHER_ROWS`` rows at a time: each takes the one
+    preimage of its defect, S is then trivial, and the tetrahedron law
+    holds, as it holds after t (module docstring) and t is injective.
+    """
+
+    def __init__(self, sys: _System, on_slice: bool):
+        G, H, digit = sys.G, sys.H, sys.digit
+        closing_tris, closing_tets, self.cosets, self.solved, self.preimages = sys.tables
+        self.gmul, self.ginv = G.table.astype(digit), G.inverse.astype(digit)
+        self.hmul, self.act = H.table.astype(digit), sys.xm.alpha.perms.astype(digit)
+        self.minima = sys.coset_min.astype(digit)
+        # a solved edge takes one value, its coset minimum
+        self.solved_once = on_slice or self.cosets.shape[1] == 1
+        # the values of an edge that closes nothing: G, or the coset minima
+        values = (np.flatnonzero(sys.coset_min == np.arange(G.order)) if on_slice else np.arange(G.order)).astype(digit)
+        forest = frozenset(sys.forest) if on_slice else frozenset()
+
+        one_edges = set()  # the edges that are 1 on every row
+        self.edge_steps = []
+        for e, closing in enumerate(closing_tris):
+            filters = closing
+            if e in forest:
+                one_edges.add(e)  # its triangles only filter
+            elif closing:
+                (e_ij, e_ik), filters = closing[0], closing[1:]
+                if e_ij not in one_edges or e_ik not in one_edges:
+                    self.edge_steps.append(functools.partial(self._solve, e, e_ij, e_ik))
+                elif self.solved_once:
+                    one_edges.add(e)
+                else:
+                    self.edge_steps.append(functools.partial(_extend, col=e, values=self.cosets[0]))
+            elif values.size > 1:
+                self.edge_steps.append(functools.partial(_extend, col=e, values=values))
+            else:
+                one_edges.add(e)
+            filters = [(e_ij, e_ik) for e_ij, e_ik in filters if not one_edges.issuperset((e, e_ij, e_ik))]
+            if filters:
+                self.edge_steps.append(functools.partial(self._filter, e, filters))
+
+        # a triangle whose edges are all 1 has the defect 1
+        unit_defect = [one_edges.issuperset(edges) for edges in sys.tri_edges]
+        self.tri_steps = []
+        if self.preimages.shape[1] == 1:
+            tris = [ti for ti, unit in enumerate(unit_defect) if not unit]
+            if tris:
+                edges = np.array(sys.tri_edges, dtype=np.int64)[tris].T
+                self.tri_steps.append(functools.partial(self._set_forced, np.array(tris), edges))
+            return
+        kernel = self.preimages[0]
+        one_tris = set()  # the triangles that are 1 on every row
+        for ti, (edges, tets) in enumerate(zip(sys.tri_edges, closing_tets)):
+            allowed = sys.quotient.allowed[ti] if on_slice else None
+            if unit_defect[ti]:
+                kept = kernel if allowed is None else kernel[allowed[kernel]]
+                if kept.size == 1:
+                    one_tris.add(ti)
+                    tets = [parts for parts in tets if not (one_tris.issuperset(parts[:4]) and parts[4] in one_edges)]
+                    if not tets:
+                        continue
+                elif not tets:
+                    self.tri_steps.append(functools.partial(self._branch, ti, kept))
+                    continue
+            self.tri_steps.append(functools.partial(self._choose, ti, edges, allowed, tets))
+
+    def _solve(self, e, e_ij, e_ik, g_mat):
+        """Edge e in the coset t(H) g_ij^-1 g_ik of its first triangle: its
+        minimum, or each row once per element."""
+        coset = self.solved[g_mat[:, e_ij], g_mat[:, e_ik]]
+        if self.solved_once:
+            g_mat[:, e] = coset
+            return g_mat
+        return _extend(g_mat, e, self.cosets[coset])
+
+    def _filter(self, e, closing, g_mat):
+        """The rows whose edge e lies in the coset that each triangle
+        (e_ij, e_ik) of ``closing`` puts it in, copied only if some are
+        dropped."""
+        coset = self.minima[g_mat[:, e]]
+        keep = functools.reduce(
+            operator.and_, (self.solved[g_mat[:, e_ij], g_mat[:, e_ik]] == coset for e_ij, e_ik in closing)
+        )
+        return g_mat if keep.all() else g_mat[keep]
+
+    def _set_forced(self, tris, edges, g_mat, h_mat):
+        """Triangles ``tris`` set to the one preimage of their defect, their
+        edges the rows of ``edges``, in blocks of ``_GATHER_ROWS`` rows."""
+        e_ij, e_jk, e_ik = edges
+        for start in range(0, len(g_mat), _GATHER_ROWS):
+            rows = g_mat[start : start + _GATHER_ROWS]
+            defect = self.gmul[rows[:, e_ik], self.ginv[self.gmul[rows[:, e_ij], rows[:, e_jk]]]]
+            h_mat[start : start + _GATHER_ROWS, tris] = self.preimages[defect, 0]
+        return g_mat, h_mat
+
+    def _branch(self, ti, values, g_mat, h_mat):
+        """Each row once per value, that value in triangle ti."""
+        return np.repeat(g_mat, len(values), axis=0), _extend(h_mat, ti, values)
+
+    def _choose(self, ti, edges, allowed, tets, g_mat, h_mat):
+        """Each row once per value of triangle ti in the t-preimage of its
+        defect that ``allowed`` admits (all, if None) and that passes the
+        tetrahedron law on every tetrahedron of ``tets``."""
+        e_ij, e_jk, e_ik = edges
+        defect = self.gmul[g_mat[:, e_ik], self.ginv[self.gmul[g_mat[:, e_ij], g_mat[:, e_jk]]]]
+        choices = self.preimages[defect]
+        ok = np.ones(choices.shape, dtype=bool) if allowed is None else allowed[choices]
+        for parts in tets:
+            h_jkl, h_ikl, h_ijl, h_ijk = (choices if x == ti else h_mat[:, x, None] for x in parts[:4])
+            ok &= self.hmul[h_ikl, h_ijk] == self.hmul[h_ijl, self.act[g_mat[:, parts[4], None], h_jkl]]
+        # each row once per value ``ok`` allows it, the new digit fastest
+        parent, choice = ok.nonzero()
+        g_mat, h_mat = g_mat[parent], h_mat[parent]
+        h_mat[:, ti] = choices[parent, choice]
+        return g_mat, h_mat
+
+
 def _enumerate_digit_arrays(sys: _System, budget: int, on_slice: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """All valid cocycles as (g digits, h digits) arrays in lexicographic order,
     or only the slice cocycles: those that are 1 on ``sys.forest``, take
@@ -580,94 +730,52 @@ def _enumerate_digit_arrays(sys: _System, budget: int, on_slice: bool = False) -
     C-contiguous n x E and n x T matrices in ``sys.digit``, one byte per
     digit for groups of up to 256 elements: whoever computes with them
     widens them first, as ``act``, ``reslice`` and ``keys`` do.  Raises
-    BudgetExceeded, before any row or the quotient is built, when the bound
-    on the rows, |G|^E |ker t|^T or on the slice |G/t(H)|^(E-F) |ker t|^T,
-    exceeds ``budget``: each edge takes at most |G| values, or one of its
-    t(H) coset minima on the slice, and each triangle at most the |ker t|
-    values of a t-preimage.
+    BudgetExceeded, before any row, the quotient or the plan is built, when
+    the bound on the rows, |G|^E |ker t|^T or on the slice
+    |G/t(H)|^(E-F) |ker t|^T, exceeds ``budget``: each edge takes at most
+    |G| values, or one of its t(H) coset minima on the slice, and each
+    triangle at most the |ker t| values of a t-preimage.
 
     Partial rows are extended one simplex at a time, edges then triangles in
     lexicographic order, with the new digit varying fastest, so the rows stay
-    in lexicographic order throughout.  The triangle i < j < k is closed by
-    its edge (j, k), and as t(H) is normal its law puts g_jk in the coset
-    t(H) g_ij^-1 g_ik, read from ``sys.tables``.  So an edge that closes a
-    triangle is solved from the first of them: each row branches into the
-    |t(H)| elements of its coset, or takes just one, the coset minimum, on
-    the slice or where t(H) is trivial.  Each further triangle it closes
-    drops the rows whose value lies outside its coset, and so does every
-    triangle a forest edge closes, that edge being 1 on the slice (no
-    triangle ends in a forest edge (p(j), j), but the enumerator does not
-    rely on that).  An edge that closes nothing takes every value allowed it.
-    A triangle takes the values in the t-preimage of its defect, and a row is
-    dropped as soon as the tetrahedron law fails on a tetrahedron whose last
-    face it sets.  Where ker t is trivial that value is forced and set by one
-    gather: S is then trivial, and the tetrahedron law holds, as it holds
-    after t (module docstring) and t is injective.  The work therefore scales
-    with the surviving partial rows, not with |G|^E, and their number never
-    exceeds the bound.
+    in lexicographic order throughout.  The steps are those of
+    ``sys.plan(on_slice)``, built on the first call in each mode; a column
+    that can only hold 1 gets none (``_Plan``).  The triangle i < j < k is
+    closed by its edge (j, k), and as t(H) is normal its law puts g_jk in
+    the coset t(H) g_ij^-1 g_ik.  So an edge that closes a triangle is
+    solved from the first of them: each row branches into the |t(H)|
+    elements of its coset, or takes just one, the coset minimum, on the
+    slice or where t(H) is trivial.  Each further triangle it closes drops
+    the rows whose value lies outside its coset, and so does every triangle
+    a forest edge closes, that edge being 1 on the slice (no triangle ends
+    in a forest edge (p(j), j), but the enumerator does not rely on that).
+    An edge that closes nothing takes every value allowed it.  A triangle
+    takes the values in the t-preimage of its defect, and a row is dropped
+    as soon as the tetrahedron law fails on a tetrahedron whose last face
+    it sets; where ker t is trivial every triangle is forced.  The work
+    therefore scales with the surviving partial rows, not with |G|^E, and
+    their number never exceeds the bound.
 
-    The matrices are built in place and returned as they are.  An edge's
-    branch repeats each row, whole, once per value (``_extend``); a solved
-    or forced value is one gather into its column; an edge's filter copies
-    the rows it keeps, and only if it drops any.  A triangle with more than
-    one preimage extends its rows by two int64 indices per new row.
-    Otherwise the traced peak holds, beside the output, only the rows before
-    the last extension and one column's temporaries.
+    The matrices are built in place and returned as they are.  A branch
+    repeats each row, whole, once per value (``_extend``); a solved value is
+    one gather into its column, and the forced triangles one gather per
+    block of rows; an edge's filter copies the rows it keeps, and only if it
+    drops any.  A triangle with more than one preimage extends its rows by
+    two int64 indices per new row.  Otherwise the traced peak holds, beside
+    the output, only the rows before the last extension and one step's
+    temporaries.
     """
-    G, H, alpha, digit = sys.G, sys.H, sys.xm.alpha, sys.digit
+    G, digit = sys.G, sys.digit
     bound = G.order ** len(sys.edges) // (sys.fibre if on_slice else 1) * len(sys.kernel_t) ** len(sys.tris)
     if bound > budget:
         raise BudgetExceeded(bound, budget)
-    closing_tris, closing_tets, cosets, div, preimages = sys.tables
-    forest, tri_allowed = (frozenset(sys.forest), sys.quotient.allowed) if on_slice else (frozenset(), None)
-
-    # the rows are kept as n x E and n x T matrices in ``digit``, as are
-    # the tables the laws read, so that no temporary is wider than a digit
-    gmul, ginv = G.table.astype(digit), G.inverse.astype(digit)
-    hmul, act = H.table.astype(digit), alpha.perms.astype(digit)
-    minima = sys.coset_min.astype(digit)
-    # the values of an edge that closes nothing: G, or the coset minima
-    values = (np.flatnonzero(sys.coset_min == np.arange(G.order)) if on_slice else np.arange(G.order)).astype(digit)
-    solved_once = on_slice or cosets.shape[1] == 1
-
+    plan = sys.plan(on_slice)
     g_mat = np.zeros((1, len(sys.edges)), dtype=digit)
-    for e, closing in enumerate(closing_tris):
-        filters = closing
-        if e in forest:
-            pass  # 1 on the slice: its triangles only filter
-        elif closing:
-            (e_ij, e_ik), filters = closing[0], closing[1:]
-            coset = div[g_mat[:, e_ij], g_mat[:, e_ik]]
-            if solved_once:
-                g_mat[:, e] = minima[coset]
-            else:
-                g_mat = _extend(g_mat, e, cosets[coset])
-        elif values.size > 1:
-            g_mat = _extend(g_mat, e, values)
-        if filters:
-            keep = functools.reduce(
-                operator.and_,
-                (sys.in_image_t[div[g_mat[:, e], div[g_mat[:, e_ij], g_mat[:, e_ik]]]] for e_ij, e_ik in filters),
-            )
-            if not keep.all():
-                g_mat = g_mat[keep]
-
+    for step in plan.edge_steps:
+        g_mat = step(g_mat)
     h_mat = np.zeros((len(g_mat), len(sys.tris)), dtype=digit)
-    for ti, (e_ij, e_jk, e_ik) in enumerate(sys.tri_edges):
-        defect = gmul[g_mat[:, e_ik], ginv[gmul[g_mat[:, e_ij], g_mat[:, e_jk]]]]
-        if preimages.shape[1] == 1:
-            # forced; S is trivial, and t of both sides of a tetrahedron agree
-            h_mat[:, ti] = preimages[defect, 0]
-            continue
-        choices = preimages[defect]
-        ok = np.ones(choices.shape, dtype=bool) if tri_allowed is None else tri_allowed[ti][choices]
-        for parts in closing_tets[ti]:
-            h_jkl, h_ikl, h_ijl, h_ijk = (choices if x == ti else h_mat[:, x, None] for x in parts[:4])
-            ok &= hmul[h_ikl, h_ijk] == hmul[h_ijl, act[g_mat[:, parts[4], None], h_jkl]]
-        # each row once per value ``ok`` allows it, the new digit fastest
-        parent, choice = ok.nonzero()
-        g_mat, h_mat = g_mat[parent], h_mat[parent]
-        h_mat[:, ti] = choices[parent, choice]
+    for step in plan.tri_steps:
+        g_mat, h_mat = step(g_mat, h_mat)
     return g_mat, h_mat
 
 
@@ -1001,11 +1109,10 @@ def _smith_diagonal(rows: list[list[int]]) -> list[int]:
     diag = []
     top = 0
     while top < m and top < n:
-        # locate a nonzero pivot of least magnitude, the first in row-major order
-        pivots = [(abs(a[i][j]), i, j) for i in range(top, m) for j in range(top, n) if a[i][j]]
-        if not pivots:
+        pivot = _least_entry(a, top)
+        if pivot is None:
             break
-        _, bi, bj = min(pivots)
+        bi, bj = pivot
         a[top], a[bi] = a[bi], a[top]
         for row in a:
             row[top], row[bj] = row[bj], row[top]
@@ -1041,15 +1148,31 @@ def _smith_diagonal(rows: list[list[int]]) -> list[int]:
     return [d for d in diag if d != 0]
 
 
+def _least_entry(a: list[list[int]], top: int) -> Optional[tuple[int, int]]:
+    """(row, column) of the first nonzero entry of least magnitude, in
+    row-major order, among the rows and columns of ``a`` from ``top`` on;
+    None if all are zero.  A unit ends the scan, as no entry is less."""
+    least, where = 0, None
+    for i in range(top, len(a)):
+        row = a[i]
+        for j in range(top, len(row)):
+            x = abs(row[j])
+            if x and (not least or x < least):
+                least, where = x, (i, j)
+                if x == 1:
+                    return where
+    return where
+
+
 def _hom_sizes(H, rows: list[list[int]], cols: int) -> tuple[int, int]:
     """(|kernel|, |image|) of an integer matrix acting on H^cols."""
     diag = _smith_diagonal(rows) if rows and cols else []
     image = 1
     kernel = H.order ** (cols - len(diag))
-    for d in diag:
-        tor = sum(H.power(x, d) == 0 for x in H.elements())
-        kernel *= tor
-        image *= H.order // tor
+    for d, count in collections.Counter(diag).items():
+        tor = sum(H.power(x, d) == 0 for x in H.elements())  # the d-torsion of H
+        kernel *= tor**count
+        image *= (H.order // tor) ** count
     return kernel, image
 
 

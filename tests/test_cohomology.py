@@ -18,6 +18,7 @@ from cech2.cohomology import (
     CoboundaryWitness,
     _classify_slice,
     _enumerate_digit_arrays,
+    _hom_sizes,
     _Quotient,
     _search,
     _System,
@@ -691,7 +692,7 @@ class TestClassifyH1:
         with pytest.raises(BudgetExceeded):
             classify_h1(cx, xm)
         sys = _system(cx, xm)
-        assert len(sys.tris) == 504 and "quotient" not in vars(sys)
+        assert len(sys.tris) == 504 and "quotient" not in vars(sys) and not sys._plans
 
     def test_representative_is_minimum(self, sphere2, z2z4):
         cls = classify_h1(sphere2, z2z4)
@@ -1641,6 +1642,25 @@ class TestEnumeratorAgainstReference:
         assert g_mat.shape == (2**21, 21) and h_mat.shape == (2**21, 14)
         assert peak <= 1.25 * (g_mat.nbytes + h_mat.nbytes)
 
+    def test_plan_drops_the_columns_that_hold_1(self):
+        # shift:Z2 has trivial G, so every edge is 1; on the slice S leaves
+        # one of the 14 triangles free and the others 1, and that one
+        # branches on its fixed list of two values
+        sys = _System(standard_space("torus7"), coefficient_from_spec("shift:Z2"))
+        g_mat, h_mat = _enumerate_digit_arrays(sys, DEFAULT_BUDGET, on_slice=True)
+        plan = sys.plan(True)
+        assert plan is sys.plan(True) and list(sys._plans) == [True]
+        assert plan.edge_steps == [] and [step.func.__name__ for step in plan.tri_steps] == ["_branch"]
+        assert len(g_mat) == 2 and not g_mat.any() and h_mat.sum() == 1
+        # discrete coefficients force every triangle: one gather sets those
+        # whose edges are not all 1
+        for space in standard_space_names():
+            for group in ("Z2", "Z3", "S3"):
+                sys = _System(standard_space(space), coefficient_from_spec(f"discrete:{group}"))
+                for on_slice in (False, True):
+                    steps = [step.func.__name__ for step in sys.plan(on_slice).tri_steps]
+                    assert steps in ([], ["_set_forced"]) and (steps or space != "torus7")
+
     @pytest.mark.parametrize("space,spec", [("rp2_6", "hat:shift:Z2"), ("sphere2", "aut:S3"), ("torus7", "shift:Z2")])
     def test_peak_per_output_digit(self, space, spec):
         # the columns and the matrices built from them take one byte per
@@ -1866,6 +1886,23 @@ class TestAbelianOracle:
         cls = classify_h1(cx, shift_two_group(z2))
         assert cls.num_cocycles == 8
         assert cls.class_count == abelian_oracle_h2(cx, z2) == 1
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_hom_sizes_by_brute_force(self, data):
+        # |kernel| and |image| of an integer matrix on H^cols, against every
+        # vector of H^cols and its image.  A common factor of the entries
+        # makes the Smith diagonal repeat values other than 1
+        H = cyclic_group(data.draw(st.sampled_from([2, 3, 4, 6])))
+        rows, cols, factor = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4)), data.draw(st.integers(1, 3))
+        entry = st.integers(-(3 // factor), 3 // factor).map(factor.__mul__)
+        matrix = [data.draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]
+        multiple = {m: [H.power(x, m) if m >= 0 else H.inv(H.power(x, -m)) for x in H.elements()] for m in range(-3, 4)}
+        images = [
+            tuple(H.prod(multiple[m][x] for m, x in zip(row, xs)) for row in matrix)
+            for xs in itertools.product(H.elements(), repeat=cols)
+        ]
+        assert _hom_sizes(H, matrix, cols) == (images.count((0,) * rows), len(set(images)))
 
     @pytest.mark.parametrize("space", ["point", "interval", "circle3"])
     def test_low_dimensional_spaces_are_trivial(self, space, z3):
