@@ -587,7 +587,7 @@ def _extend(mat: np.ndarray, col: int, values: np.ndarray) -> np.ndarray:
 
 # the rows whose forced triangles one gather sets at once, so that its
 # temporaries stay small beside the output
-_GATHER_ROWS = 2**14
+_GATHER_ROWS = 2**12
 
 
 class _Plan:
@@ -597,16 +597,17 @@ class _Plan:
     ``tri_steps`` each map both matrices; every step is a
     ``functools.partial`` of ``_extend`` or of a method below.
 
-    A column that can only hold 1 gets no step: a forest edge on the slice,
+    A column that can only hold 1 is not set: a forest edge on the slice,
     an edge that closes nothing and has one allowed value, and a solved
-    edge or a triangle whose inputs all got no step and whose one
-    admissible value is then 1.  The trivial cocycle is a row of every
-    listing, so such a column is 0 on every row, as the zero-filled
-    matrices already hold; a filter or tetrahedron check that reads only
-    such columns passes on every row and gets no step either.  A solved
-    edge or a triangle whose inputs all got no step but which keeps several
-    values, and which closes no tetrahedron, branches on that fixed list,
-    like a free edge.  Where ker t is trivial one gather sets every
+    edge or a triangle whose inputs all hold 1 and which then admits only
+    1.  The trivial cocycle is a row of every listing, so such a column is
+    0 on every row, as the zero-filled matrices already hold.  A filter or
+    tetrahedron check that reads only such columns passes on every row and
+    is dropped; one that reads others still runs, so a triangle that holds
+    1 keeps its step while it closes such a tetrahedron.  A solved edge or
+    a triangle whose inputs all hold 1 but which admits several values
+    branches on that fixed list, like a free edge, unless the triangle
+    closes a tetrahedron.  Where ker t is trivial one gather sets every
     remaining triangle, ``_GATHER_ROWS`` rows at a time: each takes the one
     preimage of its defect, S is then trivial, and the tetrahedron law
     holds, as it holds after t (module docstring) and t is injective.
