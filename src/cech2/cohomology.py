@@ -1119,25 +1119,27 @@ def _smith_diagonal(rows: list[list[int]]) -> list[int]:
             row[top], row[bj] = row[bj], row[top]
         # clear the pivot row and column, restarting if remainders appear
         while True:
-            p = a[top][top]
+            pivot_row = a[top]
+            p = pivot_row[top]
+            support = [j for j in range(top, n) if pivot_row[j]]
             done = True
             for i in range(top + 1, m):
                 q = a[i][top] // p
                 if q:
-                    for j in range(top, n):
-                        a[i][j] -= q * a[top][j]
+                    row = a[i]
+                    for j in support:
+                        row[j] -= q * pivot_row[j]
                 if a[i][top] != 0:
                     a[top], a[i] = a[i], a[top]
                     done = False
                     break
             if not done:
                 continue
+            # the column below the pivot is clear, so a column operation
+            # changes only the pivot row
             for j in range(top + 1, n):
-                q = a[top][j] // p
-                if q:
-                    for i in range(top, m):
-                        a[i][j] -= q * a[i][top]
-                if a[top][j] != 0:
+                pivot_row[j] -= pivot_row[j] // p * p
+                if pivot_row[j] != 0:
                     for i in range(m):
                         a[i][top], a[i][j] = a[i][j], a[i][top]
                     done = False
