@@ -48,10 +48,11 @@ for: the triangle law puts it in one coset of t(H), so a row branches
 fails on a simplex whose last face was just set; the work scales with the
 surviving partial rows, not with |G|^E.  The steps are planned once per
 ``_System`` and mode (``_Plan``): a column that can only hold 1, such as a
-forest edge on the slice or every edge when G is trivial, gets no step,
-and where ker t is trivial one gather sets every remaining triangle.  The
-budget caps, before any row or plan is built, the product of the number of
-values each column may take, which bounds the partial rows at every step:
+forest edge on the slice, every edge when G is trivial or every triangle
+when H is, gets no step, and where ker t is trivial one gather sets each
+remaining triangle.  The budget caps, before any row or plan is built, the
+product of the number of values each column may take, which bounds the
+partial rows at every step:
 |G|^E |ker t|^T over all cocycles, |G/t(H)|^(E-F) |ker t|^T on the slice,
 F its forest edges.  Rows are looked up by their keys (``_System.keys``):
 their digits as one byte string, whose byte order is the lexicographic
@@ -585,11 +586,6 @@ def _extend(mat: np.ndarray, col: int, values: np.ndarray) -> np.ndarray:
     return out
 
 
-# the rows whose forced triangles one gather sets at once, so that its
-# temporaries stay small beside the output
-_GATHER_ROWS = 2**12
-
-
 class _Plan:
     """The steps ``_enumerate_digit_arrays`` runs for one ``_System`` and
     mode, in lexicographic order, and the tables they read, cast to
@@ -604,13 +600,14 @@ class _Plan:
     0 on every row, as the zero-filled matrices already hold.  A filter or
     tetrahedron check that reads only such columns passes on every row and
     is dropped; one that reads others still runs, so a triangle that holds
-    1 keeps its step while it closes such a tetrahedron.  A solved edge or
-    a triangle whose inputs all hold 1 but which admits several values
-    branches on that fixed list, like a free edge, unless the triangle
-    closes a tetrahedron.  Where ker t is trivial one gather sets every
-    remaining triangle, ``_GATHER_ROWS`` rows at a time: each takes the one
-    preimage of its defect, S is then trivial, and the tetrahedron law
-    holds, as it holds after t (module docstring) and t is injective.
+    1 keeps its step while it closes such a tetrahedron.  A solved edge
+    whose inputs all hold 1 but which admits several values branches on
+    that fixed list, like a free edge.  Where H is trivial every triangle
+    holds 1 and gets no step.  Where ker t is trivial each other triangle
+    is set by one gather (``_force``) to the one preimage of its defect: S
+    is then trivial, and the tetrahedron law holds, as it holds after t
+    (module docstring) and t is injective.  Otherwise each other triangle
+    branches by ``_choose``.
     """
 
     def __init__(self, sys: _System, on_slice: bool):
@@ -650,25 +647,22 @@ class _Plan:
         # a triangle whose edges are all 1 has the defect 1
         unit_defect = [one_edges.issuperset(edges) for edges in sys.tri_edges]
         self.tri_steps = []
+        if H.order == 1:
+            return  # every triangle is 1
         if self.preimages.shape[1] == 1:
-            tris = [ti for ti, unit in enumerate(unit_defect) if not unit]
-            if tris:
-                edges = np.array(sys.tri_edges, dtype=np.int64)[tris].T
-                self.tri_steps.append(functools.partial(self._set_forced, np.array(tris), edges))
+            for ti, edges in enumerate(sys.tri_edges):
+                if not unit_defect[ti]:
+                    self.tri_steps.append(functools.partial(self._force, ti, edges))
             return
         kernel = self.preimages[0]
         one_tris = set()  # the triangles that are 1 on every row
         for ti, (edges, tets) in enumerate(zip(sys.tri_edges, closing_tets)):
             allowed = sys.quotient.allowed[ti] if on_slice else None
-            if unit_defect[ti]:
-                kept = kernel if allowed is None else kernel[allowed[kernel]]
-                if kept.size == 1:
-                    one_tris.add(ti)
-                    tets = [parts for parts in tets if not (one_tris.issuperset(parts[:4]) and parts[4] in one_edges)]
-                    if not tets:
-                        continue
-                elif not tets:
-                    self.tri_steps.append(functools.partial(self._branch, ti, kept))
+            # defect 1 gives the choices ker t, of which S may admit only 1
+            if unit_defect[ti] and allowed is not None and allowed[kernel].sum() == 1:
+                one_tris.add(ti)
+                tets = [parts for parts in tets if not (one_tris.issuperset(parts[:4]) and parts[4] in one_edges)]
+                if not tets:
                     continue
             self.tri_steps.append(functools.partial(self._choose, ti, edges, allowed, tets))
 
@@ -691,27 +685,21 @@ class _Plan:
         )
         return g_mat if keep.all() else g_mat[keep]
 
-    def _set_forced(self, tris, edges, g_mat, h_mat):
-        """Triangles ``tris`` set to the one preimage of their defect, their
-        edges the rows of ``edges``, in blocks of ``_GATHER_ROWS`` rows."""
+    def _defect(self, edges, g_mat):
+        """g_ik (g_ij g_jk)^-1 on each row, for the triangle of ``edges``."""
         e_ij, e_jk, e_ik = edges
-        for start in range(0, len(g_mat), _GATHER_ROWS):
-            rows = g_mat[start : start + _GATHER_ROWS]
-            defect = self.gmul[rows[:, e_ik], self.ginv[self.gmul[rows[:, e_ij], rows[:, e_jk]]]]
-            h_mat[start : start + _GATHER_ROWS, tris] = self.preimages[defect, 0]
-        return g_mat, h_mat
+        return self.gmul[g_mat[:, e_ik], self.ginv[self.gmul[g_mat[:, e_ij], g_mat[:, e_jk]]]]
 
-    def _branch(self, ti, values, g_mat, h_mat):
-        """Each row once per value, that value in triangle ti."""
-        return np.repeat(g_mat, len(values), axis=0), _extend(h_mat, ti, values)
+    def _force(self, ti, edges, g_mat, h_mat):
+        """Triangle ti set to the one preimage of its defect."""
+        h_mat[:, ti] = self.preimages[self._defect(edges, g_mat), 0]
+        return g_mat, h_mat
 
     def _choose(self, ti, edges, allowed, tets, g_mat, h_mat):
         """Each row once per value of triangle ti in the t-preimage of its
         defect that ``allowed`` admits (all, if None) and that passes the
         tetrahedron law on every tetrahedron of ``tets``."""
-        e_ij, e_jk, e_ik = edges
-        defect = self.gmul[g_mat[:, e_ik], self.ginv[self.gmul[g_mat[:, e_ij], g_mat[:, e_jk]]]]
-        choices = self.preimages[defect]
+        choices = self.preimages[self._defect(edges, g_mat)]
         ok = np.ones(choices.shape, dtype=bool) if allowed is None else allowed[choices]
         for parts in tets:
             h_jkl, h_ikl, h_ijl, h_ijk = (choices if x == ti else h_mat[:, x, None] for x in parts[:4])
@@ -759,9 +747,8 @@ def _enumerate_digit_arrays(sys: _System, budget: int, on_slice: bool = False) -
 
     The matrices are built in place and returned as they are.  A branch
     repeats each row, whole, once per value (``_extend``); a solved value is
-    one gather into its column, and the forced triangles one gather per
-    block of rows; an edge's filter copies the rows it keeps, and only if it
-    drops any.  A triangle with more than one preimage extends its rows by
+    one gather into its column, as is a forced triangle; an edge's filter
+    copies the rows it keeps, and only if it drops any.  A triangle with more than one preimage extends its rows by
     two int64 indices per new row.  Otherwise the traced peak holds, beside
     the output, only the rows before the last extension and one step's
     temporaries.

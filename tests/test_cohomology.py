@@ -1644,22 +1644,27 @@ class TestEnumeratorAgainstReference:
 
     def test_plan_drops_the_columns_that_hold_1(self):
         # shift:Z2 has trivial G, so every edge is 1; on the slice S leaves
-        # one of the 14 triangles free and the others 1, and that one
-        # branches on its fixed list of two values
+        # one of the 14 triangles free and the others 1, and only that one
+        # gets a step
         sys = _System(standard_space("torus7"), coefficient_from_spec("shift:Z2"))
         g_mat, h_mat = _enumerate_digit_arrays(sys, DEFAULT_BUDGET, on_slice=True)
         plan = sys.plan(True)
         assert plan is sys.plan(True) and list(sys._plans) == [True]
-        assert plan.edge_steps == [] and [step.func.__name__ for step in plan.tri_steps] == ["_branch"]
+        assert plan.edge_steps == [] and [step.func.__name__ for step in plan.tri_steps] == ["_choose"]
         assert len(g_mat) == 2 and not g_mat.any() and h_mat.sum() == 1
-        # discrete coefficients force every triangle: one gather sets those
-        # whose edges are not all 1
+        # discrete coefficients have trivial H, so every triangle is 1 and
+        # gets no step
         for space in standard_space_names():
             for group in ("Z2", "Z3", "S3"):
                 sys = _System(standard_space(space), coefficient_from_spec(f"discrete:{group}"))
                 for on_slice in (False, True):
-                    steps = [step.func.__name__ for step in sys.plan(on_slice).tri_steps]
-                    assert steps in ([], ["_set_forced"]) and (steps or space != "torus7")
+                    assert sys.plan(on_slice).tri_steps == []
+        # hat coefficients have trivial ker t: each triangle whose edges are
+        # not all 1 is forced by one gather
+        sys = _System(standard_space("torus7"), coefficient_from_spec("hat:shift:Z2"))
+        for on_slice in (False, True):
+            steps = [step.func.__name__ for step in sys.plan(on_slice).tri_steps]
+            assert steps == ["_force"] * (0 if on_slice else len(sys.tris))
 
     @pytest.mark.parametrize("space,spec", [("rp2_6", "hat:shift:Z2"), ("sphere2", "aut:S3"), ("torus7", "shift:Z2")])
     def test_peak_per_output_digit(self, space, spec):
