@@ -593,21 +593,22 @@ class _Plan:
     ``tri_steps`` each map both matrices; every step is a
     ``functools.partial`` of ``_extend`` or of a method below.
 
-    A column that can only hold 1 is not set: a forest edge on the slice,
-    an edge that closes nothing and has one allowed value, and a solved
-    edge or a triangle whose inputs all hold 1 and which then admits only
-    1.  The trivial cocycle is a row of every listing, so such a column is
-    0 on every row, as the zero-filled matrices already hold.  A filter or
-    tetrahedron check that reads only such columns passes on every row and
-    is dropped; one that reads others still runs, so a triangle that holds
-    1 keeps its step while it closes such a tetrahedron.  A solved edge
-    whose inputs all hold 1 but which admits several values branches on
-    that fixed list, like a free edge.  Where H is trivial every triangle
-    holds 1 and gets no step.  Where ker t is trivial each other triangle
-    is set by one gather (``_force``) to the one preimage of its defect: S
-    is then trivial, and the tetrahedron law holds, as it holds after t
-    (module docstring) and t is injective.  Otherwise each other triangle
-    branches by ``_choose``.
+    A column that can only hold 1 is not set: a forest edge on the slice, an
+    edge that closes nothing and has one allowed value, a solved edge whose
+    inputs both hold 1, and a triangle whose inputs all hold 1 and which
+    then admits only 1.  The trivial cocycle is a row of every listing, so
+    such a column is 0 on every row, as the zero-filled matrices already
+    hold.  A filter or tetrahedron check that reads only such columns passes
+    on every row and is dropped; one that reads others still runs, so a
+    triangle that holds 1 keeps its step while it closes such a tetrahedron.
+    An edge holds 1 on every row only on the slice or where G is trivial,
+    since in the full listing a free edge takes every value of G; in both
+    cases a solved edge takes one value, so with inputs 1 it is 1.  Where H
+    is trivial every triangle holds 1 and gets no step.  Where ker t is
+    trivial each other triangle is set by one gather (``_force``) to the one
+    preimage of its defect: S is then trivial, and the tetrahedron law
+    holds, as it holds after t (module docstring) and t is injective.
+    Otherwise each other triangle branches by ``_choose``.
     """
 
     def __init__(self, sys: _System, on_slice: bool):
@@ -630,12 +631,10 @@ class _Plan:
                 one_edges.add(e)  # its triangles only filter
             elif closing:
                 (e_ij, e_ik), filters = closing[0], closing[1:]
-                if e_ij not in one_edges or e_ik not in one_edges:
-                    self.edge_steps.append(functools.partial(self._solve, e, e_ij, e_ik))
-                elif self.solved_once:
+                if e_ij in one_edges and e_ik in one_edges:
                     one_edges.add(e)
                 else:
-                    self.edge_steps.append(functools.partial(_extend, col=e, values=self.cosets[0]))
+                    self.edge_steps.append(functools.partial(self._solve, e, e_ij, e_ik))
             elif values.size > 1:
                 self.edge_steps.append(functools.partial(_extend, col=e, values=values))
             else:
@@ -822,13 +821,6 @@ def compose_witnesses(
         e: H.mul(alpha.apply(first.f[e[0]], then.k[e]), first.k[e])
         for e in first.k
     }
-    return CoboundaryWitness(f=f, k=k)
-
-
-def invert_witness(w: CoboundaryWitness, cx: SimplicialComplex, xm: CrossedModule) -> CoboundaryWitness:
-    G, H, alpha = xm.G, xm.H, xm.alpha
-    f = {v: G.inv(a) for v, a in w.f.items()}
-    k = {e: alpha.apply(f[e[0]], H.inv(kv)) for e, kv in w.k.items()}
     return CoboundaryWitness(f=f, k=k)
 
 
@@ -1055,35 +1047,6 @@ def classify_h1(
     """
     sys = _system(cx, xm)
     return _classify_slice(sys, *_enumerate_digit_arrays(sys, budget, on_slice=True))
-
-
-def relation_matrix(
-    cx: SimplicialComplex,
-    xm: CrossedModule,
-    budget: int = DEFAULT_BUDGET,
-    witness_budget: int = DEFAULT_WITNESS_BUDGET,
-) -> tuple[np.ndarray, CocycleSequence]:
-    """Boolean matrix R[a, b] = "some witness carries cocycle a to cocycle b",
-    with the cocycles as ``enumerate_cocycles`` lists them.
-
-    Built by sweeping the full witness group from every cocycle, block by
-    block, and looking the images up among the cocycles; feasible on
-    instances with a few hundred cocycles, where the equivalence-relation
-    axioms can be checked directly.  The cocycles stay the enumerator's
-    digit matrices, in ``_System.digit``; ``act`` widens each row it moves.
-    """
-    sys = _system(cx, xm)
-    g_mat, h_mat = _enumerate_digit_arrays(sys, budget)
-    keys = sys.keys(g_mat, h_mat)
-    rel = np.zeros((len(g_mat), len(g_mat)), dtype=bool)
-    for f, k in sys.witness_blocks(witness_budget):
-        for a in range(len(g_mat)):
-            index, found = _search(keys, sys.keys(*sys.act(g_mat[a : a + 1], h_mat[a : a + 1], f, k)))
-            if not found.all():  # the action must keep cocycles valid
-                w = np.argmin(found)
-                raise MoveLeavesCocycles(sys.digits_to_witness(f[w], k[w]), sys.digits_to_cocycle(g_mat[a], h_mat[a]))
-            rel[a, index] = True
-    return rel, CocycleSequence(sys.edges, sys.tris, g_mat, h_mat)
 
 
 # independent oracles

@@ -77,14 +77,6 @@ class FiniteGroup:
             n += 1
         return n
 
-    def order_census(self) -> dict[int, int]:
-        """Map from element order to how many elements have it."""
-        census: dict[int, int] = {}
-        for a in self.elements():
-            o = self.element_order(a)
-            census[o] = census.get(o, 0) + 1
-        return census
-
     @functools.cached_property
     def class_labels(self) -> np.ndarray:
         """Conjugacy class of each element, classes numbered by their least
@@ -379,21 +371,6 @@ def conjugacy_class_index(group: FiniteGroup, x: int) -> int:
     if not 0 <= x < group.order:
         raise ValueError(f"element {x} not in any class")
     return int(group.class_labels[x])
-
-
-def hom_kernel_image(f: GroupHom) -> tuple[list[int], list[int]]:
-    """Kernel and image as sorted element lists, verified closed."""
-    ker = f.kernel()
-    img = f.image()
-    for s, grp in ((ker, f.dom), (img, f.cod)):
-        members = set(s)
-        for x in s:
-            if grp.inv(x) not in members:
-                raise MissingInverse(x)
-            for y in s:
-                if grp.mul(x, y) not in members:
-                    raise NotHomomorphism((x, y))
-    return ker, img
 
 
 def identity_hom(group: FiniteGroup) -> GroupHom:

@@ -32,9 +32,7 @@ from cech2.cohomology import (
     enumerate_cocycles,
     holonomy_oracle,
     identity_witness,
-    invert_witness,
     refine_compare,
-    relation_matrix,
     trivial_cocycle,
     validate_cocycle,
 )
@@ -207,6 +205,14 @@ def test_validity_closure_property(data):
     assert validate_cocycle(out, cx, xm)["ok"]
 
 
+def _invert_witness(w: CoboundaryWitness, xm) -> CoboundaryWitness:
+    """The witness that undoes ``w``: f_i^-1 and alpha(f_i^-1)(k_ij^-1)."""
+    G, H, alpha = xm.G, xm.H, xm.alpha
+    f = {v: G.inv(a) for v, a in w.f.items()}
+    k = {e: alpha.apply(f[e[0]], H.inv(kv)) for e, kv in w.k.items()}
+    return CoboundaryWitness(f=f, k=k)
+
+
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_witness_inverse_property(data):
@@ -219,7 +225,7 @@ def test_witness_inverse_property(data):
     f = {v: data.draw(st.integers(0, 3)) for v in range(4)}
     k = {e: data.draw(st.integers(0, 1)) for e in sorted(c.g)}
     w = CoboundaryWitness(f=f, k=k)
-    back = invert_witness(w, cx, xm)
+    back = _invert_witness(w, xm)
     assert apply_coboundary(apply_coboundary(c, w, cx, xm), back, cx, xm) == c
 
 
@@ -339,8 +345,8 @@ def _reference_relation_matrix(
 
 
 class TestWitnessSweep:
-    """The block sweep of ``cohomologous_check`` and ``relation_matrix``
-    against the itertools loops they replaced."""
+    """The block sweep of ``cohomologous_check`` against the itertools loop
+    it replaced."""
 
     @pytest.mark.parametrize("space,spec,stride", [("circle3", "discrete:S3", 19), ("sphere2", "shift:Z2", 1)])
     def test_same_witness_on_all_pairs(self, space, spec, stride):
@@ -375,28 +381,6 @@ class TestWitnessSweep:
                 found += got is not None
         assert found >= 4
 
-    @pytest.mark.parametrize("space,xm_name", [("circle3", "s3"), ("sphere2", "shift2")])
-    def test_same_relation_matrix(self, space, xm_name, s3, z2):
-        cx = standard_space(space)
-        xm = discrete_two_group(s3) if xm_name == "s3" else shift_two_group(z2)
-        rel, cocycles = relation_matrix(cx, xm)
-        ref, ref_cocycles = _reference_relation_matrix(cx, xm)
-        assert np.array_equal(rel, ref) and cocycles == ref_cocycles
-
-    def test_relation_matrix_raises_when_the_action_leaves_the_cocycles(self, sphere2, z2, monkeypatch):
-        # flipping edge 0 breaks the triangle law on both triangles at that
-        # edge; the check must stay when assertions are stripped (python -O)
-        act = _System.act
-
-        def broken(self, *args):
-            g, h = act(self, *args)
-            g[:, 0] ^= 1
-            return g, h
-
-        monkeypatch.setattr(_System, "act", broken)
-        with pytest.raises(MoveLeavesCocycles):
-            relation_matrix(sphere2, discrete_two_group(z2))
-
     def test_blocks_list_every_witness_in_order(self, circle3, z2z4):
         sys = _System(circle3, z2z4)
         blocks = list(sys.witness_blocks(4**3 * 2**3))
@@ -414,8 +398,6 @@ class TestWitnessSweep:
         broken = Cocycle(g={}, h={})
         with pytest.raises(BudgetExceeded):
             cohomologous_check(broken, broken, circle3, xm, witness_budget=10)
-        with pytest.raises(BudgetExceeded):
-            relation_matrix(circle3, xm, witness_budget=10)
 
 
 class TestAct:
@@ -1762,19 +1744,6 @@ class TestNarrowDigits:
             for got, want in zip(sys.act(*narrow, f.astype(dtype), k.astype(dtype)), sys.act(*wide, f, k)):
                 assert got.dtype == np.int64 and np.array_equal(got, want)
 
-    @pytest.mark.parametrize("space,spec", [("circle3", "discrete:S3"), ("sphere2", "shift:Z2")])
-    def test_relation_matrix(self, space, spec, monkeypatch):
-        import cech2.cohomology as cohomology
-
-        cx, xm = standard_space(space), coefficient_from_spec(spec)
-        drawn = {}
-        for dtype in (np.uint8, np.uint16, np.int64):
-            monkeypatch.setattr(cohomology, "_enumerate_digit_arrays", _cast_enumerator(dtype))
-            drawn[dtype] = relation_matrix(cx, xm)
-        want_rel, want_cocycles = drawn.pop(np.int64)
-        for rel, cocycles in drawn.values():
-            assert np.array_equal(rel, want_rel) and cocycles == want_cocycles
-
 
 class TestClassOf:
     def test_raises_off_the_valid_set(self, sphere2, z2):
@@ -1965,7 +1934,7 @@ class TestEquivalenceRelation:
     def test_relation_axioms_and_partition(self, space, xm_name, s3, z2):
         cx = standard_space(space)
         xm = discrete_two_group(s3) if xm_name == "s3" else shift_two_group(z2)
-        rel, cocycles = relation_matrix(cx, xm)
+        rel, cocycles = _reference_relation_matrix(cx, xm)
         assert rel.diagonal().all()
         assert (rel == rel.T).all()
         reach = rel.astype(int) @ rel.astype(int) > 0

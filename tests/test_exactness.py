@@ -19,7 +19,7 @@ from cech2.cohomology import (
 )
 from cech2.complexes import standard_space
 from cech2.crossed_modules import discrete_two_group, hat_construction
-from cech2.errors import BudgetExceeded, DefectNotInKernel
+from cech2.errors import BudgetExceeded, DefectNotInKernel, NotExact
 from cech2.exactness import (
     GroupSES,
     conjugation_crossed_module,
@@ -62,6 +62,24 @@ class TestGroupSES:
     def test_section_must_be_normalized(self, z2z4z2):
         with pytest.raises(ValueError):
             validate_group_ses(z2z4z2.inclusion, z2z4z2.projection, section=[2, 1])
+
+    def test_inclusion_must_land_in_the_projected_group(self, z2, z4):
+        # an equal table is not enough: the two maps must share the group
+        incl = validate_hom(z2, z4, [0, 2])
+        proj = validate_hom(cyclic_group(4), z2, [0, 1, 0, 1])
+        with pytest.raises(NotExact, match="inclusion codomain"):
+            validate_group_ses(incl, proj)
+
+    def test_inclusion_must_be_injective(self, z1, z2, z4):
+        incl = validate_hom(z4, z2, [0, 1, 0, 1])
+        proj = validate_hom(z2, z1, [0, 0])
+        with pytest.raises(NotExact, match="not injective"):
+            validate_group_ses(incl, proj)
+
+    def test_section_must_lift_every_element(self, z2z4z2):
+        # 2 is normalized and in range, but lies over 0, not over 1
+        with pytest.raises(NotExact, match="not a section at 1"):
+            validate_group_ses(z2z4z2.inclusion, z2z4z2.projection, section=[0, 2])
 
     def test_conjugation_crossed_module(self, z2z4z2):
         xm = conjugation_crossed_module(z2z4z2)

@@ -158,6 +158,12 @@ class TestSpecGrammar:
         xm = coefficient_from_spec(str(path))
         assert xm.G.order == 4
 
+    def test_group_files(self, tmp_path, s3, z4):
+        for name, group in (("s3", s3), ("z4", z4)):
+            (tmp_path / f"{name}.json").write_text(json.dumps(group_to_json(group)))
+        assert coefficient_from_spec(f"discrete:{tmp_path / 's3.json'}").G.same_table(s3)
+        assert coefficient_from_spec(f"shift:{tmp_path / 'z4.json'}").H.same_table(z4)
+
     def test_space_names_and_files(self, tmp_path):
         assert space_from_spec("torus7").vertex_count == 7
         path = tmp_path / "cx.json"
@@ -165,7 +171,8 @@ class TestSpecGrammar:
         assert space_from_spec(str(path)).simplices == standard_space("circle3").simplices
 
     def test_unknown_specs(self):
-        with pytest.raises(KeyError):
-            coefficient_from_spec("loop:Z2")
+        for spec in ("loop:Z2", "discrete:Q8", "nonesuch"):
+            with pytest.raises(KeyError):
+                coefficient_from_spec(spec)
         with pytest.raises(KeyError):
             space_from_spec("klein_bottle")

@@ -20,7 +20,6 @@ from cech2.groups import (
     conjugacy_classes,
     cyclic_group,
     direct_product,
-    hom_kernel_image,
     identity_hom,
     inversion_action,
     klein_four_group,
@@ -34,6 +33,15 @@ from cech2.groups import (
 )
 from cech2.nerve import nerve_two_group
 from test_cohomology import _SLICE_SPECS
+
+
+def _order_census(group) -> dict[int, int]:
+    """Map from element order to how many elements have it."""
+    census: dict[int, int] = {}
+    for a in group.elements():
+        o = group.element_order(a)
+        census[o] = census.get(o, 0) + 1
+    return census
 
 
 def _level_groups(xm, depth: int) -> list:
@@ -58,7 +66,7 @@ class TestValidateGroup:
     def test_s3_table_from_builder(self, s3):
         g = validate_group(s3.table.tolist(), name="S3")
         assert not g.is_abelian()
-        assert g.order_census() == {1: 1, 2: 3, 3: 2}
+        assert _order_census(g) == {1: 1, 2: 3, 3: 2}
 
     def test_no_identity(self):
         with pytest.raises(NoIdentityAtZero):
@@ -257,12 +265,12 @@ class TestSemidirectProduct:
         sd = semidirect_product(z2, z3, inversion_action(z2, z3))
         assert sd.order == 6
         assert not sd.is_abelian()
-        assert sd.order_census() == s3.order_census()
+        assert _order_census(sd) == _order_census(s3)
 
     def test_klein_four(self, z2):
         sd = semidirect_product(z2, z2, trivial_action(z2, z2))
         assert sd.is_abelian()
-        assert sd.order_census() == {1: 1, 2: 3}
+        assert _order_census(sd) == {1: 1, 2: 3}
 
     def test_pair_encoding_row_major(self, z2, z4):
         sd = semidirect_product(z4, z2, trivial_action(z4, z2))
@@ -298,20 +306,23 @@ class TestConjugacyClasses:
 
 class TestHomKernelImage:
     def test_identity(self, z4):
-        ker, img = hom_kernel_image(identity_hom(z4))
+        f = identity_hom(z4)
+        ker, img = f.kernel(), f.image()
         assert ker == [0] and img == [0, 1, 2, 3]
 
     def test_reduction_mod_two(self, z2, z4):
-        ker, img = hom_kernel_image(validate_hom(z4, z2, [0, 1, 0, 1]))
+        f = validate_hom(z4, z2, [0, 1, 0, 1])
+        ker, img = f.kernel(), f.image()
         assert ker == [0, 2] and img == [0, 1]
 
     def test_constant(self, z4, z1):
-        ker, img = hom_kernel_image(validate_hom(z4, z1, [0, 0, 0, 0]))
+        f = validate_hom(z4, z1, [0, 0, 0, 0])
+        ker, img = f.kernel(), f.image()
         assert ker == [0, 1, 2, 3] and img == [0]
 
     def test_kernel_is_normal(self, z4, z2, s3, z1):
         for f in (validate_hom(z4, z2, [0, 1, 0, 1]), validate_hom(s3, z1, [0] * 6)):
-            ker, _ = hom_kernel_image(f)
+            ker = f.kernel()
             members = set(ker)
             for g in f.dom.elements():
                 for x in ker:

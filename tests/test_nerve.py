@@ -218,6 +218,11 @@ class TestLevelIso:
         report = check_level_iso(nerve_aut3, aut_two_group(cyclic_group(3)))
         assert report["ok"], report["failures"]
 
+    def test_against_another_crossed_module(self, nerve_z2z4):
+        # aut:Z3 has 2 * 3^p strings at level p, the nerve of z2z4 4 * 2^p codes
+        report = check_level_iso(nerve_z2z4, aut_two_group(cyclic_group(3)))
+        assert report["failures"] == [f"level {p}: {2 * 3**p} strings vs order {4 * 2**p}" for p in range(5)]
+
     def test_string_model_built_once_per_crossed_module(self, nerve_aut3, monkeypatch):
         built = []
 
