@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -37,6 +36,7 @@ from .groups import (
     direct_product,
     first_failure,
     identity_hom,
+    minimal_section,
     require_abelian,
     semidirect_product,
     subgroup_as_group,
@@ -70,7 +70,10 @@ class CrossedModule:
 class TwoGroup:
     """Strict 2-group: groups of objects and morphisms plus structure maps.
 
-    ``compose`` is the groupoid composition, on ints or int arrays.
+    ``compose`` is the groupoid composition, on ints or int arrays, derived
+    from the groups: n o m = n unit(src n)^-1 m.  It is the only one that
+    obeys the unit and interchange laws, as (n, m) = (n, u) (u^-1, u^-1)
+    (u, m) for u = unit(src n) is a product of composable pairs.
     ``strings(p)`` is the one listing of composable p-strings and
     ``string_products`` the one pairwise product of strings: the nerve's
     level check, the bar check and the interchange law all read these two.
@@ -83,7 +86,6 @@ class TwoGroup:
         src: GroupHom,
         tgt: GroupHom,
         unit: GroupHom,
-        compose: Callable,
         name: str = "",
     ):
         self.ob = ob
@@ -91,7 +93,6 @@ class TwoGroup:
         self.src = src
         self.tgt = tgt
         self.unit = unit
-        self._compose = compose
         self.name = name or "2-group"
 
     def compose(self, first, then):
@@ -101,7 +102,7 @@ class TwoGroup:
         bad = np.flatnonzero(ends != starts)
         if bad.size:
             raise NotComposable(int(ends.flat[bad[0]]), int(starts.flat[bad[0]]))
-        out = self._compose(np.asarray(first), np.asarray(then))
+        out = self.mor.table[self.mor.table[then, self.mor.inverse[self.unit.map[starts]]], first]
         return int(out) if out.ndim == 0 else out
 
     def strings(self, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -216,20 +217,14 @@ def two_group_from_crossed_module(xm: CrossedModule) -> TwoGroup:
     src = validate_hom(mor, G, g)
     tgt = validate_hom(mor, G, G.table[xm.t.map[h], g])
     unit = validate_hom(G, mor, np.arange(ng))
-
-    def compose(first, then):
-        h1, g1 = np.divmod(first, ng)
-        return H.table[then // ng, h1] * ng + g1
-
-    return TwoGroup(G, mor, src, tgt, unit, compose, name=xm.name)
+    return TwoGroup(G, mor, src, tgt, unit, name=xm.name)
 
 
 def crossed_module_from_two_group(tg: TwoGroup) -> CrossedModule:
     """Recover (G, H, t, alpha): H = ker(src), alpha by conjugation with units."""
     G, mor = tg.ob, tg.mor
     H, incl = subgroup_as_group(mor, np.flatnonzero(tg.src.map == 0), name=f"ker_src({tg.name})")
-    pos = np.full(mor.order, -1)
-    pos[incl.map] = np.arange(H.order)
+    pos = minimal_section(incl)
     t = validate_hom(H, G, tg.tgt.map[incl.map])
     u = tg.unit.map[:, None]
     alpha = validate_action(G, H, pos[mor.table[mor.table[u, incl.map], mor.inverse[u]]])  # u k u^-1
@@ -374,11 +369,7 @@ def segal_bar_two_group(H: FiniteGroup) -> TwoGroup:
     src = validate_hom(mor, H, a)
     tgt = validate_hom(mor, H, b)
     unit = validate_hom(H, mor, np.arange(nh) * (nh + 1))
-
-    def compose(first, then):
-        return (first // nh) * nh + (then % nh)
-
-    return TwoGroup(H, mor, src, tgt, unit, compose, name=f"bar({H.name})")
+    return TwoGroup(H, mor, src, tgt, unit, name=f"bar({H.name})")
 
 
 def semidirect_two_group(G: FiniteGroup, barH: TwoGroup, alpha: GroupAction) -> TwoGroup:
@@ -397,23 +388,13 @@ def semidirect_two_group(G: FiniteGroup, barH: TwoGroup, alpha: GroupAction) -> 
     diag = GroupAction(G, hh, alpha.perms[:, a] * nh + alpha.perms[:, b])
     mor = semidirect_product(G, hh, diag)
     mor.name = f"{G.name}|x({H.name}^2)"
-
-    def decode(m):
-        ab, g = np.divmod(m, ng)
-        return g, ab // nh, ab % nh
-
-    g, a, b = decode(np.arange(mor.order))
+    ab, g = np.divmod(np.arange(mor.order), ng)
+    a, b = np.divmod(ab, nh)
     src = validate_hom(mor, ob, a * ng + g)
     tgt = validate_hom(mor, ob, b * ng + g)
     h, g = np.divmod(np.arange(ob.order), ng)
     unit = validate_hom(ob, mor, (h * nh + h) * ng + g)
-
-    def compose(first, then):
-        g, a, _ = decode(first)
-        _, _, c = decode(then)
-        return (a * nh + c) * ng + g
-
-    return TwoGroup(ob, mor, src, tgt, unit, compose, name=f"{G.name}|xbar({H.name})")
+    return TwoGroup(ob, mor, src, tgt, unit, name=f"{G.name}|xbar({H.name})")
 
 
 def iso_hat_check(xm: CrossedModule) -> TwoGroupFunctor:
@@ -493,15 +474,16 @@ def interchange_holds(tg: TwoGroup) -> bool:
     """(b2' o b1') * (b2 o b1) = (b2' * b2) o (b1' * b1), all composable quadruples.
 
     That is, the composable 2-strings are closed under products and compose
-    is a hom on them.  Once mor passes Light's test and src, tgt and unit
-    are homs with src unit = 1, the 2-strings are a subgroup of mor^2.  It
-    is generated by the strings whose first arrow is 1 or a generator of
-    mor, as (m, n) = (m, u) (1, u^-1 n) for u = unit(tgt m), so only those
-    are right factors: if r and r' pass against every left factor s, so
-    does r r', as s r is then a string and compose(s r r') = compose(s r)
-    compose(r') = compose(s) compose(r) compose(r') = compose(s)
-    compose(r r').  Otherwise all strings are, by ``first_failure``.  A
-    product that is not composable fails.
+    is a hom on them; as compose is derived from mor, this is the Peiffer
+    condition [ker src, ker tgt] = 1.  Once mor passes Light's test and src,
+    tgt and unit are homs with src unit = 1, the 2-strings are a subgroup of
+    mor^2.  It is generated by the strings whose first arrow is 1 or a
+    generator of mor, as (m, n) = (m, u) (1, u^-1 n) for u = unit(tgt m),
+    so only those are right factors: if r and r' pass against every left
+    factor s, so does r r', as s r is then a string and compose(s r r') =
+    compose(s r) compose(r') = compose(s) compose(r) compose(r') =
+    compose(s) compose(r r').  Otherwise all strings are, by
+    ``first_failure``.  A product that is not composable fails.
     """
     nm = tg.mor.order
     x, arrows = tg.strings(2)

@@ -17,6 +17,7 @@ minimal-index section stands in for the topological fibration hypothesis.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,9 +49,11 @@ from .errors import DefectNotInKernel, NotExact, ValuesNotInKernel
 from .groups import FiniteGroup, GroupHom, minimal_section, validate_action, validate_hom
 
 
-@dataclass
+@dataclass(eq=False)
 class GroupSES:
-    """1 -> H -> G -> K -> 1 with a chosen normalized section of the quotient."""
+    """1 -> H -> G -> K -> 1 with a chosen normalized section of the quotient.
+
+    Compared and hashed by identity, so that its crossed module is cached."""
 
     inclusion: GroupHom
     projection: GroupHom
@@ -92,19 +95,15 @@ def validate_group_ses(
     return GroupSES(inclusion, projection, sec)
 
 
+@functools.lru_cache(maxsize=128)
 def conjugation_crossed_module(ses: GroupSES) -> CrossedModule:
-    """(G, H, inclusion, conjugation); needs H normal in G, which exactness gives."""
-    G, H = ses.G, ses.H
-    pre = {int(ses.inclusion(h)): h for h in H.elements()}
-    perms = []
-    for g in G.elements():
-        row = []
-        for h in H.elements():
-            x = G.conj(g, ses.inclusion(h))
-            if x not in pre:
-                raise ValueError(f"kernel is not normal at (g={g}, h={h})")
-            row.append(pre[x])
-        perms.append(row)
+    """(G, H, inclusion, conjugation); needs H normal in G, which exactness
+    gives.  Built once per sequence, so both lemma 2 maps share its H^1
+    system."""
+    G, H, incl = ses.G, ses.H, ses.inclusion.map
+    perms = minimal_section(ses.inclusion)[G.table[G.table[:, incl], G.inverse[:, None]]]  # g h g^-1
+    for g, h in np.argwhere(perms < 0)[:1]:
+        raise ValueError(f"kernel is not normal at (g={g}, h={h})")
     alpha = validate_action(G, H, perms)
     return validate_crossed_module(G, H, ses.inclusion, alpha, name=f"({H.name}->{G.name})")
 
@@ -144,15 +143,14 @@ def lemma2_beta(k: Cocycle, ses: GroupSES, cx: SimplicialComplex) -> Cocycle:
     t-preimage because the inclusion is injective, and the corrected pair
     passes validation (including the tetrahedron law).
     """
-    G, H = ses.G, ses.H
-    pre = {int(ses.inclusion(h)): h for h in H.elements()}
+    G, pre = ses.G, minimal_section(ses.inclusion)
     g = {e: int(ses.section[v]) for e, v in k.g.items()}
     h = {}
     for (i, j, kk) in cx.simplices_of_dim(2):
         defect = G.mul(g[(i, kk)], G.inv(G.mul(g[(i, j)], g[(j, kk)])))
-        if defect not in pre:
+        if pre[defect] < 0:
             raise DefectNotInKernel((i, j, kk), defect)
-        h[(i, j, kk)] = pre[defect]
+        h[(i, j, kk)] = int(pre[defect])
     out = Cocycle(g=g, h=h)
     validate_cocycle(out, cx, conjugation_crossed_module(ses))
     return out
@@ -187,8 +185,7 @@ def verify_lemma2(
         k_h = np.zeros((len(g_mat), len(sys_k.tris)), dtype=np.int64)
         return cls_k.labels_of(ses.projection.map[g_mat], k_h)
 
-    preimage = np.full(G.order, -1, dtype=np.int64)  # -1 off the kernel
-    preimage[ses.inclusion.map] = np.arange(ses.H.order)
+    preimage = minimal_section(ses.inclusion)  # -1 off the kernel
 
     def beta_labels(gk_mat, hk_mat):
         g_mat = ses.section[gk_mat]
@@ -246,10 +243,6 @@ def _moved_across_classes(sys: _System, g_mat: np.ndarray, h_mat: np.ndarray, la
     return np.flatnonzero(moved).tolist()
 
 
-def _injective_preimage(f: GroupHom) -> dict[int, int]:
-    return {int(f(x)): x for x in f.dom.elements()}
-
-
 def lemma3_kernel_lift(
     c: Cocycle,
     ses: CrossedModuleSES,
@@ -278,11 +271,12 @@ def lemma3_kernel_lift(
     for t, v in moved.h.items():
         if ses.right.fH(v) != 0:
             raise ValuesNotInKernel(t, v)
-    pre_g = _injective_preimage(ses.left.fG)
-    pre_h = _injective_preimage(ses.left.fH)
+    pre_g, pre_h = minimal_section(ses.left.fG), minimal_section(ses.left.fH)
+    for v in [v for v in moved.g.values() if pre_g[v] < 0] + [v for v in moved.h.values() if pre_h[v] < 0]:
+        raise KeyError(v)  # off the image of the left map: not exact at the middle
     lift = Cocycle(
-        g={e: pre_g[v] for e, v in moved.g.items()},
-        h={t: pre_h[v] for t, v in moved.h.items()},
+        g={e: int(pre_g[v]) for e, v in moved.g.items()},
+        h={t: int(pre_h[v]) for t, v in moved.h.items()},
     )
     validate_cocycle(lift, cx, ses.left.dom)
     return lift, lifted

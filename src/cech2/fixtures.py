@@ -26,8 +26,6 @@ from .errors import MalformedInput
 from .exactness import GroupSES, discrete_crossed_module_ses, validate_group_ses
 from .groups import (
     FiniteGroup,
-    GroupAction,
-    GroupHom,
     cyclic_group,
     klein_four_group,
     symmetric_group,
@@ -132,24 +130,6 @@ def group_to_json(g: FiniteGroup) -> dict:
 def group_from_json(obj: dict) -> FiniteGroup:
     obj = _object(obj, "a group")
     return validate_group(_table(obj["table"], "a group table"), name=obj.get("name", "G"))
-
-
-def hom_to_json(f: GroupHom) -> dict:
-    return {"dom": f.dom.name, "cod": f.cod.name, "map": f.map.tolist()}
-
-
-def hom_from_json(obj: dict, registry: dict[str, FiniteGroup]) -> GroupHom:
-    obj = _object(obj, "a homomorphism")
-    return validate_hom(registry[obj["dom"]], registry[obj["cod"]], _integers(obj["map"], "a hom value"))
-
-
-def action_to_json(a: GroupAction) -> dict:
-    return {"actor": a.actor.name, "target": a.target.name, "perms": a.perms.tolist()}
-
-
-def action_from_json(obj: dict, registry: dict[str, FiniteGroup]) -> GroupAction:
-    obj = _object(obj, "an action")
-    return validate_action(registry[obj["actor"]], registry[obj["target"]], _table(obj["perms"], "an action table"))
 
 
 def crossed_module_to_json(xm: CrossedModule) -> dict:

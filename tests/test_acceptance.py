@@ -6,8 +6,6 @@ are small enough that the whole file runs in well under a minute.  Run with
     pytest tests/test_acceptance.py -v -s
 """
 
-import itertools
-
 import numpy as np
 import pytest
 

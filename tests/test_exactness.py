@@ -18,7 +18,7 @@ from cech2.cohomology import (
     validate_cocycle,
 )
 from cech2.complexes import standard_space
-from cech2.crossed_modules import discrete_two_group, hat_construction
+from cech2.crossed_modules import discrete_two_group, hat_construction, validate_crossed_module
 from cech2.errors import BudgetExceeded, DefectNotInKernel, NotExact
 from cech2.exactness import (
     GroupSES,
@@ -27,14 +27,13 @@ from cech2.exactness import (
     lemma2_alpha,
     lemma2_beta,
     lemma3_kernel_lift,
-    minimal_section,
     pushforward_cocycle,
     validate_group_ses,
     verify_lemma2,
     verify_lemma3,
 )
 from cech2.fixtures import z2z4z2_discrete_ses
-from cech2.groups import cyclic_group, validate_hom
+from cech2.groups import cyclic_group, identity_hom, validate_hom
 from test_cohomology import _cast_enumerator, _reference_compile_move
 
 
@@ -89,11 +88,19 @@ class TestGroupSES:
         xm = conjugation_crossed_module(z3s3z2)
         assert not xm.alpha.is_trivial()
 
+    def test_conjugation_needs_a_normal_kernel(self, z2, s3):
+        # a transposition's Z2 is not normal in S3; the first (g, h) in
+        # row-major order that leaves it is named
+        x = next(x for x in s3.elements() if s3.element_order(x) == 2)
+        g = next(g for g in s3.elements() if s3.conj(g, x) != x)
+        ses = GroupSES(validate_hom(z2, s3, [0, x]), identity_hom(s3), np.arange(6))
+        with pytest.raises(ValueError, match=rf"not normal at \(g={g}, h=1\)"):
+            conjugation_crossed_module(ses)
+
 
 class TestPushforward:
     def test_identity(self, z2z4, sphere2):
         from cech2.crossed_modules import validate_two_group_hom
-        from cech2.groups import identity_hom
 
         hom = validate_two_group_hom(z2z4, z2z4, identity_hom(z2z4.G), identity_hom(z2z4.H))
         for c in enumerate_cocycles(sphere2, z2z4)[::101]:
@@ -317,9 +324,26 @@ class TestVerifyLemma2:
         assert reports[np.uint8] == reports[np.uint16] == reports[np.int64]
         assert reports[np.int64]["ok"] != split
 
+    def test_crossed_module_built_once_per_sequence(self, circle3, z2z4z2, monkeypatch):
+        import cech2.exactness as exactness
+
+        built = []
+
+        def counted(G, H, t, alpha, name=""):
+            built.append(H)
+            return validate_crossed_module(G, H, t, alpha, name=name)
+
+        monkeypatch.setattr(exactness, "validate_crossed_module", counted)
+        exactness.conjugation_crossed_module.cache_clear()
+        other = validate_group_ses(z2z4z2.inclusion, z2z4z2.projection)
+        reports = [verify_lemma2(ses, circle3) for ses in (z2z4z2, z2z4z2, other)]
+        assert all(r == reports[0] for r in reports) and reports[0]["ok"]
+        # a sequence is found again only as the same object
+        assert len(built) == 2
+
     def test_k_trivial_collapses(self, circle3, z3):
         # 1 -> Z3 -> Z3 -> 1 -> 1: both sides a single class
-        from cech2.groups import identity_hom, trivial_group
+        from cech2.groups import trivial_group
 
         z1 = trivial_group()
         ses = validate_group_ses(identity_hom(z3), validate_hom(z3, z1, [0, 0, 0]))
@@ -356,6 +380,14 @@ class TestTrivializationWitness:
 
 
 class TestLemma3KernelLift:
+    def test_value_off_the_left_image_raises_key_error(self, circle3, z1, z2):
+        # 1 -> Z1 -> Z2 -> Z1 -> 1 is not exact at Z2: the edge value 1 lies
+        # in the kernel of the right map but not in the image of the left
+        ses = discrete_crossed_module_ses(validate_hom(z1, z2, [0]), validate_hom(z2, z1, [0, 0]))
+        c = Cocycle(g={(0, 1): 1, (0, 2): 0, (1, 2): 1}, h={})
+        with pytest.raises(KeyError):
+            lemma3_kernel_lift(c, ses, identity_witness(circle3), circle3)
+
     def test_subgroup_valued_cocycle_lifts_unchanged(self, circle3, z2z4):
         hat, ses = hat_construction(z2z4)
         # edge values in the image of the left map: f(h) = (t(h), h^-1)
